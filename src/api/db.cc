@@ -50,6 +50,13 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
         "MasterPolicy.stats_window must be > 0, got " +
         std::to_string(mp.stats_window));
   }
+  if (mp.stats_window > cluster::kResourceHistoryKeep) {
+    return Status::InvalidArgument(
+        "MasterPolicy.stats_window must be <= " +
+        std::to_string(cluster::kResourceHistoryKeep) +
+        " us (the resource history each sample tick keeps), got " +
+        std::to_string(mp.stats_window));
+  }
   if (!(mp.cpu_lower < mp.cpu_upper)) {
     return Status::InvalidArgument(
         "MasterPolicy needs cpu_lower < cpu_upper, got " +

@@ -17,6 +17,14 @@
 // check — they get the relaxed visibility rules in CheckReplicaRead,
 // which flags only *definite* anomalies so a legitimately stale (but
 // bounded) replica read never fails the scenario.
+//
+// Pruning: before searching, an indeterminate write whose value no strict
+// read observes is dropped, as is an indeterminate delete when no strict
+// read observes the key absent. Such an op never blocks the frontier (its
+// response is infinite) yet doubles the state space, and dropping it keeps
+// the verdict: in any linearization no read sits between it and the next
+// write, so omitting it leaves every read valid; and a linearization of
+// the pruned history is one of the full history that omits it.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,7 +32,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "chaos/history.h"
@@ -44,108 +51,173 @@ struct SearchOp {
   bool optional = false;  ///< kIndeterminate: may never have taken effect.
 };
 
-/// Search state: which ops are settled (linearized or omitted) and the
-/// register value they produced. Two interleavings reaching the same
-/// (settled-set, value) pair are equivalent for everything that follows,
-/// so the pair is the memo key.
-struct SearchState {
-  std::vector<uint64_t> mask;
-  uint64_t value = 0;
-
-  friend bool operator==(const SearchState& a, const SearchState& b) {
-    return a.value == b.value && a.mask == b.mask;
-  }
+/// A search op flattened so expanding a state touches no HistoryOp.
+struct RegisterOp {
+  SimTime inv = 0;
+  SimTime resp = kInfTime;
+  uint64_t seq = 0;
+  OpKind kind = OpKind::kRead;
+  bool optional = false;
 };
 
-struct SearchStateHash {
-  size_t operator()(const SearchState& s) const {
-    uint64_t h = s.value * 0x9e3779b97f4a7c15ull;
-    for (uint64_t w : s.mask) {
-      h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+/// Arenas the search reuses across keys and truncation cuts, so a search
+/// allocates nothing per state. A search state is (settled mask, register
+/// value): which ops are settled (linearized or omitted) and the value
+/// they produced. Two interleavings reaching the same pair are equivalent
+/// for everything that follows, so the pair is the memo key.
+struct SearchArena {
+  /// The ops left after pruning.
+  std::vector<RegisterOp> ops;
+  /// Values strict reads observe, sorted (the pruning test).
+  std::vector<uint64_t> observed;
+  /// LIFO stack of (mask words, value, settled) records.
+  std::vector<uint64_t> stack;
+  /// The popped record being expanded.
+  std::vector<uint64_t> cur;
+  /// Memo: (mask words, value) records, their hashes, and an open-addressed
+  /// table of record index + 1 (0 = empty slot).
+  std::vector<uint64_t> memo_keys;
+  std::vector<uint64_t> memo_hashes;
+  std::vector<uint32_t> memo_slots;
+};
+
+uint64_t HashState(const uint64_t* key, size_t len) {
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (size_t i = 0; i < len; ++i) {
+    h ^= key[i] + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  return h;
+}
+
+/// First empty slot on `h`'s linear probe sequence.
+size_t FreeSlot(const std::vector<uint32_t>& slots, uint64_t h) {
+  const size_t mask = slots.size() - 1;
+  size_t i = h & mask;
+  while (slots[i] != 0) i = (i + 1) & mask;
+  return i;
+}
+
+/// Insert the (mask, value) prefix of `rec` (`len` words) into the memo;
+/// false when it was already there.
+bool MemoInsert(SearchArena* a, const uint64_t* rec, size_t len) {
+  const uint64_t h = HashState(rec, len);
+  const size_t mask = a->memo_slots.size() - 1;
+  for (size_t i = h & mask; a->memo_slots[i] != 0; i = (i + 1) & mask) {
+    const size_t idx = a->memo_slots[i] - 1;
+    if (a->memo_hashes[idx] == h &&
+        std::equal(rec, rec + len, a->memo_keys.begin() + idx * len)) {
+      return false;
     }
-    return static_cast<size_t>(h);
   }
-};
-
-bool MaskGet(const std::vector<uint64_t>& m, size_t i) {
-  return (m[i / 64] >> (i % 64)) & 1;
-}
-
-void MaskSet(std::vector<uint64_t>* m, size_t i) {
-  (*m)[i / 64] |= uint64_t{1} << (i % 64);
-}
-
-/// Effect of settling `op` on the register (writes install their seq,
-/// deletes clear, reads leave it).
-uint64_t Apply(const SearchOp& s, uint64_t value) {
-  switch (s.op->kind) {
-    case OpKind::kWrite:
-      return s.op->seq;
-    case OpKind::kDelete:
-      return 0;
-    default:
-      return value;
+  const size_t count = a->memo_hashes.size();
+  if (2 * (count + 1) > a->memo_slots.size()) {
+    // Grow: double the table and re-place every record by its hash.
+    a->memo_slots.assign(2 * a->memo_slots.size(), 0);
+    for (size_t idx = 0; idx < count; ++idx) {
+      a->memo_slots[FreeSlot(a->memo_slots, a->memo_hashes[idx])] =
+          static_cast<uint32_t>(idx + 1);
+    }
   }
+  a->memo_slots[FreeSlot(a->memo_slots, h)] = static_cast<uint32_t>(count + 1);
+  a->memo_keys.insert(a->memo_keys.end(), rec, rec + len);
+  a->memo_hashes.push_back(h);
+  return true;
 }
 
 /// Iterative-deepening-free DFS over linearization orders with state
-/// memoization. Returns true when a valid linearization exists; sets
-/// `over_budget` (and returns true, i.e. no violation claimed) when the
-/// state budget is exhausted first.
+/// memoization, run on `ops` minus its unobserved indeterminate writes and
+/// deletes (the pruning rule in the file comment: the verdict is the same
+/// with or without them). Returns true when a valid linearization exists;
+/// sets `over_budget` (and returns true, i.e. no violation claimed) when
+/// the state budget is exhausted first.
 bool Linearizable(const std::vector<SearchOp>& ops, uint64_t initial,
-                  int64_t* budget, bool* over_budget) {
-  const size_t n = ops.size();
+                  int64_t* budget, bool* over_budget, SearchArena* a) {
+  a->observed.clear();
+  for (const SearchOp& s : ops) {
+    if (s.op->kind == OpKind::kRead) a->observed.push_back(s.op->seq);
+  }
+  std::sort(a->observed.begin(), a->observed.end());
+  a->ops.clear();
+  for (const SearchOp& s : ops) {
+    const uint64_t effect = s.op->kind == OpKind::kWrite ? s.op->seq : 0;
+    if (s.optional && s.op->kind != OpKind::kRead &&
+        !std::binary_search(a->observed.begin(), a->observed.end(), effect)) {
+      continue;  // Unobserved and may be omitted: the verdict is unchanged.
+    }
+    a->ops.push_back({s.inv, s.resp, s.op->seq, s.op->kind, s.optional});
+  }
+
+  const size_t n = a->ops.size();
   if (n == 0) return true;
   const size_t words = (n + 63) / 64;
-
-  std::unordered_set<SearchState, SearchStateHash> seen;
-  struct Frame {
-    SearchState state;
-    size_t settled = 0;
+  const size_t key_len = words + 1;  // Mask words, then the value.
+  const size_t rec_len = words + 2;  // Key, then the settled count.
+  const uint64_t last_word_bits =
+      n % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (n % 64)) - 1;
+  const auto unsettled = [&](const uint64_t* mask, size_t w) {
+    return ~mask[w] & (w + 1 == words ? last_word_bits : ~uint64_t{0});
   };
-  std::vector<Frame> stack;
-  stack.push_back({SearchState{std::vector<uint64_t>(words, 0), initial}, 0});
 
-  while (!stack.empty()) {
+  a->memo_keys.clear();
+  a->memo_hashes.clear();
+  a->memo_slots.assign(64, 0);
+  a->stack.assign(rec_len, 0);
+  a->stack[words] = initial;
+  a->cur.resize(rec_len);
+  uint64_t* cur = a->cur.data();
+
+  while (!a->stack.empty()) {
     if (--(*budget) <= 0) {
       *over_budget = true;
       return true;
     }
-    Frame f = std::move(stack.back());
-    stack.pop_back();
-    if (f.settled == n) return true;
-    if (!seen.insert(f.state).second) continue;
+    std::copy(a->stack.end() - rec_len, a->stack.end(), cur);
+    a->stack.resize(a->stack.size() - rec_len);
+    const uint64_t value = cur[words];
+    const uint64_t settled = cur[words + 1];
+    if (settled == n) return true;
+    if (!MemoInsert(a, cur, key_len)) continue;
 
     // Earliest response among unsettled ops: any op invoked after it
     // strictly follows an unsettled op in real time and cannot go next.
     SimTime frontier = kInfTime;
-    for (size_t i = 0; i < n; ++i) {
-      if (!MaskGet(f.state.mask, i)) frontier = std::min(frontier, ops[i].resp);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (MaskGet(f.state.mask, i)) continue;
-      if (ops[i].inv > frontier) continue;  // Some unsettled op precedes it.
-      const SearchOp& s = ops[i];
-      if (s.op->kind == OpKind::kRead) {
-        if (s.op->seq == f.state.value) {
-          Frame next = f;
-          MaskSet(&next.state.mask, i);
-          next.settled = f.settled + 1;
-          stack.push_back(std::move(next));
-        }
-      } else {
-        Frame next = f;
-        MaskSet(&next.state.mask, i);
-        next.state.value = Apply(s, f.state.value);
-        next.settled = f.settled + 1;
-        stack.push_back(std::move(next));
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t open = unsettled(cur, w); open != 0; open &= open - 1) {
+        const RegisterOp& op = a->ops[64 * w + __builtin_ctzll(open)];
+        frontier = std::min(frontier, op.resp);
       }
-      if (s.optional) {
+    }
+    // Successors in ascending op order, each op's effect before its skip.
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t open = unsettled(cur, w); open != 0; open &= open - 1) {
+        const unsigned bit = __builtin_ctzll(open);
+        const RegisterOp& op = a->ops[64 * w + bit];
+        if (op.inv > frontier) continue;  // Some unsettled op precedes it.
+        const auto push = [&](uint64_t next_value) {
+          a->stack.insert(a->stack.end(), cur, cur + rec_len);
+          uint64_t* next = a->stack.data() + a->stack.size() - rec_len;
+          next[w] |= uint64_t{1} << bit;
+          next[words] = next_value;
+          next[words + 1] = settled + 1;
+        };
+        switch (op.kind) {
+          case OpKind::kRead:
+            if (op.seq == value) push(value);
+            break;
+          case OpKind::kWrite:
+            push(op.seq);
+            break;
+          case OpKind::kDelete:
+            push(0);
+            break;
+          case OpKind::kTxn:
+            break;  // Never part of a register history.
+        }
         // The indeterminate op never took effect: settle it with no change.
-        Frame skip = f;
-        MaskSet(&skip.state.mask, i);
-        skip.settled = f.settled + 1;
-        stack.push_back(std::move(skip));
+        if (op.optional) push(value);
       }
     }
   }
@@ -273,7 +345,7 @@ struct Truncation {
 
 Truncation MinimalFailingTruncation(const std::vector<SearchOp>& full,
                                     uint64_t initial, int64_t* budget,
-                                    bool* over_budget) {
+                                    bool* over_budget, SearchArena* arena) {
   std::vector<SimTime> cuts;
   for (const SearchOp& s : full) {
     if (s.resp != kInfTime) cuts.push_back(s.resp);
@@ -292,7 +364,7 @@ Truncation MinimalFailingTruncation(const std::vector<SearchOp>& full,
       }
       sub.push_back(t);
     }
-    if (!Linearizable(sub, initial, budget, over_budget)) {
+    if (!Linearizable(sub, initial, budget, over_budget, arena)) {
       return Truncation{std::move(sub), cut, OpRespondingAt(full, cut)};
     }
     if (*over_budget) break;
@@ -359,6 +431,7 @@ HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
 
   // --- Check every key ---------------------------------------------------
   constexpr int64_t kBudgetPerKey = 400000;
+  SearchArena arena;
   for (auto& [key, ks] : keys) {
     ++result.keys_checked;
 
@@ -397,12 +470,12 @@ HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
     int64_t budget = kBudgetPerKey;
     bool over_budget = false;
     const uint64_t initial = ks.has_initial ? ks.initial : 0;
-    if (Linearizable(ks.strict, initial, &budget, &over_budget)) {
+    if (Linearizable(ks.strict, initial, &budget, &over_budget, &arena)) {
       if (over_budget) ++result.keys_over_budget;
       continue;
     }
-    Truncation min_fail =
-        MinimalFailingTruncation(ks.strict, initial, &budget, &over_budget);
+    Truncation min_fail = MinimalFailingTruncation(ks.strict, initial, &budget,
+                                                   &over_budget, &arena);
     HistoryViolation v;
     v.anomaly = NameAnomaly(min_fail.ops, min_fail.offender, key);
     v.key = key;

@@ -212,7 +212,7 @@ void Cluster::SampleTick() {
   }
   // Prune resource interval bookkeeping we have already accounted, keeping
   // enough history for the master's monitoring windows.
-  const SimTime keep_from = now - 30 * kUsPerSec;
+  const SimTime keep_from = now - kResourceHistoryKeep;
   for (auto& n : nodes_) n->hardware().Prune(keep_from);
   lanes_.Prune(keep_from);
   network_.Prune(keep_from);

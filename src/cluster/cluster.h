@@ -24,6 +24,11 @@
 
 namespace wattdb::cluster {
 
+/// How much resource-timeline history a sample tick keeps: busy intervals
+/// older than `now - kResourceHistoryKeep` are pruned, so no monitoring
+/// window (MasterPolicy::stats_window) may reach further back.
+constexpr SimTime kResourceHistoryKeep = 30 * kUsPerSec;
+
 /// Everything needed to stand up a simulated WattDB cluster.
 struct ClusterConfig {
   int num_nodes = 4;                 ///< Total nodes incl. master (paper: 10).

@@ -228,6 +228,7 @@ struct MasterPolicy {
   double cpu_upper = kCpuUpperThreshold;  ///< 80%: scale out / repartition.
   double cpu_lower = kCpuLowerThreshold;  ///< Under it on all nodes: scale in.
   SimTime check_period = 5 * kUsPerSec;
+  /// Monitoring window; at most kResourceHistoryKeep (checked at Db::Open).
   SimTime stats_window = 10 * kUsPerSec;
   /// Consecutive violating samples before acting (hysteresis).
   int trigger_after = 2;

@@ -1024,6 +1024,19 @@ TEST(DbOptions, ValidatesMasterPolicy) {
   ASSERT_FALSE(bad_window.ok());
   EXPECT_TRUE(bad_window.status().IsInvalidArgument());
 
+  // A window reaching past the pruned resource history would abort at the
+  // first sample; the longest window the history still covers is fine.
+  auto long_window = with([](cluster::MasterPolicy& p) {
+    p.stats_window = cluster::kResourceHistoryKeep + 1;
+  });
+  ASSERT_FALSE(long_window.ok());
+  EXPECT_TRUE(long_window.status().IsInvalidArgument());
+  EXPECT_NE(long_window.status().message().find("stats_window"),
+            std::string::npos);
+  EXPECT_TRUE(with([](cluster::MasterPolicy& p) {
+                p.stats_window = cluster::kResourceHistoryKeep;
+              }).ok());
+
   auto inverted = with([](cluster::MasterPolicy& p) {
     p.cpu_lower = 0.9;
     p.cpu_upper = 0.2;

@@ -95,15 +95,11 @@ TEST(ChaosSmoke, FencingOffIsCaughtDeterministically) {
 
 // ------------------------------------------------------ history checking
 
-// History mode on the PR-blocking tier: a subset of the fixed smoke list
-// re-run with the per-operation recorder and the per-key linearizability
-// checker armed. The subset is small because checking is superlinear in
-// contention — the full list stays on the cheap final-state tier, the
-// nightly soak covers breadth.
-constexpr uint64_t kHistorySmokeSeeds[] = {1, 3, 7, 19, 40};
-
+// History mode on the PR-blocking tier: the whole fixed smoke list re-run
+// with the per-operation recorder and the per-key linearizability checker
+// armed. Every key must be decided — a key left over budget is unchecked.
 TEST(ChaosHistory, HistorySmokeSeedsPass) {
-  for (uint64_t seed : kHistorySmokeSeeds) {
+  for (uint64_t seed : kSmokeSeeds) {
     chaos::ChaosConfig config;
     config.seed = seed;
     config.record_history = true;
@@ -115,6 +111,8 @@ TEST(ChaosHistory, HistorySmokeSeedsPass) {
         << "seed " << seed << " recorded no operations — history mode is "
         << "vacuous";
     EXPECT_GT(result.history_keys_checked, 0);
+    EXPECT_EQ(result.history_keys_over_budget, 0)
+        << "seed " << seed << " left keys unchecked over the search budget";
   }
 }
 
