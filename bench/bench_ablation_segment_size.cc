@@ -1,8 +1,8 @@
-// Ablation (DESIGN.md E8): how the segment size — the paper fixes it at
-// 32 MB (§4) — trades off migration granularity against per-segment
-// overhead. Smaller segments mean shorter per-segment partition locks
-// (writers drain faster) but more tasks, catalog churn, and per-move
-// latency overhead; larger segments ship fewer, longer bursts.
+// Ablation: how the segment size — the paper fixes it at 32 MB (§4) —
+// trades off migration granularity against per-segment overhead. Smaller
+// segments mean shorter per-segment partition locks (writers drain faster)
+// but more tasks, catalog churn, and per-move latency overhead; larger
+// segments ship fewer, longer bursts.
 //
 // Since kSegmentSize is a compile-time geometry constant, the ablation
 // varies the *effective* moved-bytes-per-lock window via the migration

@@ -1,6 +1,6 @@
-// Ablation (DESIGN.md E9): remote-operator record throughput as a function
-// of the vector (batch) size of the volcano operators — the knob behind the
-// paper's Fig. 1 jump from <1k records/s (single-record next() calls) to
+// Ablation: remote-operator record throughput as a function of the vector
+// (batch) size of the volcano operators — the knob behind the paper's
+// Fig. 1 jump from <1k records/s (single-record next() calls) to
 // ~24k (vectorized) and ~30k (buffered prefetch).
 
 #include <cstdio>

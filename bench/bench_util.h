@@ -2,8 +2,8 @@
 #define WATTDB_BENCH_BENCH_UTIL_H_
 
 // Shared scaffolding for the paper-reproduction benches. Each bench binary
-// regenerates one table/figure of Schall & Härder, ICDE 2015; see
-// EXPERIMENTS.md for the mapping and the calibration rationale.
+// regenerates one table/figure of Schall & Härder, ICDE 2015, or measures
+// a subsystem layered on the reproduction; its header comment says which.
 //
 // All benches go through the wattdb::Db facade: the rig below is only the
 // paper's §5.1 testbed constants folded into DbOptions plus an attached
@@ -211,7 +211,7 @@ struct RebalanceSetup {
   SimTime think_time = 60 * kUsPerMs;
   /// Every materialized byte stands for `cost_scale` paper bytes so the
   /// SF-1000 migration duration (~4-5 minutes) is reproduced with a small
-  /// materialized database (see DESIGN.md, substitution table).
+  /// materialized database.
   double cost_scale = 22.0;
   /// Buffer sized to the paper's DRAM:data ratio (2 GB against ~20+ GB per
   /// node -> a few percent of the pages are resident).

@@ -73,10 +73,6 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
         "MasterPolicy.trigger_after must be >= 1, got " +
         std::to_string(mp.trigger_after));
   }
-  if (mp.use_forecast && mp.forecast_horizon <= 0) {
-    return Status::InvalidArgument(
-        "MasterPolicy.forecast_horizon must be > 0 when use_forecast is on");
-  }
   if (mp.recovery.declare_dead_after < 1) {
     return Status::InvalidArgument(
         "RecoveryPolicy.declare_dead_after must be >= 1, got " +
@@ -321,8 +317,7 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
                  std::to_string(report.routes_restored) +
                  " route(s) restored");
             });
-      },
-      [rm = db->recovery_.get()](NodeId node) { return rm->IsDown(node); });
+      });
 
   // Warm-standby subsystem: built unconditionally (its observers are part
   // of the facade), driven from the master's control ticks only when the
@@ -334,14 +329,6 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
       [m = db->master_.get()](cluster::ControlEventType type, NodeId node,
                               std::string detail) {
         m->EmitEvent(type, node, std::move(detail));
-      });
-  db->replicas_->SetHostFilter(
-      [db_raw = db.get()](NodeId node) {
-        cluster::Node* n = db_raw->cluster_->node(node);
-        return n != nullptr && n->IsActive() && !n->IsMaster() &&
-               !db_raw->master_->IsExcluded(node) &&
-               !db_raw->master_->IsHelper(node) &&
-               !db_raw->recovery_->IsDown(node);
       });
   db->master_->SetReplicaHooks(cluster::Master::ReplicaHooks{
       [rm = db->replicas_.get()]() { rm->Tick(); },

@@ -205,7 +205,6 @@ class Db {
   }
   cluster::Master& master() { return *master_; }
   cluster::Monitor& monitor() { return master_->monitor(); }
-  cluster::LoadForecaster& forecaster() { return master_->forecaster(); }
   cluster::Repartitioner& scheme() { return *scheme_; }
   /// Loaded TPC-C database handle (null without the TPC-C load).
   workload::TpccDatabase* tpcc() { return tpcc_.get(); }

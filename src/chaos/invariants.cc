@@ -68,15 +68,16 @@ std::vector<std::string> CheckInvariants(Db& db, TableId table, Key max_key,
     }
     const NodeId owner = p->owner();
     cluster::Node* node = db.cluster().node(owner);
-    if (node == nullptr || !node->IsActive() || db.recovery().IsDown(owner)) {
+    if (node == nullptr || !node->IsActive() ||
+        db.cluster().node_state(owner).crashed) {
       violations.push_back("route " + RangeStr(entry.range) +
                            " owned by inactive node " +
                            std::to_string(owner.value()));
-    } else if (db.cluster().IsPartitioned(owner)) {
+    } else if (db.cluster().node_state(owner).partitioned) {
       violations.push_back("route " + RangeStr(entry.range) +
                            " owned by a node still partitioned from the "
                            "master");
-    } else if (db.master().IsExcluded(owner)) {
+    } else if (db.cluster().node_state(owner).excluded) {
       violations.push_back("route " + RangeStr(entry.range) +
                            " owned by excluded node " +
                            std::to_string(owner.value()));

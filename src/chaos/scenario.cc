@@ -159,11 +159,12 @@ std::string ConvergenceBlocker(Db& db, TableId table) {
   const int n = db.cluster().num_nodes();
   for (int i = 1; i < n; ++i) {
     const NodeId id(static_cast<uint32_t>(i));
-    if (db.master().IsExcluded(id)) continue;
-    if (db.recovery().IsDown(id)) {
+    const cluster::NodeState& state = db.cluster().node_state(id);
+    if (state.excluded) continue;
+    if (state.crashed) {
       return "node " + std::to_string(i) + " still down";
     }
-    if (db.cluster().IsPartitioned(id)) {
+    if (state.partitioned) {
       return "node " + std::to_string(i) + " still partitioned";
     }
   }
@@ -625,17 +626,16 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
   // crashed must be restarted like any other casualty.
   for (int i = 1; i < total_nodes; ++i) {
     const NodeId id(static_cast<uint32_t>(i));
-    if (db.cluster().IsPartitioned(id)) (void)db.HealPartition(id);
+    if (db.cluster().node_state(id).partitioned) (void)db.HealPartition(id);
   }
   const SimTime settle_deadline = db.Now() + config.settle_timeout;
   std::string blocker = ConvergenceBlocker(db, table);
   while (!blocker.empty() && db.Now() < settle_deadline) {
     for (int i = 1; i < total_nodes; ++i) {
       const NodeId id(static_cast<uint32_t>(i));
-      if (db.recovery().IsDown(id) && !db.master().IsExcluded(id)) {
-        (void)db.RestartNode(id);
-      }
-      if (db.cluster().IsPartitioned(id)) (void)db.HealPartition(id);
+      const cluster::NodeState& state = db.cluster().node_state(id);
+      if (state.crashed && !state.excluded) (void)db.RestartNode(id);
+      if (state.partitioned) (void)db.HealPartition(id);
     }
     db.RunFor(kUsPerSec);
     blocker = ConvergenceBlocker(db, table);

@@ -9,7 +9,7 @@ namespace wattdb::cluster {
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config), events_(&clock_), network_(config.network),
       power_model_(config.power), lanes_(config.lanes, config.num_nodes),
-      rng_(config.seed) {
+      rng_(config.seed), node_states_(config.num_nodes) {
   WATTDB_CHECK(config.num_nodes >= 1);
   WATTDB_CHECK(config.initially_active >= 1);
   segments_.set_index_kind(config.index_kind);
@@ -99,6 +99,79 @@ Status Cluster::PowerOff(NodeId id) {
   return Status::OK();
 }
 
+bool Cluster::EligibleFor(NodeId id, Role role) const {
+  if (!id.valid() || id.value() >= nodes_.size()) return false;
+  const Node& n = *nodes_[id.value()];
+  const NodeState& s = node_states_[id.value()];
+  // Suspected, declared dead and restarting, or crashed per ground truth.
+  const bool unhealthy = s.missed > 0 || s.healing || s.crashed;
+  switch (role) {
+    case Role::kRecruit:
+      return n.hardware().power_state() == hw::PowerState::kStandby &&
+             !s.excluded && !unhealthy;
+    case Role::kHeatTarget:
+      return n.IsActive() && !s.helper && s.watched && !unhealthy;
+    case Role::kScaleInVictim:
+      return n.IsActive() && !s.partitioned && !n.IsMaster() && !s.helper &&
+             !s.crashed;
+    case Role::kHelper:
+      return !s.excluded && !unhealthy;
+    case Role::kReplicaHost:
+      return n.IsActive() && !n.IsMaster() && !s.excluded && !s.helper &&
+             !s.crashed;
+    case Role::kDrainSurvivor:
+      return n.IsActive() && !s.partitioned;
+  }
+  return false;
+}
+
+void Cluster::MarkCrashed(NodeId id) {
+  NodeState& s = node_states_.at(id.value());
+  s.crashed = true;
+  s.crashed_at = clock_.Now();
+  ++s.crashes;
+}
+
+void Cluster::MarkRecovered(NodeId id) {
+  node_states_.at(id.value()).crashed = false;
+}
+
+void Cluster::NoteReported(NodeId id) {
+  NodeState& s = node_states_.at(id.value());
+  if (!s.excluded) s.watched = true;
+  s.missed = 0;
+  s.healing = false;
+}
+
+int Cluster::NoteMissedWindow(NodeId id) {
+  return ++node_states_.at(id.value()).missed;
+}
+
+int Cluster::NoteDeclaredDead(NodeId id) {
+  NodeState& s = node_states_.at(id.value());
+  s.watched = false;
+  s.missed = 0;
+  return ++s.declared_dead;
+}
+
+void Cluster::FinishHealing(NodeId id) {
+  NodeState& s = node_states_.at(id.value());
+  s.missed = 0;
+  s.healing = false;
+}
+
+void Cluster::StopWatching(NodeId id) {
+  NodeState& s = node_states_.at(id.value());
+  s.watched = false;
+  s.missed = 0;
+  s.healing = false;
+}
+
+void Cluster::Exclude(NodeId id) {
+  node_states_.at(id.value()).excluded = true;
+  StopWatching(id);
+}
+
 Status Cluster::PartitionNode(NodeId id) {
   Node* n = node(id);
   if (n == nullptr) return Status::NotFound("no such node");
@@ -111,9 +184,11 @@ Status Cluster::PartitionNode(NodeId id) {
         "node " + std::to_string(id.value()) +
         " is down; a partition separates a *live* node from the master");
   }
-  if (!partitioned_.insert(id).second) {
+  NodeState& state = node_states_[id.value()];
+  if (state.partitioned) {
     return Status::AlreadyExists("node already partitioned");
   }
+  state.partitioned = true;
   WATTDB_INFO("net: node " << id.value() << " partitioned from master at t="
                            << ToSeconds(clock_.Now()) << "s");
   return Status::OK();
@@ -122,9 +197,9 @@ Status Cluster::PartitionNode(NodeId id) {
 Status Cluster::HealPartition(NodeId id) {
   Node* n = node(id);
   if (n == nullptr) return Status::NotFound("no such node");
-  if (partitioned_.erase(id) == 0) {
-    return Status::NotFound("node is not partitioned");
-  }
+  NodeState& state = node_states_[id.value()];
+  if (!state.partitioned) return Status::NotFound("node is not partitioned");
+  state.partitioned = false;
   // Reconcile what happened while the node was deposed. Unlike a crash
   // restart there is no redo pass — the node never lost anything — so the
   // catalog walk happens here.

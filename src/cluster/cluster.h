@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "admission/admission.h"
@@ -28,6 +27,63 @@ namespace wattdb::cluster {
 /// older than `now - kResourceHistoryKeep` are pruned, so no monitoring
 /// window (MasterPolicy::stats_window) may reach further back.
 constexpr SimTime kResourceHistoryKeep = 30 * kUsPerSec;
+
+/// Everything the cluster knows about one node's lifecycle besides its power
+/// state, which stays on NodeHardware (the energy meter reads it there).
+/// One record per node, mutated only through Cluster's named transitions.
+struct NodeState {
+  // Ground truth, kept by the fault subsystem.
+  /// Between a crash and the end of its redo: the node may look active
+  /// again (booted) while its WAL tail is still being replayed.
+  bool crashed = false;
+  SimTime crashed_at = 0;  ///< Time of the latest crash.
+  int crashes = 0;         ///< Crashes so far (RecoveryManager::crash_count).
+  /// Control link to the master cut: heartbeats dropped, data path alive.
+  bool partitioned = false;
+
+  // The master's view, kept by its heartbeat detector.
+  /// Seen active and not deliberately taken down: expected to report.
+  bool watched = false;
+  /// Consecutive missed windows; > 0 means suspected.
+  int missed = 0;
+  /// Declared dead with a restart in flight; no re-declaration meanwhile.
+  bool healing = false;
+  int declared_dead = 0;   ///< Detections so far (Master::crash_count).
+  /// Drained, powered off and barred from any future duty.
+  bool excluded = false;
+  /// Wired as a log-shipping helper for some assisted nodes (Fig. 8).
+  bool helper = false;
+};
+
+/// What the master (and the schemes it drives) may ask a node to do. Each
+/// role is one predicate in Cluster::EligibleFor. The roles deliberately
+/// disagree about some states:
+///  - kReplicaHost accepts suspected, healing and partitioned nodes;
+///  - kDrainSurvivor accepts helpers, excluded, suspected and healing nodes,
+///    and nodes still in redo after a crash;
+///  - kScaleInVictim accepts suspected and healing nodes, and only it and
+///    kDrainSurvivor refuse partitioned nodes;
+///  - only kHeatTarget requires the node to be watched;
+///  - kHelper looks at no power state (AttachHelpers boots the node).
+enum class Role {
+  /// A standby to boot for scale-out or as a replacement helper: standby,
+  /// not excluded, not suspected, healing or crashed.
+  kRecruit,
+  /// Receiver of a hot segment: active, watched, not a helper, not
+  /// suspected, healing or crashed.
+  kHeatTarget,
+  /// Node to drain and power off on scale-in: active, not partitioned, not
+  /// the master, not a helper, not crashed (still in redo).
+  kScaleInVictim,
+  /// Log-shipping helper (AttachHelpers): not excluded, not suspected,
+  /// healing or crashed.
+  kHelper,
+  /// Host of a warm standby: active, not the master, not excluded, not a
+  /// helper, not crashed.
+  kReplicaHost,
+  /// Receiver of a drained node's data: active and not partitioned.
+  kDrainSurvivor,
+};
 
 /// Everything needed to stand up a simulated WattDB cluster.
 struct ClusterConfig {
@@ -118,7 +174,45 @@ class Cluster {
   /// ranges fenced but never flipped (the standby died first) are
   /// restamped to the still-authoritative owner.
   Status HealPartition(NodeId id);
-  bool IsPartitioned(NodeId id) const { return partitioned_.count(id) > 0; }
+
+  // --- Node lifecycle ----------------------------------------------------
+  /// The lifecycle record of `id`, which must name a node.
+  const NodeState& node_state(NodeId id) const {
+    return node_states_.at(id.value());
+  }
+  /// May `id` take `role` now? False for an id that names no node.
+  bool EligibleFor(NodeId id, Role role) const;
+
+  // Transitions of the fault subsystem (ground truth).
+  /// `id` crashed now.
+  void MarkCrashed(NodeId id);
+  /// `id` finished its post-crash redo.
+  void MarkRecovered(NodeId id);
+
+  // Transitions of the master's heartbeat detector.
+  /// `id` reported this window: watched (unless excluded), not suspected,
+  /// not healing.
+  void NoteReported(NodeId id);
+  /// `id` missed this window; returns its consecutive missed windows.
+  int NoteMissedWindow(NodeId id);
+  /// `id` was declared dead; returns how often that happened so far.
+  int NoteDeclaredDead(NodeId id);
+  /// A restart of declared-dead `id` is in flight.
+  void BeginHealing(NodeId id) { node_states_.at(id.value()).healing = true; }
+  /// The restart of `id` completed its redo.
+  void FinishHealing(NodeId id);
+  /// The master gave up restarting `id`.
+  void AbandonHealing(NodeId id) {
+    node_states_.at(id.value()).healing = false;
+  }
+  /// The master took `id` down itself: no heartbeats are expected.
+  void StopWatching(NodeId id);
+  /// `id` was drained and powered off for good.
+  void Exclude(NodeId id);
+  /// `id` started or stopped serving as a log-shipping helper.
+  void SetHelper(NodeId id, bool helper) {
+    node_states_.at(id.value()).helper = helper;
+  }
 
   /// Epoch fencing on the route serve path (on by default): an entry whose
   /// primary's claim token lags the entry's epoch was sealed by a
@@ -228,9 +322,8 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<DiskId, hw::Disk*> disk_index_;
 
-  /// Nodes whose master<->node control link is cut (heartbeats dropped,
-  /// data path alive).
-  std::unordered_set<NodeId> partitioned_;
+  /// Indexed by NodeId, one per node.
+  std::vector<NodeState> node_states_;
   bool epoch_fencing_ = true;
   uint64_t stale_route_refusals_ = 0;
 

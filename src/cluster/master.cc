@@ -74,13 +74,6 @@ void Master::Emit(ControlEventType type, NodeId node, std::string detail) {
 void Master::ControlTick() {
   if (!running_) return;
   const auto stats = monitor_.Sample(policy_.stats_window);
-  // Feed the forecaster with the busiest active node's CPU (the component
-  // whose overload triggers repartitioning, §3.4).
-  double max_cpu = 0.0;
-  for (const auto& s : stats) {
-    if (s.active) max_cpu = std::max(max_cpu, s.cpu);
-  }
-  forecaster_.Observe(cluster_->Now(), max_cpu);
   CheckHeartbeats(stats);
   CheckOverload();
   MaybeBalanceHeat();
@@ -105,16 +98,15 @@ void Master::CheckHeartbeats(const std::vector<NodeStats>& stats) {
     if (s.active) {
       // A reporting node is (back) under watch; a heal in flight is over
       // the moment the node shows up again.
-      if (!excluded_.count(s.node)) watched_.insert(s.node);
-      missed_.erase(s.node);
-      healing_.erase(s.node);
+      cluster_->NoteReported(s.node);
       continue;
     }
-    if (!watched_.count(s.node)) continue;   // Never active, or taken down
-                                             // by the master itself.
-    if (healing_.count(s.node)) continue;    // Restart in flight: booting
-                                             // and redo take a while.
-    const int misses = ++missed_[s.node];
+    const NodeState& state = cluster_->node_state(s.node);
+    if (!state.watched) continue;  // Never active, or taken down by the
+                                   // master itself.
+    if (state.healing) continue;   // Restart in flight: booting and redo
+                                   // take a while.
+    const int misses = cluster_->NoteMissedWindow(s.node);
     if (misses == 1 && policy_.recovery.declare_dead_after > 1) {
       Emit(ControlEventType::kNodeSuspected, s.node,
            "missed 1 of " +
@@ -127,9 +119,7 @@ void Master::CheckHeartbeats(const std::vector<NodeStats>& stats) {
 
 void Master::DeclareDead(NodeId node) {
   ++nodes_declared_dead_;
-  const int crashes = ++crash_counts_[node];
-  watched_.erase(node);
-  missed_.erase(node);
+  const int crashes = cluster_->NoteDeclaredDead(node);
   Emit(ControlEventType::kNodeDeclaredDead, node,
        "missed " + std::to_string(policy_.recovery.declare_dead_after) +
            " consecutive windows; crash #" + std::to_string(crashes));
@@ -137,7 +127,7 @@ void Master::DeclareDead(NodeId node) {
   // recovery manager already notified it at crash time.
   if (repartitioner_ != nullptr) repartitioner_->OnNodeFailure(node);
 
-  if (helper_assignments_.count(node) > 0) {
+  if (cluster_->node_state(node).helper) {
     // Helpers hold no partitions — replace instead of restarting.
     HandleHelperFailure(node);
     return;
@@ -159,7 +149,7 @@ void Master::DeclareDead(NodeId node) {
                      crashes >= policy_.recovery.exclude_after_crashes &&
                      repartitioner_ != nullptr &&
                      repartitioner_->SupportsDrain();
-  healing_.insert(node);
+  cluster_->BeginHealing(node);
   if (policy_.recovery.restart_backoff > 0) {
     cluster_->events().ScheduleAfter(
         policy_.recovery.restart_backoff,
@@ -171,15 +161,14 @@ void Master::DeclareDead(NodeId node) {
 
 void Master::IssueRestart(NodeId node, bool drain_after, int attempt) {
   if (!running_) return;
-  if (!healing_.count(node)) return;  // Came back on its own (e.g. a fault
-                                      // plan's auto-restart beat us to it).
+  // Came back on its own (e.g. a fault plan's auto-restart beat us to it).
+  if (!cluster_->node_state(node).healing) return;
   Status issued = Status::FailedPrecondition("no restart hook wired");
   if (restart_fn_) {
     issued = restart_fn_(node, [this, node,
                                 drain_after](const std::string& detail) {
       Emit(ControlEventType::kNodeRecovered, node, detail);
-      missed_.erase(node);
-      healing_.erase(node);
+      cluster_->FinishHealing(node);
       if (drain_after) StartDrainAndExclude(node, 0);
     });
   }
@@ -197,7 +186,7 @@ void Master::IssueRestart(NodeId node, bool drain_after, int attempt) {
     WATTDB_WARN("master: giving up restarting node "
                 << node.value() << " after " << kMaxHealAttempts
                 << " attempts: " << issued.ToString());
-    healing_.erase(node);
+    cluster_->AbandonHealing(node);
     return;
   }
   cluster_->events().ScheduleAfter(
@@ -227,8 +216,7 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
     if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(node);
     const Status off = cluster_->PowerOff(node);
     if (off.ok()) {
-      excluded_.insert(node);
-      Unwatch(node);
+      cluster_->Exclude(node);
       Emit(ControlEventType::kNodeExcluded, node,
            "drained and powered off after " +
                std::to_string(crash_count(node)) + " crashes");
@@ -279,6 +267,7 @@ void Master::HandleHelperFailure(NodeId helper) {
          "nothing committed is lost)");
   }
   helper_assignments_.erase(helper);
+  cluster_->SetHelper(helper, false);
   active_helpers_.erase(
       std::remove(active_helpers_.begin(), active_helpers_.end(), helper),
       active_helpers_.end());
@@ -297,8 +286,8 @@ void Master::HandleHelperFailure(NodeId helper) {
   NodeId replacement = NodeId::Invalid();
   for (int i = 1; i < cluster_->num_nodes(); ++i) {
     const NodeId candidate(i);
-    if (!EligibleRecruit(candidate)) continue;
-    if (helper_assignments_.count(candidate) > 0) continue;
+    if (!cluster_->EligibleFor(candidate, Role::kRecruit)) continue;
+    if (cluster_->node_state(candidate).helper) continue;
     if (std::find(assisted_nodes_.begin(), assisted_nodes_.end(), candidate) !=
         assisted_nodes_.end()) {
       continue;
@@ -313,6 +302,7 @@ void Master::HandleHelperFailure(NodeId helper) {
   }
   active_helpers_.push_back(replacement);
   helper_assignments_[replacement] = orphaned;
+  cluster_->SetHelper(replacement, true);
   assisted_nodes_.insert(assisted_nodes_.end(), orphaned.begin(),
                          orphaned.end());
   Emit(ControlEventType::kHelperRecruited, replacement,
@@ -332,27 +322,11 @@ void Master::HandleHelperFailure(NodeId helper) {
   });
 }
 
-bool Master::EligibleRecruit(NodeId node) const {
-  Node* n = cluster_->node(node);
-  if (n == nullptr) return false;
-  if (n->hardware().power_state() != hw::PowerState::kStandby) return false;
-  if (excluded_.count(node) > 0) return false;
-  // A standby that is really an undetected (or not-yet-healed) crash must
-  // not be booted without redo.
-  if (healing_.count(node) > 0 || missed_.count(node) > 0) return false;
-  if (is_down_fn_ && is_down_fn_(node)) return false;
-  return true;
-}
-
 void Master::MaybeScaleOut(const std::vector<NodeStats>& stats) {
   if (!policy_.enable_scale_out || repartitioner_ == nullptr) return;
   bool overloaded = false;
   for (const auto& s : stats) {
     if (s.active && s.cpu > policy_.cpu_upper) overloaded = true;
-  }
-  if (policy_.use_forecast &&
-      forecaster_.Forecast(policy_.forecast_horizon) > policy_.cpu_upper) {
-    overloaded = true;  // Proactive: the trend will cross the bound.
   }
   if (OverloadPressure()) {
     // Sustained admission-queue overload is demand the CPU gauge may not
@@ -366,9 +340,11 @@ void Master::MaybeScaleOut(const std::vector<NodeStats>& stats) {
   }
   if (++over_count_ < policy_.trigger_after) return;
   over_count_ = 0;
-  // Find a standby node to enlist — never a crashed or retired one.
+  // Find a standby node to enlist — never a crashed or retired one: a
+  // standby that is really an undetected (or not-yet-healed) crash must
+  // not be booted without redo.
   for (const auto& s : stats) {
-    if (!EligibleRecruit(s.node)) continue;
+    if (!cluster_->EligibleFor(s.node, Role::kRecruit)) continue;
     ++scale_out_events_;
     const int actives = cluster_->ActiveNodeCount();
     const double fraction = 1.0 / (actives + 1);
@@ -396,18 +372,15 @@ void Master::MaybeScaleIn(const std::vector<NodeStats>& stats) {
   under_count_ = 0;
   // Drain the non-master active node with the least data. Helpers are not
   // candidates: they look empty (no segments) but carry the assisted
-  // nodes' log stream and remote buffer tier.
+  // nodes' log stream and remote buffer tier. Neither is a node that just
+  // finished booting after a crash: it looks like the perfect victim —
+  // zero load, zero bytes — but its redo has not run yet, and powering it
+  // off mid-recovery strands the unredone WAL tail and leaves it crashed
+  // forever (each later restart gets re-drained at the same instant).
   NodeId victim = NodeId::Invalid();
   size_t least_bytes = SIZE_MAX;
   for (const auto& s : stats) {
-    if (!s.active || s.node.value() == 0) continue;
-    if (helper_assignments_.count(s.node) > 0) continue;
-    // A node that just finished booting after a crash looks like the
-    // perfect victim — zero load, zero bytes — but its redo has not run
-    // yet: powering it off mid-recovery strands the unredone WAL tail and
-    // leaves the recovery manager considering it down forever (each later
-    // restart gets re-drained at the same instant, wedging the node).
-    if (is_down_fn_ && is_down_fn_(s.node)) continue;
+    if (!cluster_->EligibleFor(s.node, Role::kScaleInVictim)) continue;
     size_t bytes = 0;
     for (auto* seg : cluster_->segments().SegmentsOn(s.node)) {
       bytes += seg->DiskBytes();
@@ -424,8 +397,8 @@ void Master::MaybeScaleIn(const std::vector<NodeStats>& stats) {
   repartitioner_->Drain(victim, [this, victim]() {
     if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(victim);
     const Status s = cluster_->PowerOff(victim);
-    if (s.ok()) Unwatch(victim);  // Taken down deliberately: no heartbeats
-                                  // expected, no false failure alarm.
+    // Taken down deliberately: no heartbeats expected, no false alarm.
+    if (s.ok()) cluster_->StopWatching(victim);
     WATTDB_INFO("scale-in: node " << victim.value() << " off: "
                                   << s.ToString());
   });
@@ -486,7 +459,7 @@ void Master::MaybeBalanceHeat() {
   NodeId hot = NodeId::Invalid();
   double hot_heat = 0.0;
   for (Node* n : cluster_->ActiveNodes()) {
-    if (helper_assignments_.count(n->id()) > 0) continue;
+    if (cluster_->node_state(n->id()).helper) continue;
     ++serving;
     auto it = node_heat.find(n->id());
     const double h = it == node_heat.end() ? 0.0 : it->second;
@@ -689,18 +662,15 @@ std::vector<SegmentMove> Master::PlanHeatMoves(
             });
 
   // Eligible targets: active serving nodes that are not suspected, healing,
-  // or (per ground truth) down. A node must also still be under watch — a
-  // declared-dead node leaves `watched_` (and, once its restart attempts
-  // are exhausted, `healing_`) without ever becoming ground-truth down when
-  // the cause is a network partition, and data must not be moved onto a
-  // node the master cannot reach.
+  // or (per ground truth) crashed. A node must also still be watched — a
+  // declared-dead node stops being watched (and, once its restart attempts
+  // are exhausted, healing) without ever crashing when the cause is a
+  // network partition, and data must not be moved onto a node the master
+  // cannot reach.
   std::vector<std::pair<NodeId, double>> targets;
   for (Node* n : cluster_->ActiveNodes()) {
     if (n->id() == hot) continue;
-    if (helper_assignments_.count(n->id()) > 0) continue;
-    if (watched_.count(n->id()) == 0) continue;
-    if (healing_.count(n->id()) > 0 || missed_.count(n->id()) > 0) continue;
-    if (is_down_fn_ && is_down_fn_(n->id())) continue;
+    if (!cluster_->EligibleFor(n->id(), Role::kHeatTarget)) continue;
     auto it = node_heat.find(n->id());
     targets.push_back(
         {n->id(), it == node_heat.end() ? 0.0 : it->second});
@@ -813,7 +783,7 @@ Status Master::TriggerRebalance(const std::vector<NodeId>& targets,
     // come back through recovery — bare PowerOn would skip the redo, leave
     // the recovery manager considering the node down forever, and pull
     // fresh data onto a disk whose WAL tail was never replayed.
-    if (is_down_fn_ && is_down_fn_(t)) {
+    if (cluster_->node_state(t).crashed) {
       if (!restart_fn_) {
         return Status::FailedPrecondition(
             "target node " + std::to_string(t.value()) +
@@ -853,16 +823,12 @@ Status Master::AttachHelpers(const std::vector<NodeId>& helpers,
     // A crashed-or-excluded standby would take the assisted nodes' WAL
     // stream to a disk that needs redo itself (or is about to power off
     // for good) — refuse instead of silently wiring a doomed helper.
-    if (excluded_.count(id) > 0) {
+    if (!cluster_->EligibleFor(id, Role::kHelper)) {
       return Status::FailedPrecondition(
           "helper node " + std::to_string(id.value()) +
-          " is excluded from duty");
-    }
-    if ((is_down_fn_ && is_down_fn_(id)) || healing_.count(id) > 0 ||
-        missed_.count(id) > 0) {
-      return Status::FailedPrecondition(
-          "helper node " + std::to_string(id.value()) +
-          " crashed and has not recovered");
+          (cluster_->node_state(id).excluded
+               ? " is excluded from duty"
+               : " crashed and has not recovered"));
     }
   }
   for (NodeId id : assisted) {
@@ -874,7 +840,7 @@ Status Master::AttachHelpers(const std::vector<NodeId>& helpers,
   active_helpers_ = helpers;
   assisted_nodes_ = assisted;
   remote_buffer_pages_ = remote_buffer_pages;
-  helper_assignments_.clear();
+  ClearHelperAssignments();
   auto pending = std::make_shared<int>(static_cast<int>(helpers.size()));
   auto wire = [this, remote_buffer_pages]() {
     // Round-robin helpers across assisted nodes: each assisted node ships
@@ -887,6 +853,7 @@ Status Master::AttachHelpers(const std::vector<NodeId>& helpers,
       a->log().AttachHelper(h->id(), h->hardware().disk(0));
       a->buffer().AttachRemoteTier(h->id(), remote_buffer_pages);
       helper_assignments_[h->id()].push_back(a->id());
+      cluster_->SetHelper(h->id(), true);
     }
     WATTDB_INFO("helpers wired for log shipping + remote buffering");
   };
@@ -907,12 +874,19 @@ Status Master::DetachHelpers() {
     cluster_->node(a)->buffer().DetachRemoteTier();
   }
   for (NodeId h : active_helpers_) {
-    if (cluster_->PowerOff(h).ok()) Unwatch(h);
+    if (cluster_->PowerOff(h).ok()) cluster_->StopWatching(h);
   }
   active_helpers_.clear();
   assisted_nodes_.clear();
-  helper_assignments_.clear();
+  ClearHelperAssignments();
   return Status::OK();
+}
+
+void Master::ClearHelperAssignments() {
+  for (const auto& entry : helper_assignments_) {
+    cluster_->SetHelper(entry.first, false);
+  }
+  helper_assignments_.clear();
 }
 
 }  // namespace wattdb::cluster

@@ -4,12 +4,10 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "admission/admission.h"
 #include "cluster/cluster.h"
-#include "cluster/forecast.h"
 #include "cluster/monitor.h"
 #include "common/constants.h"
 #include "common/status.h"
@@ -234,10 +232,6 @@ struct MasterPolicy {
   int trigger_after = 2;
   bool enable_scale_out = true;
   bool enable_scale_in = true;
-  /// Scale out proactively when the utilization *forecast* crosses the
-  /// threshold (§3.4: decisions consider "the expected future workloads").
-  bool use_forecast = false;
-  SimTime forecast_horizon = 30 * kUsPerSec;
   /// Failure detection and self-healing knobs.
   RecoveryPolicy recovery;
   /// Heat-driven rebalancing knobs (skew reaction, §3.4).
@@ -266,10 +260,6 @@ class Master {
   /// the master itself stays ignorant of the fault subsystem's types.
   using RestartFn =
       std::function<Status(NodeId, std::function<void(const std::string&)>)>;
-  /// Ground-truth "crashed and not yet recovered" probe (RecoveryManager::
-  /// IsDown). Used only as a recruitment guard — detection itself is
-  /// heartbeat-based.
-  using IsDownFn = std::function<bool(NodeId)>;
 
   /// Hooks into the replica subsystem (src/replica), wired by the Db
   /// facade so the master stays ignorant of the ReplicaManager's types —
@@ -295,9 +285,8 @@ class Master {
 
   /// Wire the self-healing actions to the recovery subsystem. Without a
   /// restart hook the detector still declares nodes dead but cannot heal.
-  void SetRecoveryHooks(RestartFn restart, IsDownFn is_down) {
+  void SetRecoveryHooks(RestartFn restart) {
     restart_fn_ = std::move(restart);
-    is_down_fn_ = std::move(is_down);
   }
 
   void SetReplicaHooks(ReplicaHooks hooks) {
@@ -309,13 +298,6 @@ class Master {
   /// shared timeline.
   void EmitEvent(ControlEventType type, NodeId node, std::string detail) {
     Emit(type, node, std::move(detail));
-  }
-
-  /// Currently wired as a log-shipping helper (Fig. 8)? Replica placement
-  /// avoids helpers: their disks serve other nodes' WAL traffic and they
-  /// are powered off wholesale at DetachHelpers.
-  bool IsHelper(NodeId node) const {
-    return helper_assignments_.count(node) > 0;
   }
 
   /// Explicitly trigger a rebalance onto `extra_nodes` standby nodes,
@@ -333,7 +315,6 @@ class Master {
   Status DetachHelpers();
 
   Monitor& monitor() { return monitor_; }
-  LoadForecaster& forecaster() { return forecaster_; }
   const MasterPolicy& policy() const { return policy_; }
   int scale_out_events() const { return scale_out_events_; }
   int scale_in_events() const { return scale_in_events_; }
@@ -354,11 +335,8 @@ class Master {
   int helper_failovers() const { return helper_failovers_; }
   /// Times the detector has declared `node` dead (the flaky counter).
   int crash_count(NodeId node) const {
-    auto it = crash_counts_.find(node);
-    return it == crash_counts_.end() ? 0 : it->second;
+    return cluster_->node_state(node).declared_dead;
   }
-  /// Drained, powered off, and barred from future recruitment.
-  bool IsExcluded(NodeId node) const { return excluded_.count(node) > 0; }
 
   // --- Overload observers ---------------------------------------------------
   /// Sustained-overload episodes detected so far (kOverloadDetected events).
@@ -420,22 +398,14 @@ class Master {
   void IssueRestart(NodeId node, bool drain_after, int attempt);
   void StartDrainAndExclude(NodeId node, int attempt);
   void HandleHelperFailure(NodeId helper);
-  /// A standby node the master may boot: not excluded, not a known-crashed
-  /// or suspected node.
-  bool EligibleRecruit(NodeId node) const;
+  /// Forget every helper -> assisted-nodes assignment.
+  void ClearHelperAssignments();
   void Emit(ControlEventType type, NodeId node, std::string detail);
-  /// Stop expecting heartbeats from a node the master took down itself.
-  void Unwatch(NodeId node) {
-    watched_.erase(node);
-    missed_.erase(node);
-    healing_.erase(node);
-  }
 
   Cluster* cluster_;
   Repartitioner* repartitioner_;
   MasterPolicy policy_;
   Monitor monitor_;
-  LoadForecaster forecaster_;
   bool running_ = false;
   int over_count_ = 0;
   int under_count_ = 0;
@@ -445,24 +415,14 @@ class Master {
   std::vector<NodeId> active_helpers_;
   std::vector<NodeId> assisted_nodes_;
   size_t remote_buffer_pages_ = 0;
-  /// helper -> the assisted nodes shipping their log to it.
+  /// helper -> the assisted nodes shipping their log to it. Its keys are
+  /// the nodes whose lifecycle record carries the helper flag.
   std::unordered_map<NodeId, std::vector<NodeId>> helper_assignments_;
 
   RestartFn restart_fn_;
-  IsDownFn is_down_fn_;
   ReplicaHooks replica_hooks_;
   std::function<void(const ControlEvent&)> event_listener_;
   std::vector<ControlEvent> control_events_;
-  /// Nodes seen active at least once and not deliberately taken down —
-  /// these are expected to report every window.
-  std::unordered_set<NodeId> watched_;
-  /// Consecutive missed windows per watched node.
-  std::unordered_map<NodeId, int> missed_;
-  /// Declared dead with a restart in flight; suppresses re-declaration
-  /// while the node boots and redoes.
-  std::unordered_set<NodeId> healing_;
-  std::unordered_set<NodeId> excluded_;
-  std::unordered_map<NodeId, int> crash_counts_;
   int nodes_declared_dead_ = 0;
   int auto_restarts_ = 0;
   int helper_failovers_ = 0;

@@ -19,7 +19,7 @@ std::vector<NodeStats> Monitor::Sample(SimTime window) const {
     // A partitioned node is alive but its heartbeats never reach the
     // master — the failure detector (and everyone planning off this
     // sample) must see it as gone, even though its data path still runs.
-    s.active = n->IsActive() && !cluster_->IsPartitioned(n->id());
+    s.active = n->IsActive() && !cluster_->node_state(n->id()).partitioned;
     if (s.active) {
       s.cpu = n->hardware().CpuUtilizationIn(from, now);
       for (const auto& d : n->hardware().disks()) {

@@ -178,9 +178,9 @@ Status Node::Read(tx::Txn* txn, catalog::Partition* part, Key key,
   return Status::OK();
 }
 
-Result<storage::Segment*> Node::AllocateSegment(SimTime now,
-                                                catalog::Partition* part,
-                                                const KeyRange& range) {
+StatusOr<storage::Segment*> Node::AllocateSegment(SimTime now,
+                                                  catalog::Partition* part,
+                                                  const KeyRange& range) {
   hw::Disk* disk = DataDisk(now);
   storage::Segment* seg = segments_->Create(id_, disk->id());
   Status s = part->AttachSegment(range, seg->id());
@@ -191,10 +191,10 @@ Result<storage::Segment*> Node::AllocateSegment(SimTime now,
   return seg;
 }
 
-Result<storage::Segment*> Node::SegmentForInsert(SimTime now, tx::Txn* txn,
-                                                 catalog::Partition* part,
-                                                 Key key,
-                                                 size_t record_bytes) {
+StatusOr<storage::Segment*> Node::SegmentForInsert(SimTime now, tx::Txn* txn,
+                                                   catalog::Partition* part,
+                                                   Key key,
+                                                   size_t record_bytes) {
   const SegmentId sid = part->SegmentFor(key);
   if (!sid.valid()) {
     // No covering segment: carve the gap between neighbors, clamped to the

@@ -117,16 +117,16 @@ class Node {
 
   /// Create a fresh segment on this node's least-loaded disk and attach it
   /// to `part` covering `range`.
-  Result<storage::Segment*> AllocateSegment(SimTime now,
-                                            catalog::Partition* part,
-                                            const KeyRange& range);
+  StatusOr<storage::Segment*> AllocateSegment(SimTime now,
+                                              catalog::Partition* part,
+                                              const KeyRange& range);
 
   /// The segment that should receive an insert of `key`, allocating or
   /// tail-splitting as necessary. `txn` may be null (bulk load, redo
   /// recovery) — costs then go unaccounted.
-  Result<storage::Segment*> SegmentForInsert(SimTime now, tx::Txn* txn,
-                                             catalog::Partition* part,
-                                             Key key, size_t record_bytes);
+  StatusOr<storage::Segment*> SegmentForInsert(SimTime now, tx::Txn* txn,
+                                               catalog::Partition* part,
+                                               Key key, size_t record_bytes);
 
   /// SSD to place a new data segment on (HDD is reserved for the WAL).
   hw::Disk* DataDisk(SimTime now);

@@ -151,10 +151,6 @@ class StatusOr {
   std::variant<T, Status> var_;
 };
 
-/// Historical name for StatusOr, kept for the storage/migration internals.
-template <typename T>
-using Result = StatusOr<T>;
-
 const char* StatusCodeName(StatusCode code);
 
 }  // namespace wattdb
@@ -166,7 +162,7 @@ const char* StatusCodeName(StatusCode code);
     if (!_s.ok()) return _s;                  \
   } while (0)
 
-/// Assign a Result's value or propagate its error.
+/// Assign a StatusOr's value or propagate its error.
 #define WATTDB_ASSIGN_OR_RETURN(lhs, expr)    \
   auto WATTDB_CONCAT_(_res_, __LINE__) = (expr);            \
   if (!WATTDB_CONCAT_(_res_, __LINE__).ok())                \

@@ -67,9 +67,8 @@ Status RecoveryManager::Crash(NodeId node) {
   n->hardware().set_power_state(hw::PowerState::kStandby);
   if (scheme_ != nullptr) scheme_->OnNodeFailure(node);
 
-  crashed_at_[node] = now;
+  cluster_->MarkCrashed(node);
   ++crashes_;
-  ++crashes_by_node_[node];
   WATTDB_INFO("fault: node " << node.value() << " crashed at t="
                              << ToSeconds(now) << "s (" << wiped
                              << " unflushed insert(s) lost)");
@@ -102,7 +101,7 @@ Status RecoveryManager::Restart(
               // A re-crash inside the redo window wins: stay down, drop the
               // recovery (its redone state was wiped again by the crash).
               if (!cluster_->node(node)->IsActive()) return;
-              crashed_at_.erase(node);
+              cluster_->MarkRecovered(node);
               wiped_at_crash_.erase(node);
               reports_.push_back(report);
               WATTDB_INFO("fault: node " << node.value() << " recovered: "
@@ -116,10 +115,6 @@ Status RecoveryManager::Restart(
       });
 }
 
-bool RecoveryManager::IsDown(NodeId node) const {
-  return crashed_at_.count(node) > 0;
-}
-
 RecoveryReport RecoveryManager::Redo(NodeId node) {
   cluster::Node* n = cluster_->node(node);
   WATTDB_CHECK(n != nullptr && n->IsActive());
@@ -128,8 +123,8 @@ RecoveryReport RecoveryManager::Redo(NodeId node) {
   RecoveryReport report;
   report.node = node;
   report.restarted_at = now;
-  auto crashed_it = crashed_at_.find(node);
-  report.crashed_at = crashed_it != crashed_at_.end() ? crashed_it->second : 0;
+  const cluster::NodeState& state = cluster_->node_state(node);
+  report.crashed_at = state.crashed ? state.crashed_at : 0;
   auto wiped_it = wiped_at_crash_.find(node);
   report.records_lost_at_crash =
       wiped_it != wiped_at_crash_.end() ? wiped_it->second : 0;

@@ -77,15 +77,11 @@ class RecoveryManager {
                  std::function<void(const RecoveryReport&)> on_recovered =
                      nullptr);
 
-  /// True between Crash(node) and the completion of its recovery.
-  bool IsDown(NodeId node) const;
-
   int crashes() const { return crashes_; }
   /// Crashes of one node so far (the bench/test-side flaky counter; the
   /// master keeps its own count from detections).
   int crash_count(NodeId node) const {
-    auto it = crashes_by_node_.find(node);
-    return it == crashes_by_node_.end() ? 0 : it->second;
+    return cluster_->node_state(node).crashes;
   }
   int recoveries() const { return static_cast<int>(reports_.size()); }
   /// Completed recoveries, in completion order.
@@ -98,8 +94,6 @@ class RecoveryManager {
 
   cluster::Cluster* cluster_;
   cluster::Repartitioner* scheme_;
-  std::unordered_map<NodeId, SimTime> crashed_at_;
-  std::unordered_map<NodeId, int> crashes_by_node_;
   /// Unflushed inserts wiped by the crash, per node (for the report).
   std::unordered_map<NodeId, int64_t> wiped_at_crash_;
   std::vector<RecoveryReport> reports_;

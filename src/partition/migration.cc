@@ -103,7 +103,9 @@ std::vector<NodeId> MigrationManagerBase::DrainSurvivors(NodeId victim) const {
   std::vector<NodeId> survivors;
   for (cluster::Node* n : cluster_->ActiveNodes()) {
     if (n->id() == victim) continue;
-    if (cluster_->IsPartitioned(n->id())) continue;
+    if (!cluster_->EligibleFor(n->id(), cluster::Role::kDrainSurvivor)) {
+      continue;
+    }
     survivors.push_back(n->id());
   }
   return survivors;

@@ -68,13 +68,6 @@ double ReplicaManager::progress() const {
   return sum / static_cast<double>(replicas_.size());
 }
 
-bool ReplicaManager::HostEligible(NodeId node) const {
-  cluster::Node* n = cluster_->node(node);
-  if (n == nullptr || !n->IsActive()) return false;
-  if (host_filter_ && !host_filter_(node)) return false;
-  return true;
-}
-
 void ReplicaManager::Tick() {
   if (!policy_.enabled) return;
   const SimTime now = cluster_->Now();
@@ -210,7 +203,9 @@ NodeId ReplicaManager::PickHost(const std::shared_ptr<ReplicaInfo>& rep) const {
   double best_heat = 0.0;
   for (cluster::Node* n : cluster_->ActiveNodes()) {
     if (n->id() == rep->src_node) continue;
-    if (!HostEligible(n->id())) continue;
+    if (!cluster_->EligibleFor(n->id(), cluster::Role::kReplicaHost)) {
+      continue;
+    }
     bool hosts_sibling = false;
     for (const auto& other : replicas_) {
       if (other->src_segment == rep->src_segment && other->host == n->id()) {

@@ -65,9 +65,6 @@ class ReplicaManager {
  public:
   using EventSink =
       std::function<void(cluster::ControlEventType, NodeId, std::string)>;
-  /// true = node may host replicas (Db wires: active, not excluded, not a
-  /// helper, not crashed-per-ground-truth).
-  using HostFilter = std::function<bool(NodeId)>;
 
   ReplicaManager(cluster::Cluster* cluster, cluster::Monitor* monitor,
                  cluster::ReplicaPolicy policy);
@@ -76,7 +73,6 @@ class ReplicaManager {
   ReplicaManager& operator=(const ReplicaManager&) = delete;
 
   void SetEventSink(EventSink sink) { event_sink_ = std::move(sink); }
-  void SetHostFilter(HostFilter filter) { host_filter_ = std::move(filter); }
 
   /// One maintenance round, called from the master's control tick:
   /// drop invalidated replicas, apply the owners' log tails (advancing
@@ -130,7 +126,6 @@ class ReplicaManager {
   void DropReplica(const std::shared_ptr<ReplicaInfo>& rep,
                    const std::string& reason);
   NodeId PickHost(const std::shared_ptr<ReplicaInfo>& rep) const;
-  bool HostEligible(NodeId node) const;
   void Emit(cluster::ControlEventType type, NodeId node, std::string detail);
   std::string Describe(const ReplicaInfo& rep) const;
 
@@ -138,7 +133,6 @@ class ReplicaManager {
   cluster::Monitor* monitor_;
   cluster::ReplicaPolicy policy_;
   EventSink event_sink_;
-  HostFilter host_filter_;
 
   /// shared_ptr so in-flight bootstrap events can hold weak references
   /// that expire when a replica is dropped mid-stream.

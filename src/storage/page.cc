@@ -20,7 +20,7 @@ size_t Page::FreeSpace() const {
   return usable > live_bytes_ ? usable - live_bytes_ : 0;
 }
 
-Result<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
+StatusOr<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
   if (size == 0 || size > kFrameSize - kPageHeaderSize - kSlotSize) {
     return Status::InvalidArgument("record size unsupported");
   }
@@ -52,7 +52,7 @@ Result<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
   return slot;
 }
 
-Result<std::pair<const uint8_t*, size_t>> Page::Read(uint16_t slot) const {
+StatusOr<std::pair<const uint8_t*, size_t>> Page::Read(uint16_t slot) const {
   if (slot >= slots_.size() || slots_[slot].offset == kTombstone) {
     return Status::NotFound("no such slot");
   }

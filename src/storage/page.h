@@ -29,10 +29,10 @@ class Page {
   /// Insert a record body. Returns the slot number, or ResourceExhausted if
   /// the page cannot fit `size` bytes plus a slot entry even after
   /// compaction.
-  Result<uint16_t> Insert(const uint8_t* data, size_t size);
+  StatusOr<uint16_t> Insert(const uint8_t* data, size_t size);
 
   /// Read the record in `slot`. NotFound for tombstones/out-of-range.
-  Result<std::pair<const uint8_t*, size_t>> Read(uint16_t slot) const;
+  StatusOr<std::pair<const uint8_t*, size_t>> Read(uint16_t slot) const;
 
   /// Overwrite the record in `slot`. The new body may be smaller or equal in
   /// size (in-place); growing an entry relocates it within the page and

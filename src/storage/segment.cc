@@ -34,7 +34,8 @@ Page* Segment::PageWithRoom(size_t record_size, uint16_t* out_idx) {
   return pages_.back().get();
 }
 
-Result<RecordPos> Segment::Insert(Key key, const std::vector<uint8_t>& payload) {
+StatusOr<RecordPos> Segment::Insert(Key key,
+                                     const std::vector<uint8_t>& payload) {
   if (pk_index_->Contains(key)) {
     return Status::AlreadyExists("duplicate key in segment");
   }
@@ -52,19 +53,19 @@ Result<RecordPos> Segment::Insert(Key key, const std::vector<uint8_t>& payload) 
   return pos;
 }
 
-Result<RecordPos> Segment::Locate(Key key) const {
+StatusOr<RecordPos> Segment::Locate(Key key) const {
   const RecordPos* pos = pk_index_->Find(key);
   if (pos == nullptr) return Status::NotFound("key not in segment");
   return *pos;
 }
 
-Result<Record> Segment::Read(Key key) const {
+StatusOr<Record> Segment::Read(Key key) const {
   auto pos = Locate(key);
   if (!pos.ok()) return pos.status();
   return ReadAt(pos.value());
 }
 
-Result<Record> Segment::ReadAt(RecordPos pos) const {
+StatusOr<Record> Segment::ReadAt(RecordPos pos) const {
   if (pos.page >= pages_.size()) return Status::NotFound("bad page");
   auto body = pages_[pos.page]->Read(pos.slot);
   if (!body.ok()) return body.status();

@@ -56,12 +56,12 @@ class Segment {
 
   /// Insert a record. Fails with ResourceExhausted when all 4096 pages are
   /// full, AlreadyExists on duplicate key.
-  Result<RecordPos> Insert(Key key, const std::vector<uint8_t>& payload);
+  StatusOr<RecordPos> Insert(Key key, const std::vector<uint8_t>& payload);
 
   /// Latest stored record for `key`.
-  Result<Record> Read(Key key) const;
+  StatusOr<Record> Read(Key key) const;
   /// Record at a known position (index-free access for scans).
-  Result<Record> ReadAt(RecordPos pos) const;
+  StatusOr<Record> ReadAt(RecordPos pos) const;
 
   /// Overwrite the payload of `key`. May relocate the record within the
   /// segment if it grew; the local index is kept consistent.
@@ -70,7 +70,7 @@ class Segment {
   Status Delete(Key key);
 
   bool Contains(Key key) const { return pk_index_->Contains(key); }
-  Result<RecordPos> Locate(Key key) const;
+  StatusOr<RecordPos> Locate(Key key) const;
 
   /// Visit records with keys in [lo, hi) in key order; fn returns false to
   /// stop. Returns number visited.

@@ -14,7 +14,8 @@ namespace wattdb::workload {
 /// Loader options. The paper loads TPC-C at scale factor 1000 (~100 GB raw,
 /// ~200 GB with indexes and overhead); the reproduction materializes a
 /// smaller scale factor and lets the migration cost_scale knob stand in for
-/// the data-volume difference (see DESIGN.md).
+/// the data-volume difference: each materialized byte is charged as
+/// cost_scale paper bytes, so move durations keep the SF-1000 scale.
 struct TpccLoadConfig {
   int warehouses = 4;
   /// Nodes that initially own data, as contiguous warehouse ranges. Node 0

@@ -574,13 +574,13 @@ TEST(Fault, CrashAndRestartValidateArguments) {
   EXPECT_TRUE(db.RestartNode(NodeId(1)).IsFailedPrecondition());  // Active.
 
   ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
-  EXPECT_TRUE(db.recovery().IsDown(NodeId(1)));
+  EXPECT_TRUE(db.cluster().node_state(NodeId(1)).crashed);
   EXPECT_TRUE(db.CrashNode(NodeId(1)).IsFailedPrecondition());  // Down.
 
   const StatusOr<fault::RecoveryReport> report =
       db.RestartNodeAndWait(NodeId(1));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(db.recovery().IsDown(NodeId(1)));
+  EXPECT_FALSE(db.cluster().node_state(NodeId(1)).crashed);
   EXPECT_EQ(db.recovery().crashes(), 1);
   EXPECT_EQ(db.recovery().recoveries(), 1);
 }
@@ -661,6 +661,7 @@ TEST(Db, AttachHelpersRefusesRewiringAndDoomedHelpers) {
   const Status crashed = db.AttachHelpers({NodeId(2)}, {NodeId(1)}, 128);
   EXPECT_TRUE(crashed.IsFailedPrecondition()) << crashed.ToString();
   EXPECT_NE(crashed.message().find("crashed"), std::string::npos);
+  EXPECT_EQ(crashed.message(), "helper node 2 crashed and has not recovered");
   ASSERT_TRUE(db.RestartNodeAndWait(NodeId(2)).ok());
 
   // First attach succeeds; a second one must not silently rewire (the
@@ -772,7 +773,7 @@ TEST(Fault, CrashMigrationTargetAtHalfProgressThenRecover) {
   }
   EXPECT_TRUE(done) << "migration did not finish after the crash";
   EXPECT_EQ(db.fault().crashes_injected(), 1);
-  EXPECT_TRUE(db.recovery().IsDown(NodeId(2)));
+  EXPECT_TRUE(db.cluster().node_state(NodeId(2)).crashed);
   const auto& stats = db.scheme().stats();
   EXPECT_TRUE(stats.tasks_failed > 0 ||
               stats.segments_moved == stats.tasks_planned);
@@ -829,12 +830,12 @@ TEST(Fault, FaultPlanInjectsCrashAndAutoRestart) {
 
   db.RunFor(4 * kUsPerSec);  // Past the crash, mid-downtime.
   EXPECT_EQ(db.fault().crashes_injected(), 1);
-  EXPECT_TRUE(db.recovery().IsDown(NodeId(1)));
+  EXPECT_TRUE(db.cluster().node_state(NodeId(1)).crashed);
   EXPECT_TRUE(session.Get(*table, 700).status().IsUnavailable());
 
   db.RunFor(16 * kUsPerSec);  // Past boot + redo.
   EXPECT_EQ(db.fault().restarts_injected(), 1);
-  EXPECT_FALSE(db.recovery().IsDown(NodeId(1)));
+  EXPECT_FALSE(db.cluster().node_state(NodeId(1)).crashed);
   ASSERT_EQ(db.recovery().reports().size(), 1u);
   EXPECT_TRUE(session.Get(*table, 700).ok());
 }
@@ -1101,14 +1102,14 @@ TEST(SelfHealing, DetectorRestartsCrashedNodeWithoutOperatorCalls) {
   // No operator restart: the heartbeat detector must declare the node dead
   // after 2 missed windows and heal it (5 s boot + redo).
   const SimTime t0 = db.Now();
-  while ((db.recovery().IsDown(NodeId(1)) ||
+  while ((db.cluster().node_state(NodeId(1)).crashed ||
           !db.cluster().node(NodeId(1))->IsActive()) &&
          db.Now() < t0 + 30 * kUsPerSec) {
     db.RunFor(kUsPerSec / 5);
   }
 
   EXPECT_TRUE(db.cluster().node(NodeId(1))->IsActive());
-  EXPECT_FALSE(db.recovery().IsDown(NodeId(1)));
+  EXPECT_FALSE(db.cluster().node_state(NodeId(1)).crashed);
   EXPECT_EQ(db.master().nodes_declared_dead(), 1);
   EXPECT_EQ(db.master().auto_restarts(), 1);
   EXPECT_TRUE(SawEvent(db, cluster::ControlEventType::kNodeDeclaredDead,
@@ -1149,7 +1150,7 @@ TEST(SelfHealing, AutoHealOffDetectsButNeverRestarts) {
   EXPECT_EQ(db.master().nodes_declared_dead(), 1);
   EXPECT_EQ(db.master().auto_restarts(), 0);
   EXPECT_FALSE(db.cluster().node(NodeId(1))->IsActive());
-  EXPECT_TRUE(db.recovery().IsDown(NodeId(1)));
+  EXPECT_TRUE(db.cluster().node_state(NodeId(1)).crashed);
 }
 
 TEST(SelfHealing, FlakyNodeIsDrainedAndExcluded) {
@@ -1173,23 +1174,24 @@ TEST(SelfHealing, FlakyNodeIsDrainedAndExcluded) {
   // Crash #1: restart-in-place.
   ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
   const SimTime t0 = db.Now();
-  while (db.recovery().IsDown(NodeId(1)) && db.Now() < t0 + 30 * kUsPerSec) {
+  while (db.cluster().node_state(NodeId(1)).crashed &&
+         db.Now() < t0 + 30 * kUsPerSec) {
     db.RunFor(kUsPerSec / 5);
   }
-  ASSERT_FALSE(db.recovery().IsDown(NodeId(1)));
-  EXPECT_FALSE(db.master().IsExcluded(NodeId(1)));
+  ASSERT_FALSE(db.cluster().node_state(NodeId(1)).crashed);
+  EXPECT_FALSE(db.cluster().node_state(NodeId(1)).excluded);
   db.RunFor(kUsPerSec);  // Seen alive again.
 
   // Crash #2: the node is now flaky — restart once more for data access,
   // drain everything onto survivors, power off, exclude.
   ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
   const SimTime t1 = db.Now();
-  while (!db.master().IsExcluded(NodeId(1)) &&
+  while (!db.cluster().node_state(NodeId(1)).excluded &&
          db.Now() < t1 + 90 * kUsPerSec) {
     db.RunFor(kUsPerSec / 5);
   }
 
-  EXPECT_TRUE(db.master().IsExcluded(NodeId(1)));
+  EXPECT_TRUE(db.cluster().node_state(NodeId(1)).excluded);
   EXPECT_FALSE(db.cluster().node(NodeId(1))->IsActive());
   EXPECT_TRUE(db.cluster().catalog().PartitionsOwnedBy(NodeId(1)).empty());
   EXPECT_TRUE(
@@ -1207,6 +1209,107 @@ TEST(SelfHealing, FlakyNodeIsDrainedAndExcluded) {
     ASSERT_TRUE(rec.ok()) << "key " << k << ": " << rec.status().ToString();
     EXPECT_EQ(rec->payload, std::vector<uint8_t>(64, 0x5A));
   }
+}
+
+TEST(NodeRoles, NodeInRedoAfterRestartTakesNoRoleButDrainSurvivor) {
+  auto opened = Db::Open(DbOptions()
+                             .WithNodes(4)
+                             .WithActiveNodes(2)
+                             .WithoutTpccLoad());
+  ASSERT_TRUE(opened.ok());
+  Db& db = **opened;
+  Session session = db.OpenSession();
+  StatusOr<TableId> table = db.CreateKvTable("t", 64, 1024);
+  ASSERT_TRUE(table.ok());
+  // Writes on node 1 after its last checkpoint give the restart a redo.
+  for (Key k = 600; k < 632; ++k) {
+    ASSERT_TRUE(session.Put(*table, k, std::vector<uint8_t>(64, 0x11)).ok());
+  }
+  const NodeId n(1);
+  ASSERT_TRUE(db.CrashNode(n).ok());
+  ASSERT_TRUE(db.RestartNode(n).ok());
+  while (!db.cluster().node(n)->IsActive()) db.RunFor(kUsPerMs / 10);
+
+  // Booted, but the WAL tail is still being replayed.
+  ASSERT_TRUE(db.cluster().node_state(n).crashed);
+  const cluster::Cluster& c = db.cluster();
+  EXPECT_FALSE(c.EligibleFor(n, cluster::Role::kRecruit));
+  EXPECT_FALSE(c.EligibleFor(n, cluster::Role::kHeatTarget));
+  EXPECT_FALSE(c.EligibleFor(n, cluster::Role::kReplicaHost));
+  EXPECT_FALSE(c.EligibleFor(n, cluster::Role::kScaleInVictim));
+  EXPECT_TRUE(c.EligibleFor(n, cluster::Role::kDrainSurvivor));
+
+  db.RunFor(kUsPerSec);  // Redo done.
+  EXPECT_FALSE(db.cluster().node_state(n).crashed);
+  EXPECT_TRUE(c.EligibleFor(n, cluster::Role::kReplicaHost));
+  EXPECT_TRUE(c.EligibleFor(n, cluster::Role::kScaleInVictim));
+}
+
+TEST(NodeRoles, PartitionedNodeIsNoHeatTargetUntilHealedAndReporting) {
+  auto opened = Db::Open(DbOptions()
+                             .WithNodes(4)
+                             .WithActiveNodes(3)
+                             .WithoutTpccLoad()
+                             .WithMasterLoop(HealingPolicy()));
+  ASSERT_TRUE(opened.ok());
+  Db& db = **opened;
+  ASSERT_TRUE(db.CreateKvTable("t", 64, 1024).ok());
+  const NodeId n(2);
+  db.RunFor(kUsPerSec);  // The detector watches node 2.
+  EXPECT_TRUE(db.cluster().EligibleFor(n, cluster::Role::kHeatTarget));
+
+  ASSERT_TRUE(db.PartitionNode(n).ok());
+  const SimTime t0 = db.Now();
+  while (!SawEvent(db, cluster::ControlEventType::kNodeDeclaredDead, n) &&
+         db.Now() < t0 + 10 * kUsPerSec) {
+    db.RunFor(kUsPerSec / 5);
+  }
+  ASSERT_TRUE(SawEvent(db, cluster::ControlEventType::kNodeDeclaredDead, n));
+  EXPECT_FALSE(db.cluster().EligibleFor(n, cluster::Role::kHeatTarget));
+
+  // Healed, but not yet seen by the detector: still unwatched.
+  ASSERT_TRUE(db.HealPartition(n).ok());
+  EXPECT_FALSE(db.cluster().node_state(n).watched);
+  EXPECT_FALSE(db.cluster().EligibleFor(n, cluster::Role::kHeatTarget));
+
+  db.RunFor(kUsPerSec);  // Reports again.
+  EXPECT_TRUE(db.cluster().node_state(n).watched);
+  EXPECT_TRUE(db.cluster().EligibleFor(n, cluster::Role::kHeatTarget));
+}
+
+TEST(NodeRoles, ExcludedNodeIsRefusedAsRecruitAndHelper) {
+  cluster::MasterPolicy policy = HealingPolicy();
+  policy.recovery.exclude_after_crashes = 1;
+  auto opened = Db::Open(DbOptions()
+                             .WithNodes(4)
+                             .WithActiveNodes(2)
+                             .WithoutTpccLoad()
+                             .WithMasterLoop(policy));
+  ASSERT_TRUE(opened.ok());
+  Db& db = **opened;
+  Session session = db.OpenSession();
+  StatusOr<TableId> table = db.CreateKvTable("t", 64, 1024);
+  ASSERT_TRUE(table.ok());
+  for (Key k = 600; k < 632; ++k) {
+    ASSERT_TRUE(session.Put(*table, k, std::vector<uint8_t>(64, 0x22)).ok());
+  }
+  const NodeId n(1);
+  db.RunFor(kUsPerSec);
+  ASSERT_TRUE(db.CrashNode(n).ok());
+  const SimTime t0 = db.Now();
+  while (!db.cluster().node_state(n).excluded &&
+         db.Now() < t0 + 90 * kUsPerSec) {
+    db.RunFor(kUsPerSec / 5);
+  }
+  ASSERT_TRUE(db.cluster().node_state(n).excluded);
+
+  // A powered-off standby, refused only for being excluded.
+  EXPECT_FALSE(db.cluster().node(n)->IsActive());
+  EXPECT_FALSE(db.cluster().EligibleFor(n, cluster::Role::kRecruit));
+  EXPECT_TRUE(db.cluster().EligibleFor(NodeId(3), cluster::Role::kRecruit));
+  const Status helper = db.AttachHelpers({n}, {NodeId(0)}, 128);
+  EXPECT_TRUE(helper.IsFailedPrecondition()) << helper.ToString();
+  EXPECT_EQ(helper.message(), "helper node 1 is excluded from duty");
 }
 
 TEST(SelfHealing, HelperFailoverFallsBackRecruitsAndLosesNoWrites) {
@@ -1266,12 +1369,12 @@ TEST(SelfHealing, HelperFailoverFallsBackRecruitsAndLosesNoWrites) {
   // replay every committed write — nothing was lost to the dead helper.
   ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
   const SimTime t1 = db.Now();
-  while ((db.recovery().IsDown(NodeId(1)) ||
+  while ((db.cluster().node_state(NodeId(1)).crashed ||
           !db.cluster().node(NodeId(1))->IsActive()) &&
          db.Now() < t1 + 30 * kUsPerSec) {
     db.RunFor(kUsPerSec / 5);
   }
-  ASSERT_FALSE(db.recovery().IsDown(NodeId(1)));
+  ASSERT_FALSE(db.cluster().node_state(NodeId(1)).crashed);
 
   for (Key k = 600; k < 632; ++k) {
     StatusOr<storage::Record> rec = session.Get(*table, k);

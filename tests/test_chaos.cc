@@ -319,7 +319,7 @@ TEST(PartitionFencing, PartitionedOwnerDeposedThenRejoinsClean) {
   // exactly the writes a promotion must not strand.
   ASSERT_TRUE(db.PartitionNode(NodeId(1)).ok());
   EXPECT_TRUE(db.PartitionNode(NodeId(1)).IsAlreadyExists());
-  EXPECT_TRUE(db.cluster().IsPartitioned(NodeId(1)));
+  EXPECT_TRUE(db.cluster().node_state(NodeId(1)).partitioned);
   for (Key k : keys) {
     EXPECT_TRUE(put(k)) << "partitioned owner refused a write pre-fence";
   }
@@ -348,7 +348,7 @@ TEST(PartitionFencing, PartitionedOwnerDeposedThenRejoinsClean) {
   // range (serving it would doubly serve every post-flip write) and the
   // link state machine must agree the partition is gone.
   ASSERT_TRUE(db.HealPartition(NodeId(1)).ok());
-  EXPECT_FALSE(db.cluster().IsPartitioned(NodeId(1)));
+  EXPECT_FALSE(db.cluster().node_state(NodeId(1)).partitioned);
   EXPECT_TRUE(db.HealPartition(NodeId(1)).IsNotFound());
   db.RunFor(5 * kUsPerSec);
 

@@ -1,7 +1,12 @@
-// Tests for the cluster layer: power state machine, §3.1 power accounting,
-// sampling, routing, and the master's elasticity controller + helpers.
+// Tests for the cluster layer: power state machine, node lifecycle roles,
+// §3.1 power accounting, sampling, routing, and the master's elasticity
+// controller + helpers.
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <functional>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/master.h"
@@ -73,6 +78,159 @@ TEST(Cluster, NodeLookupIsBoundsChecked) {
   EXPECT_EQ(c.node(NodeId::Invalid()), nullptr);
   EXPECT_TRUE(c.PowerOn(NodeId(99)).IsNotFound());
   EXPECT_TRUE(c.PowerOff(NodeId(99)).IsNotFound());
+}
+
+// --- Node lifecycle roles ----------------------------------------------------
+
+void SetPower(Cluster& c, NodeId id, hw::PowerState state) {
+  c.node(id)->hardware().set_power_state(state);
+}
+
+void Serve(Cluster& c, NodeId id) {
+  SetPower(c, id, hw::PowerState::kActive);
+  c.NoteReported(id);
+}
+
+void PartitionAndDeclareDead(Cluster& c, NodeId id) {
+  Serve(c, id);
+  ASSERT_TRUE(c.PartitionNode(id).ok());
+  c.NoteMissedWindow(id);
+  c.NoteDeclaredDead(id);
+  c.BeginHealing(id);  // Restarts of a live node keep failing.
+}
+
+void CrashAndBoot(Cluster& c, NodeId id) {
+  Serve(c, id);
+  c.MarkCrashed(id);
+  SetPower(c, id, hw::PowerState::kStandby);
+  c.NoteMissedWindow(id);
+  c.NoteDeclaredDead(id);
+  c.BeginHealing(id);
+  SetPower(c, id, hw::PowerState::kActive);  // Booted; redo still running.
+  c.NoteReported(id);
+}
+
+TEST(Cluster, EligibleForRoleTable) {
+  constexpr Role kRoles[] = {Role::kRecruit,     Role::kHeatTarget,
+                             Role::kScaleInVictim, Role::kHelper,
+                             Role::kReplicaHost, Role::kDrainSurvivor};
+  struct Row {
+    const char* state;
+    NodeId node;
+    std::function<void(Cluster&, NodeId)> reach;
+    // Recruit, heat target, scale-in victim, helper, replica host, survivor.
+    std::array<bool, 6> eligible;
+  };
+  const NodeId n(2);
+  const std::vector<Row> rows = {
+      {"cold standby", n, [](Cluster&, NodeId) {},
+       {true, false, false, true, false, false}},
+      {"booted, not yet reporting", n,
+       [](Cluster& c, NodeId id) { SetPower(c, id, hw::PowerState::kActive); },
+       {false, false, true, true, true, true}},
+      {"serving", n, Serve, {false, true, true, true, true, true}},
+      {"master", NodeId(0), Serve, {false, true, false, true, false, true}},
+      {"serving helper", n,
+       [](Cluster& c, NodeId id) {
+         Serve(c, id);
+         c.SetHelper(id, true);
+       },
+       {false, false, false, true, false, true}},
+      {"partitioned, suspected", n,
+       [](Cluster& c, NodeId id) {
+         Serve(c, id);
+         ASSERT_TRUE(c.PartitionNode(id).ok());
+         c.NoteMissedWindow(id);
+       },
+       {false, false, false, false, true, false}},
+      {"partitioned, declared dead, restart retrying", n,
+       PartitionAndDeclareDead, {false, false, false, false, true, false}},
+      {"partitioned, restart given up", n,
+       [](Cluster& c, NodeId id) {
+         PartitionAndDeclareDead(c, id);
+         c.AbandonHealing(id);
+       },
+       {false, false, false, true, true, false}},
+      {"partition healed, not yet reporting", n,
+       [](Cluster& c, NodeId id) {
+         PartitionAndDeclareDead(c, id);
+         c.AbandonHealing(id);
+         ASSERT_TRUE(c.HealPartition(id).ok());
+       },
+       {false, false, true, true, true, true}},
+      {"crashed, undetected", n,
+       [](Cluster& c, NodeId id) {
+         Serve(c, id);
+         c.MarkCrashed(id);
+         SetPower(c, id, hw::PowerState::kStandby);
+       },
+       {false, false, false, false, false, false}},
+      {"crashed, declared dead, booting", n,
+       [](Cluster& c, NodeId id) {
+         Serve(c, id);
+         c.MarkCrashed(id);
+         SetPower(c, id, hw::PowerState::kStandby);
+         c.NoteMissedWindow(id);
+         c.NoteDeclaredDead(id);
+         c.BeginHealing(id);
+         SetPower(c, id, hw::PowerState::kBooting);
+       },
+       {false, false, false, false, false, false}},
+      {"booted after a crash, redo running", n, CrashAndBoot,
+       {false, false, false, false, false, true}},
+      {"recovered", n,
+       [](Cluster& c, NodeId id) {
+         CrashAndBoot(c, id);
+         c.MarkRecovered(id);
+         c.FinishHealing(id);
+       },
+       {false, true, true, true, true, true}},
+      {"powered off by scale-in", n,
+       [](Cluster& c, NodeId id) {
+         Serve(c, id);
+         SetPower(c, id, hw::PowerState::kStandby);
+         c.StopWatching(id);
+       },
+       {true, false, false, true, false, false}},
+      {"excluded", n,
+       [](Cluster& c, NodeId id) {
+         Serve(c, id);
+         SetPower(c, id, hw::PowerState::kStandby);
+         c.Exclude(id);
+       },
+       {false, false, false, false, false, false}},
+  };
+  for (const Row& row : rows) {
+    Cluster c(SmallConfig(4, 1));
+    row.reach(c, row.node);
+    for (size_t r = 0; r < row.eligible.size(); ++r) {
+      EXPECT_EQ(c.EligibleFor(row.node, kRoles[r]), row.eligible[r])
+          << row.state << ", role #" << r;
+    }
+  }
+  Cluster c(SmallConfig(4, 1));
+  for (Role role : kRoles) {
+    EXPECT_FALSE(c.EligibleFor(NodeId(4), role)) << "no such node";
+    EXPECT_FALSE(c.EligibleFor(NodeId::Invalid(), role));
+  }
+}
+
+TEST(Cluster, NodeStateCountsCrashesAndDetectionsApart) {
+  Cluster c(SmallConfig(4, 2));
+  const NodeId n(1);
+  c.NoteReported(n);
+  c.MarkCrashed(n);
+  EXPECT_TRUE(c.node_state(n).crashed);
+  EXPECT_EQ(c.node_state(n).crashed_at, c.Now());
+  EXPECT_EQ(c.NoteMissedWindow(n), 1);
+  EXPECT_EQ(c.NoteMissedWindow(n), 2);
+  EXPECT_EQ(c.NoteDeclaredDead(n), 1);
+  EXPECT_FALSE(c.node_state(n).watched);
+  EXPECT_EQ(c.node_state(n).missed, 0);
+  c.MarkRecovered(n);
+  c.MarkCrashed(n);  // Crashed again before any detection.
+  EXPECT_EQ(c.node_state(n).crashes, 2);
+  EXPECT_EQ(c.node_state(n).declared_dead, 1);
 }
 
 TEST(Cluster, WattsMatchPaperEnvelope) {

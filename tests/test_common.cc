@@ -1,4 +1,4 @@
-// Unit tests for src/common: Status/Result, strong ids, key ranges, RNG,
+// Unit tests for src/common: Status/StatusOr, strong ids, key ranges, RNG,
 // statistics.
 
 #include <gtest/gtest.h>
@@ -39,31 +39,6 @@ TEST(Status, AllConstructorsMapToPredicates) {
   EXPECT_TRUE(Status::ResourceExhausted().IsResourceExhausted());
   EXPECT_TRUE(Status::Internal().IsInternal());
   EXPECT_TRUE(Status::Unavailable().IsUnavailable());
-}
-
-TEST(Result, HoldsValue) {
-  Result<int> r = 42;
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), 42);
-  EXPECT_TRUE(r.status().ok());
-}
-
-TEST(Result, HoldsError) {
-  Result<int> r = Status::Busy("locked");
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsBusy());
-}
-
-TEST(Result, OkStatusBecomesInternalError) {
-  Result<int> r = Status::OK();
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsInternal());
-}
-
-TEST(Result, MoveOutValue) {
-  Result<std::vector<int>> r = std::vector<int>{1, 2, 3};
-  std::vector<int> v = std::move(r).value();
-  EXPECT_EQ(v.size(), 3u);
 }
 
 Status Helper(bool fail) {

@@ -1,69 +1,12 @@
-// Tests for the load forecaster (§3.4 proactive decisions) and the metrics
-// module (time series + Fig. 7 breakdown).
+// Tests for the metrics module (time series + Fig. 7 breakdown).
 
 #include <gtest/gtest.h>
 
-#include "cluster/forecast.h"
 #include "metrics/breakdown.h"
 #include "metrics/time_series.h"
 
 namespace wattdb {
 namespace {
-
-using cluster::LoadForecaster;
-
-TEST(LoadForecaster, FlatSeriesForecastsFlat) {
-  LoadForecaster f;
-  for (int i = 0; i < 20; ++i) {
-    f.Observe(i * kUsPerSec, 0.5);
-  }
-  EXPECT_NEAR(f.Forecast(30 * kUsPerSec), 0.5, 0.05);
-  EXPECT_NEAR(f.trend_per_sec(), 0.0, 0.01);
-}
-
-TEST(LoadForecaster, RisingTrendExtrapolates) {
-  LoadForecaster f;
-  // +2% utilization per second.
-  for (int i = 0; i < 30; ++i) {
-    f.Observe(i * kUsPerSec, 0.1 + 0.02 * i);
-  }
-  const double now_level = f.level();
-  const double later = f.Forecast(10 * kUsPerSec);
-  EXPECT_GT(later, now_level + 0.1) << "forecast must ride the trend";
-  EXPECT_GT(f.trend_per_sec(), 0.01);
-}
-
-TEST(LoadForecaster, ForecastClampsToUtilizationDomain) {
-  LoadForecaster f;
-  for (int i = 0; i < 30; ++i) {
-    f.Observe(i * kUsPerSec, 0.05 * i);  // Steep rise past 1.0.
-  }
-  EXPECT_LE(f.Forecast(60 * kUsPerSec), 1.0);
-}
-
-TEST(LoadForecaster, FirstSampleIsLevel) {
-  LoadForecaster f;
-  f.Observe(0, 0.7);
-  EXPECT_DOUBLE_EQ(f.level(), 0.7);
-  EXPECT_DOUBLE_EQ(f.Forecast(kUsPerSec), 0.7);
-}
-
-TEST(LoadForecaster, DeclaredShiftRaisesForecast) {
-  LoadForecaster f;
-  for (int i = 0; i < 10; ++i) f.Observe(i * kUsPerSec, 0.2);
-  // A user-declared surge 5 s ahead (§3.4: user-defined workload shifts).
-  f.DeclareShift(9 * kUsPerSec + 5 * kUsPerSec, +0.5);
-  EXPECT_NEAR(f.Forecast(2 * kUsPerSec), 0.2, 0.05);   // Before the shift.
-  EXPECT_NEAR(f.Forecast(10 * kUsPerSec), 0.7, 0.05);  // After it.
-}
-
-TEST(LoadForecaster, PastShiftsAreConsumed) {
-  LoadForecaster f;
-  f.Observe(0, 0.2);
-  f.DeclareShift(2 * kUsPerSec, +0.5);
-  f.Observe(3 * kUsPerSec, 0.2);  // Shift instant has passed.
-  EXPECT_NEAR(f.Forecast(kUsPerSec), 0.2, 0.05);
-}
 
 TEST(TimeSeries, BucketsRelativeToOrigin) {
   metrics::TimeSeries ts(10 * kUsPerSec);
