@@ -148,7 +148,8 @@ PointResult RunPoint(double offered_qps, bool shedding, SimTime warmup,
       db.admission().shed(admission::OpClass::kBatch) - shed_batch_before;
   r.retried = lat_driver.retried();
   r.dropped = lat_driver.dropped();
-  r.overload_events = db.master().overload_events();
+  r.overload_events =
+      db.master().event_count(cluster::ControlEventType::kOverloadDetected);
   lat_driver.Stop();
   batch_driver.Stop();
   return r;

@@ -195,7 +195,8 @@ RebalResult RunRebalArm(const LaneSetup& s, bool intra, JsonReporter* json,
       break;
     }
   }
-  r.segments_relaned = db.master().segments_relaned();
+  r.segments_relaned =
+      db.master().event_count(cluster::ControlEventType::kSegmentRelaned);
   r.heat_moves_completed = db.master().heat_moves_completed();
   driver.Stop();
   return r;

@@ -102,8 +102,10 @@ ArmResult RunArm(double qps, Arm arm, SimTime window, SimTime crash_period,
   r.aborted_per_s = static_cast<double>(driver.aborted()) / secs;
   r.mean_ms = driver.latencies().mean() / kUsPerMs;
   r.p99_ms = driver.latencies().Percentile(99.0) / kUsPerMs;
-  r.declared_dead = db.master().nodes_declared_dead();
-  r.auto_restarts = db.master().auto_restarts();
+  r.declared_dead =
+      db.master().event_count(cluster::ControlEventType::kNodeDeclaredDead);
+  r.auto_restarts =
+      db.master().event_count(cluster::ControlEventType::kRestartIssued);
   driver.Stop();
   return r;
 }

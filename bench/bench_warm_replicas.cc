@@ -131,7 +131,8 @@ ArmResult RunArm(const Setup& s, bool replicated, JsonReporter* json,
   r.key_ops_per_s = static_cast<double>(driver.key_ops()) / secs;
   r.committed_per_s = static_cast<double>(driver.committed()) / secs;
   r.p99_ms = driver.latencies().Percentile(99.0) / kUsPerMs;
-  r.replicas_caught_up = db.replicas().replicas_caught_up();
+  r.replicas_caught_up =
+      db.master().event_count(cluster::ControlEventType::kReplicaCaughtUp);
   r.replication_mb =
       static_cast<double>(db.replicas().replication_bytes() - tax_before) /
       (1024.0 * 1024.0);

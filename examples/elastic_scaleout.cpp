@@ -72,12 +72,14 @@ int main() {
                 db.ActiveNodeCount(), qps,
                 base.latencies().mean() / kUsPerMs,
                 db.WattsIn(now - 10 * kUsPerSec, now),
-                db.master().scale_out_events(), db.master().scale_in_events());
+                db.master().event_count(cluster::ControlEventType::kScaleOut),
+                db.master().event_count(cluster::ControlEventType::kScaleIn));
   }
   base.Stop();
 
   std::printf("\nscale-out events: %d, scale-in events: %d\n",
-              db.master().scale_out_events(), db.master().scale_in_events());
+              db.master().event_count(cluster::ControlEventType::kScaleOut),
+              db.master().event_count(cluster::ControlEventType::kScaleIn));
   std::printf("total energy: %.1f kJ\n", db.energy().joules() / 1000.0);
   return 0;
 }

@@ -187,11 +187,6 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
         "LanePolicy.lane_trigger_ratio must be > 1, got " +
         std::to_string(lp.lane_trigger_ratio));
   }
-  if (lp.max_relanes_per_round < 1) {
-    return Status::InvalidArgument(
-        "LanePolicy.max_relanes_per_round must be >= 1, got " +
-        std::to_string(lp.max_relanes_per_round));
-  }
   if (lp.relane_cooldown < 0) {
     return Status::InvalidArgument(
         "LanePolicy.relane_cooldown must be >= 0, got " +
@@ -301,43 +296,15 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
       db->cluster_.get(), db->recovery_.get(), db->scheme_.get());
   if (!opts.fault_plan.empty()) db->fault_->Arm(opts.fault_plan);
 
-  // Close the self-healing loop: the master's heartbeat detector issues
-  // restarts through the recovery manager (boot + redo) without learning
-  // the fault subsystem's types.
-  db->master_->SetRecoveryHooks(
-      [rm = db->recovery_.get()](
-          NodeId node, std::function<void(const std::string&)> on_recovered) {
-        return rm->Restart(
-            node, [cb = std::move(on_recovered)](
-                      const fault::RecoveryReport& report) {
-              if (!cb) return;
-              cb("redo " + std::to_string(report.redo_us / 1000.0) + " ms, " +
-                 std::to_string(report.records_replayed) +
-                 " record(s) replayed, " +
-                 std::to_string(report.routes_restored) +
-                 " route(s) restored");
-            });
-      });
-
   // Warm-standby subsystem: built unconditionally (its observers are part
   // of the facade), driven from the master's control ticks only when the
-  // policy enables it. The hooks keep the master ignorant of replica types,
-  // mirroring the recovery wiring above.
+  // policy enables it.
   db->replicas_ = std::make_unique<replica::ReplicaManager>(
-      db->cluster_.get(), &db->master_->monitor(), opts.master.replica);
-  db->replicas_->SetEventSink(
-      [m = db->master_.get()](cluster::ControlEventType type, NodeId node,
-                              std::string detail) {
-        m->EmitEvent(type, node, std::move(detail));
-      });
-  db->master_->SetReplicaHooks(cluster::Master::ReplicaHooks{
-      [rm = db->replicas_.get()]() { rm->Tick(); },
-      [rm = db->replicas_.get()](NodeId dead) {
-        return rm->PromoteReplicasOf(dead);
-      },
-      [rm = db->replicas_.get()](NodeId node) {
-        return rm->DropReplicasOn(node);
-      }});
+      db->cluster_.get(), db->master_.get());
+  // Close the self-healing loop: the master's heartbeat detector restarts
+  // nodes through the recovery manager (boot + redo) and promotes and drops
+  // standbys through the replica manager.
+  db->master_->SetManagers(db->recovery_.get(), db->replicas_.get());
   db->fault_->set_replica_manager(db->replicas_.get());
 
   if (opts.start_sampling) db->cluster_->StartSampling(nullptr);

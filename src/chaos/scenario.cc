@@ -316,7 +316,6 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
     policy.replica.heat_threshold = 1.0;
     policy.replica.max_replicated_segments = 4;
     policy.replica.max_lag_records = 64;
-    policy.replica.promote_on_failure = true;
     policy.replica.drop_cold_after = 60 * kUsPerSec;
   }
   if (rng.UniformDouble() < 0.5) {
@@ -672,8 +671,10 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
   result.crashes_injected = db.fault().crashes_injected();
   result.partitions_injected = db.fault().partitions_injected();
   result.restarts_injected = db.fault().restarts_injected();
-  result.nodes_declared_dead = db.master().nodes_declared_dead();
-  result.replicas_promoted = db.replicas().replicas_promoted();
+  result.nodes_declared_dead =
+      db.master().event_count(cluster::ControlEventType::kNodeDeclaredDead);
+  result.replicas_promoted =
+      db.master().event_count(cluster::ControlEventType::kReplicaPromoted);
   result.stale_route_refusals = db.cluster().stale_route_refusals();
   result.committed_txns = truth.committed_txns;
   result.aborted_txns = truth.aborted_txns;

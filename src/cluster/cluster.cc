@@ -6,6 +6,11 @@
 
 namespace wattdb::cluster {
 
+namespace {
+/// Power/metric sampling period.
+constexpr SimTime kSamplePeriod = kUsPerSec;
+}  // namespace
+
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config), events_(&clock_), network_(config.network),
       power_model_(config.power), lanes_(config.lanes, config.num_nodes),
@@ -274,7 +279,7 @@ void Cluster::StartSampling(metrics::TimeSeries* series) {
   if (sampling_) return;
   sampling_ = true;
   last_sample_ = clock_.Now();
-  events_.ScheduleAfter(config_.sample_period, [this]() { SampleTick(); });
+  events_.ScheduleAfter(kSamplePeriod, [this]() { SampleTick(); });
 }
 
 void Cluster::SampleTick() {
@@ -294,7 +299,7 @@ void Cluster::SampleTick() {
   tm_.locks().Prune(last_sample_);
   if (auto_vacuum_) tm_.Vacuum();
   last_sample_ = now;
-  events_.ScheduleAfter(config_.sample_period, [this]() { SampleTick(); });
+  events_.ScheduleAfter(kSamplePeriod, [this]() { SampleTick(); });
 }
 
 SimTime Cluster::CommitTxn(Node* coordinator, tx::Txn* txn) {

@@ -37,7 +37,7 @@ struct NodeState {
   /// again (booted) while its WAL tail is still being replayed.
   bool crashed = false;
   SimTime crashed_at = 0;  ///< Time of the latest crash.
-  int crashes = 0;         ///< Crashes so far (RecoveryManager::crash_count).
+  int crashes = 0;         ///< Crashes so far.
   /// Control link to the master cut: heartbeats dropped, data path alive.
   bool partitioned = false;
 
@@ -48,7 +48,7 @@ struct NodeState {
   int missed = 0;
   /// Declared dead with a restart in flight; no re-declaration meanwhile.
   bool healing = false;
-  int declared_dead = 0;   ///< Detections so far (Master::crash_count).
+  int declared_dead = 0;   ///< Detections so far (the flaky counter).
   /// Drained, powered off and barred from any future duty.
   bool excluded = false;
   /// Wired as a log-shipping helper for some assisted nodes (Fig. 8).
@@ -99,8 +99,6 @@ struct ClusterConfig {
   lanes::LanePolicy lanes;
   /// Structure backing every segment-local primary-key index.
   index::IndexKind index_kind = index::IndexKind::kBTree;
-  /// Power/metric sampling period.
-  SimTime sample_period = kUsPerSec;
   uint64_t seed = 42;
 };
 

@@ -3,15 +3,24 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "fault/recovery_manager.h"
+#include "replica/replica_manager.h"
 
 namespace wattdb::cluster {
 
 namespace {
-/// Give up re-issuing a restart / re-planning a drain after this many
-/// attempts — a node that cannot come back (or empty) by then is left to
-/// the operator instead of looping forever.
-constexpr int kMaxHealAttempts = 10;
+/// Give up re-planning a drain after this many attempts, as
+/// kMaxHealAttempts does for restarts.
 constexpr int kMaxDrainAttempts = 5;
+/// Re-lane at most this many segments per intra-node balancing round.
+constexpr int kMaxRelanesPerRound = 4;
+
+/// The kNodeRecovered event detail of one completed restart.
+std::string RecoveredDetail(const fault::RecoveryReport& report) {
+  return "redo " + std::to_string(report.redo_us / 1000.0) + " ms, " +
+         std::to_string(report.records_replayed) + " record(s) replayed, " +
+         std::to_string(report.routes_restored) + " route(s) restored";
+}
 }  // namespace
 
 const char* ToString(ControlEventType type) {
@@ -68,6 +77,7 @@ void Master::Emit(ControlEventType type, NodeId node, std::string detail) {
                          << " at t=" << ToSeconds(event.at) << "s — "
                          << event.detail);
   control_events_.push_back(event);
+  ++event_counts_[static_cast<size_t>(type)];
   if (event_listener_) event_listener_(control_events_.back());
 }
 
@@ -77,13 +87,13 @@ void Master::ControlTick() {
   CheckHeartbeats(stats);
   CheckOverload();
   MaybeBalanceHeat();
-  if (policy_.replica.enabled && replica_hooks_.tick) {
+  if (policy_.replica.enabled && replicas_ != nullptr) {
     // The replica selector consumes the same per-segment heat EWMA the
     // balancer maintains; keep it advancing when the balancer is off.
     if (!policy_.balance.enabled) {
       monitor_.UpdateHeat(policy_.check_period, policy_.balance.ewma_alpha);
     }
-    replica_hooks_.tick();
+    replicas_->Tick();
   }
   if (repartitioner_ == nullptr || !repartitioner_->InProgress()) {
     MaybeScaleOut(stats);
@@ -118,7 +128,6 @@ void Master::CheckHeartbeats(const std::vector<NodeStats>& stats) {
 }
 
 void Master::DeclareDead(NodeId node) {
-  ++nodes_declared_dead_;
   const int crashes = cluster_->NoteDeclaredDead(node);
   Emit(ControlEventType::kNodeDeclaredDead, node,
        "missed " + std::to_string(policy_.recovery.declare_dead_after) +
@@ -136,10 +145,8 @@ void Master::DeclareDead(NodeId node) {
   // discarded; standbys *of* the dead node's ranges are the fast failover
   // path — catch up from its surviving WAL and flip ownership, instead of
   // waiting out the full redo of a restart.
-  if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(node);
-  if (policy_.replica.promote_on_failure && replica_hooks_.promote_for) {
-    replica_hooks_.promote_for(node);
-  }
+  DropReplicasOn(node);
+  if (replicas_ != nullptr) replicas_->PromoteReplicasOf(node);
   if (!policy_.recovery.auto_heal) return;
 
   // Flaky after m detections: restart once more for data access, then
@@ -163,17 +170,17 @@ void Master::IssueRestart(NodeId node, bool drain_after, int attempt) {
   if (!running_) return;
   // Came back on its own (e.g. a fault plan's auto-restart beat us to it).
   if (!cluster_->node_state(node).healing) return;
-  Status issued = Status::FailedPrecondition("no restart hook wired");
-  if (restart_fn_) {
-    issued = restart_fn_(node, [this, node,
-                                drain_after](const std::string& detail) {
-      Emit(ControlEventType::kNodeRecovered, node, detail);
-      cluster_->FinishHealing(node);
-      if (drain_after) StartDrainAndExclude(node, 0);
-    });
+  Status issued = Status::FailedPrecondition("no recovery manager wired");
+  if (recovery_ != nullptr) {
+    issued = recovery_->Restart(
+        node, [this, node, drain_after](const fault::RecoveryReport& report) {
+          Emit(ControlEventType::kNodeRecovered, node,
+               RecoveredDetail(report));
+          cluster_->FinishHealing(node);
+          if (drain_after) StartDrainAndExclude(node, 0);
+        });
   }
   if (issued.ok()) {
-    ++auto_restarts_;
     Emit(ControlEventType::kRestartIssued, node,
          drain_after ? "flaky node: restarting for drain-and-exclude"
                      : "restarting in place");
@@ -211,15 +218,16 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
   // Standby copies hosted on the victim are disposable — drop them rather
   // than have the drain move them (and again in the completion callback,
   // in case a replica landed here mid-drain).
-  if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(node);
+  DropReplicasOn(node);
   const Status started = repartitioner_->Drain(node, [this, node, attempt]() {
-    if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(node);
+    DropReplicasOn(node);
     const Status off = cluster_->PowerOff(node);
     if (off.ok()) {
       cluster_->Exclude(node);
       Emit(ControlEventType::kNodeExcluded, node,
            "drained and powered off after " +
-               std::to_string(crash_count(node)) + " crashes");
+               std::to_string(cluster_->node_state(node).declared_dead) +
+               " crashes");
       return;
     }
     // Segments survived the drain (a survivor died mid-move, or writes
@@ -232,7 +240,8 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
   });
   if (started.ok()) {
     Emit(ControlEventType::kDrainStarted, node,
-         "flaky node (crash #" + std::to_string(crash_count(node)) +
+         "flaky node (crash #" +
+             std::to_string(cluster_->node_state(node).declared_dead) +
              "): moving its data to survivors");
     return;
   }
@@ -248,7 +257,6 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
 }
 
 void Master::HandleHelperFailure(NodeId helper) {
-  ++helper_failovers_;
   auto it = helper_assignments_.find(helper);
   const std::vector<NodeId> orphaned =
       it != helper_assignments_.end() ? it->second : std::vector<NodeId>{};
@@ -277,10 +285,7 @@ void Master::HandleHelperFailure(NodeId helper) {
                            assisted.end());
   }
 
-  if (!policy_.recovery.auto_heal || !policy_.recovery.replace_failed_helpers ||
-      orphaned.empty()) {
-    return;
-  }
+  if (!policy_.recovery.auto_heal || orphaned.empty()) return;
   // Recruit a standby replacement and wire it exactly as AttachHelpers
   // would have.
   NodeId replacement = NodeId::Invalid();
@@ -345,7 +350,6 @@ void Master::MaybeScaleOut(const std::vector<NodeStats>& stats) {
   // not be booted without redo.
   for (const auto& s : stats) {
     if (!cluster_->EligibleFor(s.node, Role::kRecruit)) continue;
-    ++scale_out_events_;
     const int actives = cluster_->ActiveNodeCount();
     const double fraction = 1.0 / (actives + 1);
     Emit(ControlEventType::kScaleOut, s.node,
@@ -391,11 +395,10 @@ void Master::MaybeScaleIn(const std::vector<NodeStats>& stats) {
     }
   }
   if (!victim.valid()) return;
-  ++scale_in_events_;
   Emit(ControlEventType::kScaleIn, victim, "draining least-loaded node");
-  if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(victim);
+  DropReplicasOn(victim);
   repartitioner_->Drain(victim, [this, victim]() {
-    if (replica_hooks_.drop_hosted_on) replica_hooks_.drop_hosted_on(victim);
+    DropReplicasOn(victim);
     const Status s = cluster_->PowerOff(victim);
     // Taken down deliberately: no heartbeats expected, no false alarm.
     if (s.ok()) cluster_->StopWatching(victim);
@@ -433,7 +436,6 @@ void Master::CheckOverload() {
   ++overload_streak_;
   if (overload_streak_ >= ap.overload_trigger_after && !overload_announced_) {
     overload_announced_ = true;
-    ++overload_events_;
     Emit(ControlEventType::kOverloadDetected, deepest_node,
          std::to_string(over_nodes) + " node(s) past " + std::to_string(line) +
              " queued ops for " + std::to_string(overload_streak_) +
@@ -519,8 +521,6 @@ void Master::MaybeBalanceHeat() {
                 << started.ToString());
     return;
   }
-  ++heat_rebalances_;
-  heat_moves_planned_ += static_cast<int>(plan.size());
   Emit(ControlEventType::kHeatImbalance, hot,
        "node heat " + std::to_string(static_cast<int64_t>(hot_heat)) +
            " ops/s vs mean " + std::to_string(static_cast<int64_t>(mean)) +
@@ -585,7 +585,7 @@ bool Master::MaybeRelaneHot(NodeId hot) {
   double cold_now = lane_stats[cold_lane].heat;
   std::vector<Candidate> moves;
   for (const auto& c : candidates) {
-    if (static_cast<int>(moves.size()) >= lp.max_relanes_per_round) break;
+    if (static_cast<int>(moves.size()) >= kMaxRelanesPerRound) break;
     if (hot_left <= mean) break;
     const double hot_after = hot_left - c.heat;
     const double cold_after = cold_now + c.heat;
@@ -611,13 +611,11 @@ bool Master::MaybeRelaneHot(NodeId hot) {
   for (const auto& m : moves) {
     lanes.Relane(m.seg, static_cast<int>(cold_lane));
     relane_cooldown_until_[m.seg->id()] = now + lp.relane_cooldown;
-    ++segments_relaned_;
     Emit(ControlEventType::kSegmentRelaned, hot,
          "segment " + std::to_string(m.seg->id().value()) + " (heat " +
              std::to_string(static_cast<int64_t>(m.heat)) + " ops/s) lane " +
              std::to_string(hot_lane) + " -> " + std::to_string(cold_lane));
   }
-  ++lane_rebalances_;
   Emit(ControlEventType::kLaneRebalanced, hot,
        std::to_string(moves.size()) + " segment(s) re-laned; hot lane heat " +
            std::to_string(static_cast<int64_t>(lane_stats[hot_lane].heat)) +
@@ -725,7 +723,6 @@ void Master::FinishHeatRound(const std::vector<SegmentMove>& plan) {
           now + 2 * policy_.balance.cooldown;
     } else {
       ++abandoned;
-      ++heat_moves_abandoned_;
       Emit(ControlEventType::kHeatMoveAbandoned, m.src_node,
            "segment " + std::to_string(m.segment.value()) +
                " never installed on node " +
@@ -784,13 +781,13 @@ Status Master::TriggerRebalance(const std::vector<NodeId>& targets,
     // the recovery manager considering the node down forever, and pull
     // fresh data onto a disk whose WAL tail was never replayed.
     if (cluster_->node_state(t).crashed) {
-      if (!restart_fn_) {
+      if (recovery_ == nullptr) {
         return Status::FailedPrecondition(
             "target node " + std::to_string(t.value()) +
-            " crashed and no restart hook is wired");
+            " crashed and no recovery manager is wired");
       }
-      WATTDB_RETURN_IF_ERROR(
-          restart_fn_(t, [on_up](const std::string&) { on_up(); }));
+      WATTDB_RETURN_IF_ERROR(recovery_->Restart(
+          t, [on_up](const fault::RecoveryReport&) { on_up(); }));
       continue;
     }
     WATTDB_RETURN_IF_ERROR(cluster_->PowerOn(t, on_up));
@@ -880,6 +877,10 @@ Status Master::DetachHelpers() {
   assisted_nodes_.clear();
   ClearHelperAssignments();
   return Status::OK();
+}
+
+void Master::DropReplicasOn(NodeId node) {
+  if (replicas_ != nullptr) replicas_->DropReplicasOn(node);
 }
 
 void Master::ClearHelperAssignments() {

@@ -1,6 +1,7 @@
 #ifndef WATTDB_CLUSTER_MASTER_H_
 #define WATTDB_CLUSTER_MASTER_H_
 
+#include <array>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -11,6 +12,14 @@
 #include "cluster/monitor.h"
 #include "common/constants.h"
 #include "common/status.h"
+
+namespace wattdb::fault {
+class RecoveryManager;
+}  // namespace wattdb::fault
+
+namespace wattdb::replica {
+class ReplicaManager;
+}  // namespace wattdb::replica
 
 namespace wattdb::cluster {
 
@@ -124,9 +133,6 @@ struct RecoveryPolicy {
   int exclude_after_crashes = 0;
   /// Wait between declaring a node dead and issuing its restart.
   SimTime restart_backoff = 0;
-  /// When an attached helper dies: after falling the assisted nodes back to
-  /// local logging, recruit a standby node as the replacement helper.
-  bool replace_failed_helpers = true;
 };
 
 /// Heat-driven rebalancing knobs (§3.4: the master correlates node load
@@ -158,8 +164,9 @@ struct BalancePolicy {
 
 /// Warm-replica knobs: which segments deserve standby copies, how many,
 /// and how stale a copy may be while still serving reads. Driven from the
-/// master's control tick through the replica hooks (the ReplicaManager in
-/// src/replica does the actual bootstrapping and log application).
+/// master's control tick (the ReplicaManager in src/replica does the actual
+/// bootstrapping and log application). A caught-up replica always joins the
+/// read fan-out, and a dead owner's freshest standby is always promoted.
 struct ReplicaPolicy {
   bool enabled = false;
   /// Warm standbys maintained per hot segment.
@@ -171,11 +178,6 @@ struct ReplicaPolicy {
   /// Staleness bound: a replica lagging more than this many unapplied log
   /// records is pulled out of read fan-out until it catches back up.
   int64_t max_lag_records = 256;
-  /// Fan eligible reads out over owner + serving replicas (round-robin).
-  bool read_fanout = true;
-  /// On owner death, promote the freshest bootstrapped replica instead of
-  /// waiting for the owner's full WAL-tail redo.
-  bool promote_on_failure = true;
   /// A replica whose segment has cooled below heat_threshold is dropped
   /// only after staying cold this long (hysteresis against flapping).
   SimTime drop_cold_after = 30 * kUsPerSec;
@@ -212,6 +214,11 @@ enum class ControlEventType {
   kLaneRebalanced,  ///< An intra-node re-lane round finished; detail: counts.
 };
 
+/// Number of ControlEventType values (kLaneRebalanced is the last): the
+/// index range of the master's per-type event counts.
+constexpr size_t kControlEventTypeCount =
+    static_cast<size_t>(ControlEventType::kLaneRebalanced) + 1;
+
 const char* ToString(ControlEventType type);
 
 struct ControlEvent {
@@ -220,6 +227,11 @@ struct ControlEvent {
   NodeId node;
   std::string detail;
 };
+
+/// Give up re-issuing a restart of a declared-dead node after this many
+/// attempts — a node that cannot come back by then is left to the operator
+/// instead of looping forever.
+constexpr int kMaxHealAttempts = 10;
 
 /// Thresholds and cadence of the master's control loop (§3.4).
 struct MasterPolicy {
@@ -254,28 +266,6 @@ struct MasterPolicy {
 /// elasticity and availability controller.
 class Master {
  public:
-  /// Issues a restart (boot + redo) of a crashed node; the callback fires
-  /// at the simulated time recovery completes, with a human-readable
-  /// summary. Wired by the Db facade to fault::RecoveryManager::Restart —
-  /// the master itself stays ignorant of the fault subsystem's types.
-  using RestartFn =
-      std::function<Status(NodeId, std::function<void(const std::string&)>)>;
-
-  /// Hooks into the replica subsystem (src/replica), wired by the Db
-  /// facade so the master stays ignorant of the ReplicaManager's types —
-  /// same pattern as the recovery hooks.
-  struct ReplicaHooks {
-    /// Run one replica maintenance round (create/catch-up/drop), called
-    /// from every control tick while the replica policy is enabled.
-    std::function<void()> tick;
-    /// Promote the freshest standby of every range owned by the dead
-    /// node; returns how many promotions happened.
-    std::function<int(NodeId)> promote_for;
-    /// Drop all standbys hosted *on* `node` (dead, drained, or excluded —
-    /// their unlogged state is gone or about to be). Returns count.
-    std::function<int(NodeId)> drop_hosted_on;
-  };
-
   Master(Cluster* cluster, Repartitioner* repartitioner,
          MasterPolicy policy = MasterPolicy());
 
@@ -283,21 +273,14 @@ class Master {
   void Start();
   void Stop() { running_ = false; }
 
-  /// Wire the self-healing actions to the recovery subsystem. Without a
-  /// restart hook the detector still declares nodes dead but cannot heal.
-  void SetRecoveryHooks(RestartFn restart) {
-    restart_fn_ = std::move(restart);
-  }
-
-  void SetReplicaHooks(ReplicaHooks hooks) {
-    replica_hooks_ = std::move(hooks);
-  }
-
-  /// Emit a control event on behalf of a subsystem the master drives
-  /// through hooks (the ReplicaManager) so every decision lands on the one
-  /// shared timeline.
-  void EmitEvent(ControlEventType type, NodeId node, std::string detail) {
-    Emit(type, node, std::move(detail));
+  /// Wire the managers the master's decisions act through; either may be
+  /// null. Without a recovery manager the detector still declares nodes
+  /// dead but cannot restart them; without a replica manager there are no
+  /// standbys to tick, promote, or drop. The Db facade wires both.
+  void SetManagers(fault::RecoveryManager* recovery,
+                   replica::ReplicaManager* replicas) {
+    recovery_ = recovery;
+    replicas_ = replicas;
   }
 
   /// Explicitly trigger a rebalance onto `extra_nodes` standby nodes,
@@ -316,10 +299,12 @@ class Master {
 
   Monitor& monitor() { return monitor_; }
   const MasterPolicy& policy() const { return policy_; }
-  int scale_out_events() const { return scale_out_events_; }
-  int scale_in_events() const { return scale_in_events_; }
 
-  // --- Self-healing observers ---------------------------------------------
+  // --- Control-event timeline ---------------------------------------------
+  /// Append one decision to the timeline. The master's own loop and the
+  /// ReplicaManager it drives both record here, so every decision lands on
+  /// the one shared timeline.
+  void Emit(ControlEventType type, NodeId node, std::string detail);
   /// Timeline of control decisions, in simulated-time order.
   const std::vector<ControlEvent>& control_events() const {
     return control_events_;
@@ -328,19 +313,11 @@ class Master {
   void set_control_event_listener(std::function<void(const ControlEvent&)> f) {
     event_listener_ = std::move(f);
   }
-  /// Nodes declared dead by the heartbeat detector so far.
-  int nodes_declared_dead() const { return nodes_declared_dead_; }
-  /// Restarts the master issued itself (no operator call).
-  int auto_restarts() const { return auto_restarts_; }
-  int helper_failovers() const { return helper_failovers_; }
-  /// Times the detector has declared `node` dead (the flaky counter).
-  int crash_count(NodeId node) const {
-    return cluster_->node_state(node).declared_dead;
+  /// Events of `type` emitted so far: the one count of every decision.
+  int event_count(ControlEventType type) const {
+    return event_counts_[static_cast<size_t>(type)];
   }
 
-  // --- Overload observers ---------------------------------------------------
-  /// Sustained-overload episodes detected so far (kOverloadDetected events).
-  int overload_events() const { return overload_events_; }
   /// Overload pressure is currently sustained: queue depths have sat past
   /// overload_ratio × max_queue_ops for overload_trigger_after ticks. Feeds
   /// MaybeScaleOut and relaxes the heat-balance trigger.
@@ -350,15 +327,18 @@ class Master {
   }
 
   // --- Heat-balancing observers -------------------------------------------
+  // The benchmark report (bench/wattbench) reads these three by name.
   /// Rebalance rounds the heat balancer started.
-  int heat_rebalances() const { return heat_rebalances_; }
-  /// Segment moves the heat balancer planned / saw installed / abandoned.
-  int heat_moves_planned() const { return heat_moves_planned_; }
+  int heat_rebalances() const {
+    return event_count(ControlEventType::kHeatImbalance);
+  }
+  /// Segment moves the heat balancer planned.
+  int heat_moves_planned() const {
+    return event_count(ControlEventType::kHeatMovePlanned);
+  }
+  /// Planned moves seen installed. No event marks a single install, so
+  /// this one is counted by hand.
   int heat_moves_completed() const { return heat_moves_completed_; }
-  int heat_moves_abandoned() const { return heat_moves_abandoned_; }
-  /// Intra-node tier: re-lane rounds run and segments remapped so far.
-  int lane_rebalances() const { return lane_rebalances_; }
-  int segments_relaned() const { return segments_relaned_; }
 
  private:
   void ControlTick();
@@ -400,17 +380,18 @@ class Master {
   void HandleHelperFailure(NodeId helper);
   /// Forget every helper -> assisted-nodes assignment.
   void ClearHelperAssignments();
-  void Emit(ControlEventType type, NodeId node, std::string detail);
+  /// Drop the standbys hosted on `node`, when a replica manager is wired.
+  void DropReplicasOn(NodeId node);
 
   Cluster* cluster_;
   Repartitioner* repartitioner_;
   MasterPolicy policy_;
   Monitor monitor_;
+  fault::RecoveryManager* recovery_ = nullptr;
+  replica::ReplicaManager* replicas_ = nullptr;
   bool running_ = false;
   int over_count_ = 0;
   int under_count_ = 0;
-  int scale_out_events_ = 0;
-  int scale_in_events_ = 0;
 
   std::vector<NodeId> active_helpers_;
   std::vector<NodeId> assisted_nodes_;
@@ -419,19 +400,14 @@ class Master {
   /// the nodes whose lifecycle record carries the helper flag.
   std::unordered_map<NodeId, std::vector<NodeId>> helper_assignments_;
 
-  RestartFn restart_fn_;
-  ReplicaHooks replica_hooks_;
   std::function<void(const ControlEvent&)> event_listener_;
   std::vector<ControlEvent> control_events_;
-  int nodes_declared_dead_ = 0;
-  int auto_restarts_ = 0;
-  int helper_failovers_ = 0;
+  std::array<int, kControlEventTypeCount> event_counts_{};
 
   // Overload-detection state.
   int overload_streak_ = 0;        ///< Consecutive ticks with a node overloaded.
   bool overload_announced_ = false;///< kOverloadDetected emitted this episode.
   NodeId last_overload_node_;      ///< Deepest queue in the latest check.
-  int overload_events_ = 0;
 
   // Heat balancing state.
   int heat_over_count_ = 0;        ///< Consecutive imbalanced ticks.
@@ -439,17 +415,12 @@ class Master {
   SimTime next_balance_at_ = 0;    ///< Cooldown gate for the next round.
   /// Segments that moved successfully may not move again before this time.
   std::unordered_map<SegmentId, SimTime> segment_cooldown_until_;
-  int heat_rebalances_ = 0;
-  int heat_moves_planned_ = 0;
   int heat_moves_completed_ = 0;
-  int heat_moves_abandoned_ = 0;
 
   // Intra-node (lane) balancing state.
   /// Re-laned segments may not re-lane again before this time (ping-pong
   /// guard, mirroring segment_cooldown_until_ one tier up).
   std::unordered_map<SegmentId, SimTime> relane_cooldown_until_;
-  int lane_rebalances_ = 0;
-  int segments_relaned_ = 0;
 };
 
 }  // namespace wattdb::cluster

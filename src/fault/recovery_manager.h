@@ -78,11 +78,6 @@ class RecoveryManager {
                      nullptr);
 
   int crashes() const { return crashes_; }
-  /// Crashes of one node so far (the bench/test-side flaky counter; the
-  /// master keeps its own count from detections).
-  int crash_count(NodeId node) const {
-    return cluster_->node_state(node).crashes;
-  }
   int recoveries() const { return static_cast<int>(reports_.size()); }
   /// Completed recoveries, in completion order.
   const std::vector<RecoveryReport>& reports() const { return reports_; }

@@ -29,8 +29,6 @@ struct LanePolicy {
   bool balance_lanes = true;
   /// Hottest lane vs mean lane heat before re-laning is worthwhile.
   double lane_trigger_ratio = 1.5;
-  /// Re-lane at most this many segments per balancing round.
-  int max_relanes_per_round = 4;
   /// Per-segment cooldown between re-lanes, against lane ping-pong.
   SimTime relane_cooldown = 10 * kUsPerSec;
 };

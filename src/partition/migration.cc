@@ -12,6 +12,10 @@ MigrationManagerBase::MigrationManagerBase(cluster::Cluster* cluster,
 
 namespace {
 
+/// Pages pinned per in-flight copy stream (drives buffer-latch contention
+/// while rebalancing, Fig. 7).
+constexpr int64_t kPinPagesPerStream = 512;
+
 /// True when `node` hosts a warm replica overlapping `range` of `table`.
 /// Landing the authoritative copy next to its own standby silently halves
 /// the replica's fan-out benefit until the ReplicaManager re-places it, so
@@ -389,8 +393,8 @@ void MigrationManagerBase::StreamBytes(
       segment != nullptr ? cluster_->FindDisk(segment->disk()) : nullptr;
   WATTDB_CHECK(src_disk != nullptr);
 
-  src_node->buffer().AddMaintenancePins(config_.pin_pages_per_stream);
-  dst_node->buffer().AddMaintenancePins(config_.pin_pages_per_stream);
+  src_node->buffer().AddMaintenancePins(kPinPagesPerStream);
+  dst_node->buffer().AddMaintenancePins(kPinPagesPerStream);
   stats_.bytes_shipped += static_cast<int64_t>(scaled);
 
   auto remaining = std::make_shared<size_t>(scaled);
@@ -405,14 +409,14 @@ void MigrationManagerBase::StreamBytes(
       // An endpoint crashed mid-copy: abandon the stream. The chunks
       // already shipped are wasted work (they stay in bytes_shipped); the
       // caller sees nullptr and must leave the segment at the source.
-      src_node->buffer().ReleaseMaintenancePins(config_.pin_pages_per_stream);
-      dst_node->buffer().ReleaseMaintenancePins(config_.pin_pages_per_stream);
+      src_node->buffer().ReleaseMaintenancePins(kPinPagesPerStream);
+      dst_node->buffer().ReleaseMaintenancePins(kPinPagesPerStream);
       done(nullptr);
       return;
     }
     if (*remaining == 0) {
-      src_node->buffer().ReleaseMaintenancePins(config_.pin_pages_per_stream);
-      dst_node->buffer().ReleaseMaintenancePins(config_.pin_pages_per_stream);
+      src_node->buffer().ReleaseMaintenancePins(kPinPagesPerStream);
+      dst_node->buffer().ReleaseMaintenancePins(kPinPagesPerStream);
       done(dst_disk);
       return;
     }

@@ -31,13 +31,6 @@ struct MigrationConfig {
   /// materialized database; hardware resources are kept busy accordingly.
   double cost_scale = 1.0;
 
-  /// How long the source keeps forwarding after a move (old readers drain).
-  SimTime forward_window = 5 * kUsPerSec;
-
-  /// Pages pinned per in-flight copy stream (drives buffer-latch contention
-  /// while rebalancing, Fig. 7).
-  int64_t pin_pages_per_stream = 512;
-
   /// Restrict rebalancing to one table (invalid = all tables). The Fig. 3
   /// micro-benchmark moves only the table its workload hammers.
   TableId only_table;

@@ -6,6 +6,11 @@
 
 namespace wattdb::partition {
 
+namespace {
+/// How long the source keeps forwarding after a move (old readers drain).
+constexpr SimTime kForwardWindow = 5 * kUsPerSec;
+}  // namespace
+
 SimTime PhysiologicalPartitioning::EstimateCopyUs(size_t bytes) const {
   // Pipeline estimate: each chunk pays read + ship + write sequentially.
   const double disk_bw = 100e6;  // Conservative HDD-class floor.
@@ -156,7 +161,7 @@ void PhysiologicalPartitioning::ExecuteTask(const MoveTask& task,
                   src->set_state(catalog::PartitionState::kForwarding);
                   const PartitionId src_id = task.src_partition;
                   cluster_->events().ScheduleAfter(
-                      config_.forward_window, [this, src_id]() {
+                      kForwardWindow, [this, src_id]() {
                         catalog::Partition* p =
                             cluster_->catalog().GetPartition(src_id);
                         if (p != nullptr &&

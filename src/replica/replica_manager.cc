@@ -27,16 +27,10 @@ const char* ToString(ReplicaState state) {
 }
 
 ReplicaManager::ReplicaManager(cluster::Cluster* cluster,
-                               cluster::Monitor* monitor,
-                               cluster::ReplicaPolicy policy)
-    : cluster_(cluster), monitor_(monitor), policy_(policy) {
+                               cluster::Master* master)
+    : cluster_(cluster), master_(master) {
   WATTDB_CHECK(cluster_ != nullptr);
-  WATTDB_CHECK(monitor_ != nullptr);
-}
-
-void ReplicaManager::Emit(cluster::ControlEventType type, NodeId node,
-                          std::string detail) {
-  if (event_sink_) event_sink_(type, node, std::move(detail));
+  WATTDB_CHECK(master_ != nullptr);
 }
 
 std::string ReplicaManager::Describe(const ReplicaInfo& rep) const {
@@ -69,7 +63,7 @@ double ReplicaManager::progress() const {
 }
 
 void ReplicaManager::Tick() {
-  if (!policy_.enabled) return;
+  if (!policy().enabled) return;
   const SimTime now = cluster_->Now();
   ValidateReplicas(now);
   ApplyLogTails(now);
@@ -99,12 +93,12 @@ void ReplicaManager::ValidateReplicas(SimTime now) {
     }
     // Heat hysteresis: a segment that cooled below the threshold and
     // stayed cold keeps its replica only drop_cold_after long.
-    const double heat = monitor_->HeatOf(rep->src_segment);
-    if (heat >= policy_.heat_threshold) {
+    const double heat = master_->monitor().HeatOf(rep->src_segment);
+    if (heat >= policy().heat_threshold) {
       rep->cold_since = 0;
     } else if (rep->cold_since == 0) {
       rep->cold_since = now;
-    } else if (now - rep->cold_since >= policy_.drop_cold_after) {
+    } else if (now - rep->cold_since >= policy().drop_cold_after) {
       DropReplica(rep, "segment cooled below heat threshold");
       continue;
     }
@@ -173,18 +167,15 @@ void ReplicaManager::ApplyLogTails(SimTime now) {
   for (const auto& rep : replicas_) {
     if (rep->state == ReplicaState::kBootstrapping) continue;
     rep->lag_records = CatchUp(rep, now);
-    const bool fresh = rep->lag_records <= policy_.max_lag_records;
+    const bool fresh = rep->lag_records <= policy().max_lag_records;
     if (fresh && rep->state == ReplicaState::kCatchingUp) {
       rep->state = ReplicaState::kCaughtUp;
       rep->caught_up_at = now;
-      ++replicas_caught_up_;
-      if (policy_.read_fanout) {
-        (void)cluster_->catalog().SetReplicaServing(
-            rep->table, rep->replica_partition, true);
-      }
-      Emit(cluster::ControlEventType::kReplicaCaughtUp, rep->host,
-           Describe(*rep) + " within staleness bound (lag " +
-               std::to_string(rep->lag_records) + " records)");
+      (void)cluster_->catalog().SetReplicaServing(
+          rep->table, rep->replica_partition, true);
+      master_->Emit(cluster::ControlEventType::kReplicaCaughtUp, rep->host,
+                    Describe(*rep) + " within staleness bound (lag " +
+                        std::to_string(rep->lag_records) + " records)");
     } else if (!fresh && rep->state == ReplicaState::kCaughtUp) {
       // Fell behind the staleness bound: out of read fan-out until the
       // lag shrinks again.
@@ -198,7 +189,7 @@ void ReplicaManager::ApplyLogTails(SimTime now) {
 // ---------------------------------------------------------------- placement
 
 NodeId ReplicaManager::PickHost(const std::shared_ptr<ReplicaInfo>& rep) const {
-  const auto node_heat = monitor_->NodeHeats();
+  const auto node_heat = master_->monitor().NodeHeats();
   NodeId best = NodeId::Invalid();
   double best_heat = 0.0;
   for (cluster::Node* n : cluster_->ActiveNodes()) {
@@ -233,17 +224,17 @@ void ReplicaManager::MaybeCreateReplicas(SimTime now) {
     ++copies[rep->src_segment];
   }
 
-  auto heats = monitor_->SegmentHeats();
+  auto heats = master_->monitor().SegmentHeats();
   std::sort(heats.begin(), heats.end(),
             [](const cluster::HeatEntry& a, const cluster::HeatEntry& b) {
               return a.heat > b.heat;
             });
   for (const auto& entry : heats) {
-    if (entry.heat < policy_.heat_threshold) break;  // Sorted: rest colder.
-    if (copies[entry.segment] >= policy_.replicas_per_segment) continue;
+    if (entry.heat < policy().heat_threshold) break;  // Sorted: rest colder.
+    if (copies[entry.segment] >= policy().replicas_per_segment) continue;
     if (replicated.count(entry.segment) == 0 &&
         static_cast<int>(replicated.size()) >=
-            policy_.max_replicated_segments) {
+            policy().max_replicated_segments) {
       continue;
     }
     // Reverse-lookup the owning partition and routed range of the segment.
@@ -394,31 +385,29 @@ void ReplicaManager::FinishBootstrap(const std::shared_ptr<ReplicaInfo>& rep,
   });
   rep->applied_lsn = src->log().next_lsn() - 1;
   rep->state = ReplicaState::kCatchingUp;
-  ++replicas_created_;
   const Status routed = cluster_->catalog().AddReplicaRoute(
       rep->table, rep->range, rep->replica_partition, rep->src_partition);
   if (!routed.ok()) {
     DropReplica(rep, "replica route rejected: " + routed.ToString());
     return;
   }
-  Emit(cluster::ControlEventType::kReplicaCreated, rep->host,
-       Describe(*rep) + " bootstrapped (" +
-           std::to_string(copy->record_count()) + " records, " +
-           std::to_string(rep->bootstrap_total_bytes) + " bytes)");
+  master_->Emit(cluster::ControlEventType::kReplicaCreated, rep->host,
+                Describe(*rep) + " bootstrapped (" +
+                    std::to_string(copy->record_count()) + " records, " +
+                    std::to_string(rep->bootstrap_total_bytes) + " bytes)");
 }
 
 // ----------------------------------------------------------------- failover
 
 int ReplicaManager::PromoteReplicasOf(NodeId dead) {
-  if (!policy_.enabled) return 0;
+  if (!policy().enabled) return 0;
   const SimTime now = cluster_->Now();
   // Freshest bootstrapped standby per segment of the dead owner. Equally
   // fresh candidates (same applied LSN — common right after a catch-up
   // tick) break the tie toward the *coldest* host: the promoted node
   // inherits the dead owner's traffic on top of its own, so of two
   // identical copies the one on the least-loaded node wins.
-  std::unordered_map<NodeId, double> node_heat;
-  if (monitor_ != nullptr) node_heat = monitor_->NodeHeats();
+  const auto node_heat = master_->monitor().NodeHeats();
   const auto heat_of = [&node_heat](NodeId node) {
     auto it = node_heat.find(node);
     return it == node_heat.end() ? 0.0 : it->second;
@@ -509,10 +498,9 @@ int ReplicaManager::PromoteReplicasOf(NodeId dead) {
                                              << flip.ToString());
         return;
       }
-      ++replicas_promoted_;
-      Emit(cluster::ControlEventType::kReplicaPromoted, r->host,
-           Describe(*r) + " is the new owner (final catch-up " +
-               std::to_string(final_records) + " records)");
+      master_->Emit(cluster::ControlEventType::kReplicaPromoted, r->host,
+                    Describe(*r) + " is the new owner (final catch-up " +
+                        std::to_string(final_records) + " records)");
       replicas_.erase(std::remove(replicas_.begin(), replicas_.end(), r),
                       replicas_.end());
     });
@@ -554,9 +542,8 @@ void ReplicaManager::DropReplica(const std::shared_ptr<ReplicaInfo>& rep,
     WATTDB_WARN("replica: partition " << rep->replica_partition.value()
                                       << " not dropped: " << drop.ToString());
   }
-  ++replicas_dropped_;
-  Emit(cluster::ControlEventType::kReplicaDropped, rep->host,
-       Describe(*rep) + " dropped: " + reason);
+  master_->Emit(cluster::ControlEventType::kReplicaDropped, rep->host,
+                Describe(*rep) + " dropped: " + reason);
   replicas_.erase(std::remove(replicas_.begin(), replicas_.end(), rep),
                   replicas_.end());
 }

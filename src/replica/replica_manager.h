@@ -1,7 +1,6 @@
 #ifndef WATTDB_REPLICA_REPLICA_MANAGER_H_
 #define WATTDB_REPLICA_REPLICA_MANAGER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,22 +56,17 @@ struct ReplicaInfo {
 /// them off the Monitor's per-segment heat EWMA, bootstraps a base copy by
 /// byte-streaming the owner's segment (the migration path's cost model),
 /// then keeps the copy fresh by applying the owner's log tail through the
-/// same idempotent redo the crash path uses. Driven from the master's
-/// control tick via Master::ReplicaHooks; failover promotes the freshest
-/// standby of a dead owner (catch-up-and-flip) instead of waiting out the
-/// owner's full WAL redo.
+/// same idempotent redo the crash path uses. The master calls Tick from
+/// its control tick and PromoteReplicasOf / DropReplicasOn from its failure
+/// and drain paths; failover promotes the freshest standby of a dead owner
+/// (catch-up-and-flip) instead of waiting out the owner's full WAL redo.
+/// Heat, policy, and the event timeline are the master's.
 class ReplicaManager {
  public:
-  using EventSink =
-      std::function<void(cluster::ControlEventType, NodeId, std::string)>;
-
-  ReplicaManager(cluster::Cluster* cluster, cluster::Monitor* monitor,
-                 cluster::ReplicaPolicy policy);
+  ReplicaManager(cluster::Cluster* cluster, cluster::Master* master);
 
   ReplicaManager(const ReplicaManager&) = delete;
   ReplicaManager& operator=(const ReplicaManager&) = delete;
-
-  void SetEventSink(EventSink sink) { event_sink_ = std::move(sink); }
 
   /// One maintenance round, called from the master's control tick:
   /// drop invalidated replicas, apply the owners' log tails (advancing
@@ -96,11 +90,6 @@ class ReplicaManager {
   const std::vector<std::shared_ptr<ReplicaInfo>>& replicas() const {
     return replicas_;
   }
-  const cluster::ReplicaPolicy& policy() const { return policy_; }
-  int replicas_created() const { return replicas_created_; }
-  int replicas_caught_up() const { return replicas_caught_up_; }
-  int replicas_promoted() const { return replicas_promoted_; }
-  int replicas_dropped() const { return replicas_dropped_; }
   /// Bootstrap + log-shipping bytes across all replicas ever (the
   /// replication network tax reported by bench_warm_replicas).
   int64_t replication_bytes() const { return replication_bytes_; }
@@ -113,6 +102,9 @@ class ReplicaManager {
   double progress() const;
 
  private:
+  const cluster::ReplicaPolicy& policy() const {
+    return master_->policy().replica;
+  }
   void ApplyLogTails(SimTime now);
   void ValidateReplicas(SimTime now);
   void MaybeCreateReplicas(SimTime now);
@@ -126,22 +118,15 @@ class ReplicaManager {
   void DropReplica(const std::shared_ptr<ReplicaInfo>& rep,
                    const std::string& reason);
   NodeId PickHost(const std::shared_ptr<ReplicaInfo>& rep) const;
-  void Emit(cluster::ControlEventType type, NodeId node, std::string detail);
   std::string Describe(const ReplicaInfo& rep) const;
 
   cluster::Cluster* cluster_;
-  cluster::Monitor* monitor_;
-  cluster::ReplicaPolicy policy_;
-  EventSink event_sink_;
+  cluster::Master* master_;
 
   /// shared_ptr so in-flight bootstrap events can hold weak references
   /// that expire when a replica is dropped mid-stream.
   std::vector<std::shared_ptr<ReplicaInfo>> replicas_;
 
-  int replicas_created_ = 0;
-  int replicas_caught_up_ = 0;
-  int replicas_promoted_ = 0;
-  int replicas_dropped_ = 0;
   int64_t replication_bytes_ = 0;
   int64_t log_records_shipped_ = 0;
 };

@@ -18,11 +18,7 @@ namespace wattdb {
 namespace {
 
 int CountEvents(Db& db, cluster::ControlEventType type) {
-  int n = 0;
-  for (const auto& e : db.control_events()) {
-    if (e.type == type) ++n;
-  }
-  return n;
+  return db.master().event_count(type);
 }
 
 int64_t TotalQueueDepth(Db& db) {
@@ -380,13 +376,12 @@ TEST(Admission, SustainedOverloadTriggersScaleOutAndClears) {
 
   driver.Start();
   const SimTime t0 = db.Now();
-  while (db.master().scale_out_events() == 0 &&
+  while (CountEvents(db, cluster::ControlEventType::kScaleOut) == 0 &&
          db.Now() < t0 + 10 * kUsPerSec) {
     db.RunFor(kUsPerSec);
   }
-  EXPECT_GE(db.master().overload_events(), 1);
   EXPECT_GE(CountEvents(db, cluster::ControlEventType::kOverloadDetected), 1);
-  EXPECT_GE(db.master().scale_out_events(), 1)
+  EXPECT_GE(CountEvents(db, cluster::ControlEventType::kScaleOut), 1)
       << "sustained queue overload must enlist the standby even though the "
          "CPU gauge never crossed its (unreachable) threshold";
 

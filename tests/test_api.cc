@@ -1002,6 +1002,10 @@ bool SawEvent(const Db& db, cluster::ControlEventType type, NodeId node) {
   return false;
 }
 
+int CountEvents(Db& db, cluster::ControlEventType type) {
+  return db.master().event_count(type);
+}
+
 TEST(DbOptions, ValidatesMasterPolicy) {
   auto with = [](void (*mutate)(cluster::MasterPolicy&)) {
     cluster::MasterPolicy policy;
@@ -1110,8 +1114,8 @@ TEST(SelfHealing, DetectorRestartsCrashedNodeWithoutOperatorCalls) {
 
   EXPECT_TRUE(db.cluster().node(NodeId(1))->IsActive());
   EXPECT_FALSE(db.cluster().node_state(NodeId(1)).crashed);
-  EXPECT_EQ(db.master().nodes_declared_dead(), 1);
-  EXPECT_EQ(db.master().auto_restarts(), 1);
+  EXPECT_EQ(CountEvents(db, cluster::ControlEventType::kNodeDeclaredDead), 1);
+  EXPECT_EQ(CountEvents(db, cluster::ControlEventType::kRestartIssued), 1);
   EXPECT_TRUE(SawEvent(db, cluster::ControlEventType::kNodeDeclaredDead,
                        NodeId(1)));
   EXPECT_TRUE(
@@ -1147,8 +1151,8 @@ TEST(SelfHealing, AutoHealOffDetectsButNeverRestarts) {
   db.RunFor(kUsPerSec);
   ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
   db.RunFor(10 * kUsPerSec);
-  EXPECT_EQ(db.master().nodes_declared_dead(), 1);
-  EXPECT_EQ(db.master().auto_restarts(), 0);
+  EXPECT_EQ(CountEvents(db, cluster::ControlEventType::kNodeDeclaredDead), 1);
+  EXPECT_EQ(CountEvents(db, cluster::ControlEventType::kRestartIssued), 0);
   EXPECT_FALSE(db.cluster().node(NodeId(1))->IsActive());
   EXPECT_TRUE(db.cluster().node_state(NodeId(1)).crashed);
 }
@@ -1198,9 +1202,9 @@ TEST(SelfHealing, FlakyNodeIsDrainedAndExcluded) {
       SawEvent(db, cluster::ControlEventType::kDrainStarted, NodeId(1)));
   EXPECT_TRUE(
       SawEvent(db, cluster::ControlEventType::kNodeExcluded, NodeId(1)));
-  EXPECT_EQ(db.master().crash_count(NodeId(1)), 2);
+  EXPECT_EQ(db.cluster().node_state(NodeId(1)).declared_dead, 2);
   // The detector's count agrees with the recovery subsystem's ground truth.
-  EXPECT_EQ(db.recovery().crash_count(NodeId(1)), 2);
+  EXPECT_EQ(db.cluster().node_state(NodeId(1)).crashes, 2);
 
   // Every committed write survived the crashes and the drain: the key
   // range moved to survivors with its data.
@@ -1353,7 +1357,7 @@ TEST(SelfHealing, HelperFailoverFallsBackRecruitsAndLosesNoWrites) {
       SawEvent(db, cluster::ControlEventType::kHelperFallback, NodeId(1)));
   EXPECT_TRUE(
       SawEvent(db, cluster::ControlEventType::kHelperRecruited, NodeId(3)));
-  EXPECT_EQ(db.master().helper_failovers(), 1);
+  EXPECT_EQ(CountEvents(db, cluster::ControlEventType::kHelperLost), 1);
 
   // The replacement helper (node 3) boots and is re-wired.
   db.RunFor(7 * kUsPerSec);
@@ -1564,11 +1568,11 @@ TEST(HeatBalance, CrashMidMoveIsAbandonedAndReplanned) {
   // Phase 1: the balancer plans moves onto node 1, which crashes the
   // moment the migration starts — every move of the round is abandoned.
   const SimTime t0 = db.Now();
-  while (db.master().heat_moves_abandoned() < 1 &&
+  while (CountEvents(db, cluster::ControlEventType::kHeatMoveAbandoned) < 1 &&
          db.Now() < t0 + 30 * kUsPerSec) {
     db.RunFor(kUsPerSec / 2);
   }
-  ASSERT_GE(db.master().heat_moves_abandoned(), 1)
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kHeatMoveAbandoned), 1)
       << "crash mid-move must abandon the round's moves";
   EXPECT_TRUE(SawEvent(db, cluster::ControlEventType::kHeatMoveAbandoned,
                        NodeId(0)));
@@ -1587,7 +1591,7 @@ TEST(HeatBalance, CrashMidMoveIsAbandonedAndReplanned) {
   driver.Stop();
   db.RunFor(kUsPerSec);
 
-  EXPECT_GE(db.master().auto_restarts(), 1);
+  EXPECT_GE(CountEvents(db, cluster::ControlEventType::kRestartIssued), 1);
   EXPECT_GE(db.master().heat_moves_completed(), 1)
       << "abandoned moves were never re-planned";
   EXPECT_GE(db.master().heat_rebalances(), 2);

@@ -200,11 +200,7 @@ DbOptions FencingOptions() {
 }
 
 int CountEvents(Db& db, cluster::ControlEventType type) {
-  int n = 0;
-  for (const auto& e : db.control_events()) {
-    if (e.type == type) ++n;
-  }
-  return n;
+  return db.master().event_count(type);
 }
 
 NodeId OwnerOf(Db& db, TableId table, Key key) {
@@ -303,14 +299,15 @@ TEST(PartitionFencing, PartitionedOwnerDeposedThenRejoinsClean) {
 
   // Hammer node 1's segment until its standby is caught up and serving.
   const SimTime t0 = db.Now();
-  while (db.replicas().replicas_caught_up() == 0 &&
+  while (CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp) == 0 &&
          db.Now() < t0 + 30 * kUsPerSec) {
     for (int i = 0; i < 50; ++i) {
       (void)session.Get(*table, 520 + (i % 64));
     }
     db.RunFor(kUsPerSec);
   }
-  ASSERT_GE(db.replicas().replicas_caught_up(), 1) << "no standby caught up";
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp), 1)
+      << "no standby caught up";
   ASSERT_FALSE(db.replicas().replicas().empty());
   const NodeId standby_host = db.replicas().replicas().front()->host;
   ASSERT_NE(standby_host, NodeId(1));
@@ -334,7 +331,7 @@ TEST(PartitionFencing, PartitionedOwnerDeposedThenRejoinsClean) {
     for (Key k : keys) (void)put(k);
     db.RunFor(kUsPerSec / 4);
   }
-  ASSERT_GE(db.replicas().replicas_promoted(), 1)
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaPromoted), 1)
       << "partitioned owner was never deposed";
   EXPECT_EQ(OwnerOf(db, *table, 520), standby_host);
   EXPECT_GE(CountEvents(db, cluster::ControlEventType::kNodeDeclaredDead), 1);
@@ -394,14 +391,15 @@ TEST(PartitionFencing, HealRacingPromotionFlipSettlesClean) {
 
   // Warm a standby of node 1's segment, as in the deposed-owner test.
   const SimTime t0 = db.Now();
-  while (db.replicas().replicas_caught_up() == 0 &&
+  while (CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp) == 0 &&
          db.Now() < t0 + 30 * kUsPerSec) {
     for (int i = 0; i < 50; ++i) {
       (void)session.Get(*table, 520 + (i % 64));
     }
     db.RunFor(kUsPerSec);
   }
-  ASSERT_GE(db.replicas().replicas_caught_up(), 1) << "no standby caught up";
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp), 1)
+      << "no standby caught up";
 
   // Cut the control link and wait for the death declaration — promotion
   // starts here (fence stamped, flip pending) — in small steps so the heal

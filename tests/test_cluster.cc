@@ -11,6 +11,7 @@
 #include "cluster/cluster.h"
 #include "cluster/master.h"
 #include "cluster/monitor.h"
+#include "fault/recovery_manager.h"
 #include "partition/physiological.h"
 #include "workload/client.h"
 #include "workload/tpcc_loader.h"
@@ -386,14 +387,6 @@ class HeatBalanceTest : public ::testing::Test {
     return p == nullptr ? NodeId::Invalid() : p->owner();
   }
 
-  int CountEvents(const Master& m, ControlEventType type) {
-    int n = 0;
-    for (const auto& e : m.control_events()) {
-      if (e.type == type) ++n;
-    }
-    return n;
-  }
-
   Cluster cluster_;
   TableId table_;
   catalog::Partition* part_ = nullptr;
@@ -412,21 +405,21 @@ TEST_F(HeatBalanceTest, TriggersAfterHysteresisAndMovesHottestSegment) {
   Heat(warm_seg_, 30, 600);
   cluster_.RunUntil(kUsPerSec + kUsPerMs);
   EXPECT_EQ(master.heat_rebalances(), 0) << "one violation is not a trend";
-  EXPECT_EQ(CountEvents(master, ControlEventType::kHeatImbalance), 0);
+  EXPECT_EQ(master.event_count(ControlEventType::kHeatImbalance), 0);
 
   // Tick 2: second consecutive violation → trigger, plan, move.
   Heat(hot_seg_, 300, 10);
   Heat(warm_seg_, 30, 600);
   cluster_.RunUntil(2 * kUsPerSec + kUsPerMs);
   EXPECT_EQ(master.heat_rebalances(), 1);
-  EXPECT_EQ(CountEvents(master, ControlEventType::kHeatImbalance), 1);
-  EXPECT_GE(CountEvents(master, ControlEventType::kHeatMovePlanned), 1);
+  EXPECT_EQ(master.event_count(ControlEventType::kHeatImbalance), 1);
+  EXPECT_GE(master.event_count(ControlEventType::kHeatMovePlanned), 1);
 
   // Let the move stream and install, then verify the hottest segment's
   // range changed owners while the warm one stayed put.
   cluster_.RunUntil(cluster_.Now() + 20 * kUsPerSec);
   EXPECT_EQ(master.heat_moves_completed(), 1);
-  EXPECT_EQ(CountEvents(master, ControlEventType::kHeatRebalanced), 1);
+  EXPECT_EQ(master.event_count(ControlEventType::kHeatRebalanced), 1);
   EXPECT_NE(OwnerOf(10), NodeId(1)) << "hot range moved off the hot node";
   EXPECT_EQ(OwnerOf(600), NodeId(1)) << "warm range stayed";
   EXPECT_NE(hot_seg_->storage_node(), NodeId(1));
@@ -482,7 +475,7 @@ TEST(Master, ScaleOutOnSustainedOverload) {
   c.RunUntil(120 * kUsPerSec);
   pool.Stop();
 
-  EXPECT_GE(master.scale_out_events(), 1);
+  EXPECT_GE(master.event_count(ControlEventType::kScaleOut), 1);
   EXPECT_GT(c.ActiveNodeCount(), 2);
   EXPECT_FALSE(c.catalog().PartitionsOwnedBy(NodeId(2)).empty());
 }
@@ -506,7 +499,7 @@ TEST(Master, ScaleInWhenIdle) {
   c.StartSampling(nullptr);
   c.RunUntil(300 * kUsPerSec);
 
-  EXPECT_GE(master.scale_in_events(), 1);
+  EXPECT_GE(master.event_count(ControlEventType::kScaleIn), 1);
   EXPECT_EQ(c.ActiveNodeCount(), 1) << "node 1 drained and powered off";
   EXPECT_TRUE(c.segments().SegmentsOn(NodeId(1)).empty());
   EXPECT_TRUE(c.catalog().CheckInvariants());
@@ -549,6 +542,55 @@ TEST(Master, TriggerRebalanceBootsTargets) {
   c.RunUntil(c.Now() + 300 * kUsPerSec);
   EXPECT_TRUE(done);
   EXPECT_TRUE(c.node(NodeId(2))->IsActive());
+}
+
+// A master with no recovery manager wired still detects a crash but
+// cannot heal it: the restart is retried, then given up after
+// kMaxHealAttempts, and a rebalance onto the crashed node is refused rather
+// than booting it without redo.
+TEST(Master, UnwiredMasterDetectsButCannotHealACrash) {
+  Cluster c(SmallConfig(4, 3));
+  partition::PhysiologicalPartitioning scheme(&c);
+  MasterPolicy policy;
+  policy.check_period = kUsPerSec;
+  policy.stats_window = kUsPerSec;
+  policy.enable_scale_out = false;
+  policy.enable_scale_in = false;
+  policy.recovery.declare_dead_after = 2;
+  Master master(&c, &scheme, policy);
+  master.Start();
+  c.RunUntil(2 * kUsPerSec + kUsPerMs);
+  ASSERT_TRUE(c.node_state(NodeId(2)).watched) << "node 2 reported";
+
+  // The crash comes from a recovery manager the master does not know.
+  fault::RecoveryManager faults(&c, &scheme);
+  ASSERT_TRUE(faults.Crash(NodeId(2)).ok());
+  c.RunUntil(c.Now() + 3 * kUsPerSec);
+  EXPECT_EQ(master.event_count(ControlEventType::kNodeDeclaredDead), 1);
+  EXPECT_TRUE(c.node_state(NodeId(2)).healing) << "restart being retried";
+
+  // One retry per control period, then the master gives up.
+  c.RunUntil(c.Now() + (kMaxHealAttempts + 1) * policy.check_period);
+  EXPECT_FALSE(c.node_state(NodeId(2)).healing) << "healing abandoned";
+  EXPECT_TRUE(c.node_state(NodeId(2)).crashed);
+  EXPECT_FALSE(c.node(NodeId(2))->IsActive());
+  EXPECT_EQ(master.event_count(ControlEventType::kRestartIssued), 0);
+  EXPECT_EQ(master.event_count(ControlEventType::kNodeRecovered), 0);
+  EXPECT_EQ(master.event_count(ControlEventType::kNodeDeclaredDead), 1)
+      << "a declared-dead node is no longer watched";
+
+  EXPECT_TRUE(
+      master.TriggerRebalance({NodeId(2)}, 0.5).IsFailedPrecondition());
+
+  // Every per-type count is the count of that type on the timeline.
+  std::array<int, kControlEventTypeCount> on_timeline{};
+  for (const auto& e : master.control_events()) {
+    ++on_timeline[static_cast<size_t>(e.type)];
+  }
+  for (size_t t = 0; t < kControlEventTypeCount; ++t) {
+    EXPECT_EQ(master.event_count(static_cast<ControlEventType>(t)),
+              on_timeline[t]);
+  }
 }
 
 }  // namespace

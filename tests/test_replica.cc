@@ -94,11 +94,7 @@ DbOptions ReplicaOptions() {
 }
 
 int CountEvents(Db& db, cluster::ControlEventType type) {
-  int n = 0;
-  for (const auto& e : db.control_events()) {
-    if (e.type == type) ++n;
-  }
-  return n;
+  return db.master().event_count(type);
 }
 
 /// Simulated time of the first event of `type`, or -1 when absent.
@@ -134,17 +130,17 @@ TEST(Replica, HotSegmentGetsServingReplicaThenColdDrop) {
   // Hammer one segment of node 1 across control ticks until its heat EWMA
   // crosses the threshold and the standby bootstraps and catches up.
   const SimTime t0 = db.Now();
-  while (db.replicas().replicas_caught_up() == 0 &&
+  while (CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp) == 0 &&
          db.Now() < t0 + 30 * kUsPerSec) {
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(session.Get(*table, 520 + (i % 64)).ok());
     }
     db.RunFor(kUsPerSec);
   }
-  ASSERT_GE(db.replicas().replicas_created(), 1) << "no replica bootstrapped";
-  ASSERT_GE(db.replicas().replicas_caught_up(), 1) << "no replica caught up";
-  EXPECT_GE(CountEvents(db, cluster::ControlEventType::kReplicaCreated), 1);
-  EXPECT_GE(CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp), 1);
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaCreated), 1)
+      << "no replica bootstrapped";
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp), 1)
+      << "no replica caught up";
   EXPECT_GT(db.replicas().replication_bytes(), 0);
   EXPECT_TRUE(db.cluster().catalog().CheckInvariants());
 
@@ -183,7 +179,6 @@ TEST(Replica, HotSegmentGetsServingReplicaThenColdDrop) {
   // Stop the workload: the EWMA decays, the segment stays cold past the
   // hysteresis window, and the replica is dropped.
   db.RunFor(15 * kUsPerSec);
-  EXPECT_GE(db.replicas().replicas_dropped(), 1);
   EXPECT_GE(CountEvents(db, cluster::ControlEventType::kReplicaDropped), 1);
   EXPECT_TRUE(db.replicas().replicas().empty());
   EXPECT_TRUE(db.cluster().catalog().ReplicaRoutes(*table).empty());
@@ -214,14 +209,14 @@ TEST(Replica, OwnerDeathPromotesCaughtUpReplicaAndFencesRedo) {
   ASSERT_TRUE(session.Put(*table, 900, std::vector<uint8_t>(64, 0xC0)).ok());
 
   const SimTime t0 = db.Now();
-  while (db.replicas().replicas_caught_up() == 0 &&
+  while (CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp) == 0 &&
          db.Now() < t0 + 30 * kUsPerSec) {
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(session.Get(*table, 520 + (i % 64)).ok());
     }
     db.RunFor(kUsPerSec);
   }
-  ASSERT_GE(db.replicas().replicas_caught_up(), 1);
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp), 1);
   ASSERT_FALSE(db.replicas().replicas().empty());
   const NodeId host = db.replicas().replicas().front()->host;
 
@@ -245,7 +240,8 @@ TEST(Replica, OwnerDeathPromotesCaughtUpReplicaAndFencesRedo) {
          db.Now() < wait0 + 20 * kUsPerSec) {
     db.RunFor(kUsPerSec / 2);
   }
-  ASSERT_GE(db.replicas().replicas_promoted(), 1) << "no promotion happened";
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaPromoted), 1)
+      << "no promotion happened";
   const SimTime promoted_at =
       FirstEventAt(db, cluster::ControlEventType::kReplicaPromoted);
   ASSERT_GT(promoted_at, 0);
@@ -330,7 +326,8 @@ TEST(Replica, ExactlyOnceWhenOwnerCrashesMidCatchUp) {
   }
   ASSERT_EQ(db.fault().crashes_injected(), 1)
       << "replica-progress trigger never fired";
-  ASSERT_GE(db.replicas().replicas_promoted(), 1) << "no promotion happened";
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaPromoted), 1)
+      << "no promotion happened";
 
   // A couple of post-promotion rounds must commit against the new owner.
   for (int extra = 0; extra < 2; ++extra) {
@@ -386,7 +383,7 @@ TEST(Replica, RebalanceMovingSourceRangeDropsTheReplica) {
     ASSERT_TRUE(session.Put(*table, k, std::vector<uint8_t>(64, 0xA0)).ok());
   }
   const SimTime t0 = db.Now();
-  while (db.replicas().replicas_caught_up() == 0 &&
+  while (CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp) == 0 &&
          db.Now() < t0 + 30 * kUsPerSec) {
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(session.Get(*table, 520 + (i % 64)).ok());
@@ -401,7 +398,6 @@ TEST(Replica, RebalanceMovingSourceRangeDropsTheReplica) {
   const StatusOr<SimTime> moved = db.RebalanceAndWait({NodeId(3)}, 1.0);
   ASSERT_TRUE(moved.ok()) << moved.status().ToString();
   db.RunFor(3 * kUsPerSec);  // One tick of replica validation.
-  EXPECT_GE(db.replicas().replicas_dropped(), 1);
   EXPECT_GE(CountEvents(db, cluster::ControlEventType::kReplicaDropped), 1);
   EXPECT_TRUE(db.cluster().catalog().CheckInvariants());
   // Reads keep returning committed values wherever the range landed.
@@ -430,7 +426,7 @@ TEST(Replica, PlanRebalanceAvoidsNodesHostingTheSegmentsReplica) {
     ASSERT_TRUE(session.Put(*table, k, std::vector<uint8_t>(64, 0xA0)).ok());
   }
   const SimTime t0 = db.Now();
-  while (db.replicas().replicas_caught_up() == 0 &&
+  while (CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp) == 0 &&
          db.Now() < t0 + 30 * kUsPerSec) {
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(session.Get(*table, 520 + (i % 64)).ok());
@@ -457,7 +453,7 @@ TEST(Replica, PlanRebalanceAvoidsNodesHostingTheSegmentsReplica) {
   // The standby survives (its source range never changed owners) and the
   // data plane is intact.
   db.RunFor(3 * kUsPerSec);
-  EXPECT_EQ(db.replicas().replicas_dropped(), 0);
+  EXPECT_EQ(CountEvents(db, cluster::ControlEventType::kReplicaDropped), 0);
   EXPECT_FALSE(db.cluster().catalog().ReplicaRoutes(*table).empty());
   EXPECT_TRUE(db.cluster().catalog().CheckInvariants());
   for (Key k = 520; k < 584; ++k) {
@@ -506,14 +502,15 @@ TEST(Replica, PromotionTieBreakPicksColdestHost) {
   }
 
   const SimTime t0 = db.Now();
-  while (db.replicas().replicas_caught_up() < 2 &&
+  while (CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp) < 2 &&
          db.Now() < t0 + 40 * kUsPerSec) {
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(session.Get(*table, 520 + (i % 64)).ok());
     }
     db.RunFor(kUsPerSec);
   }
-  ASSERT_GE(db.replicas().replicas_caught_up(), 2) << "need two standbys";
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaCaughtUp), 2)
+      << "need two standbys";
   const auto reps = db.replicas().replicas();
   ASSERT_EQ(reps.size(), 2u);
   ASSERT_NE(reps[0]->host, reps[1]->host);
@@ -548,7 +545,8 @@ TEST(Replica, PromotionTieBreakPicksColdestHost) {
     }
     db.RunFor(kUsPerSec / 2);
   }
-  ASSERT_GE(db.replicas().replicas_promoted(), 1) << "no promotion happened";
+  ASSERT_GE(CountEvents(db, cluster::ControlEventType::kReplicaPromoted), 1)
+      << "no promotion happened";
   EXPECT_GT(FirstEventAt(db, cluster::ControlEventType::kReplicaPromoted),
             crash_at);
   EXPECT_EQ(OwnerOf(db, *table, 520), cold)
