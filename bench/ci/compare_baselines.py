@@ -2,6 +2,7 @@
 """Gate bench results against checked-in baselines.
 
 Usage: compare_baselines.py <results_dir> <baselines_dir> [--threshold 0.25]
+       compare_baselines.py --exact <results_dir> <baselines_dir>
        compare_baselines.py --soak-report chaos_report.json
 
 Both directories hold BENCH_<name>.json files as written by
@@ -30,6 +31,12 @@ not noise.
 When running under GitHub Actions (GITHUB_STEP_SUMMARY is set), the same
 comparison is appended to the job's step summary as a markdown table, so a
 reviewer sees every metric/baseline/current/delta without opening the log.
+
+With --exact the script instead lists every metric, "info" ones included,
+whose value differs from its baseline at all, apart from the host-time
+metrics (wall_clock_ms): the modeled drift of a change, which a refactor
+should keep at zero. Informational only: never gates, since libm
+differences across runners may move the last digits.
 
 With --soak-report the script instead summarizes a chaos_soak JSON report:
 per-seed wall-clock (real time, not simulated — the one number in the soak
@@ -66,11 +73,75 @@ def metric_map(doc: dict, path: Path) -> dict:
     return {m["name"]: m for m in metrics}
 
 
-def write_step_summary(rows, failures, warnings, threshold) -> None:
-    """Mirror the comparison into the GitHub job's step summary, if any."""
+# Metrics measured in host time: the only baseline values that depend on
+# the machine, so --exact never lists them.
+HOST_TIME_METRICS = {"wall_clock_ms"}
+
+
+def append_step_summary(lines) -> None:
+    """Append markdown lines to the GitHub job's step summary, if any."""
     path = os.environ.get("GITHUB_STEP_SUMMARY")
     if not path:
         return
+    try:
+        with open(path, "a") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as e:
+        # The summary is a convenience; never let it mask the real verdict.
+        print(f"warning: cannot write step summary: {e}", file=sys.stderr)
+
+
+def exact_drift(results_dir: Path, baselines_dir: Path) -> int:
+    """List every metric whose value differs from its baseline.
+
+    Prints one line per drifted metric and, under GitHub Actions, the same
+    as a step-summary table. A missing result file or metric counts as
+    drift (shown as "-"); a metric only in the results is listed with no
+    baseline. Always returns 0.
+    """
+    rows = []
+    for base_path in sorted(baselines_dir.glob("BENCH_*.json")):
+        result_path = results_dir / base_path.name
+        base = metric_map(load(base_path), base_path)
+        result = (metric_map(load(result_path), result_path)
+                  if result_path.exists() else {})
+        bench = base_path.stem.replace("BENCH_", "")
+        for name in list(base) + sorted(set(result) - set(base)):
+            if name in HOST_TIME_METRICS:
+                continue
+            old = base.get(name, {}).get("value")
+            new = result.get(name, {}).get("value")
+            if old != new:
+                rows.append((f"{bench}/{name}", old, new))
+
+    def fmt(v):
+        # Full precision: a last-digit move must show in both columns.
+        return "-" if v is None else repr(v)
+
+    if not rows:
+        print("modeled drift: none (every metric equals its baseline, "
+              "host time aside)")
+        append_step_summary(["## Modeled drift against baselines", "",
+                             "None: every metric equals its baseline "
+                             "(host time aside)."])
+        return 0
+    width = max(len(r[0]) for r in rows) + 3
+    print(f"modeled drift: {len(rows)} metric(s) differ from baselines")
+    print(f"{'bench/metric':<{width}} {'baseline':>14} {'result':>14}")
+    for name, old, new in rows:
+        print(f"{name:<{width}} {fmt(old):>14} {fmt(new):>14}")
+    lines = ["## Modeled drift against baselines", "",
+             f"{len(rows)} metric(s) differ from their baseline "
+             "(informational, host time aside):", "",
+             "| metric | baseline | current |", "|---|---:|---:|"]
+    lines += [f"| {name} | {fmt(old)} | {fmt(new)} |"
+              for name, old, new in rows]
+    append_step_summary(lines)
+    return 0
+
+
+def write_step_summary(rows, failures, warnings, threshold) -> None:
+    """Mirror the comparison into the GitHub job's step summary, if any."""
     lines = ["## Bench comparison", ""]
     if failures:
         lines += [f"**{len(failures)} regression(s)** "
@@ -91,12 +162,7 @@ def write_step_summary(rows, failures, warnings, threshold) -> None:
     if warnings:
         lines.append("")
         lines += [f"- :warning: {w}" for w in warnings]
-    try:
-        with open(path, "a") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as e:
-        # The summary is a convenience; never let it mask the real verdict.
-        print(f"warning: cannot write step summary: {e}", file=sys.stderr)
+    append_step_summary(lines)
 
 
 def soak_wall_clock_summary(report_path: Path, top: int = 15) -> int:
@@ -122,9 +188,6 @@ def soak_wall_clock_summary(report_path: Path, top: int = 15) -> int:
           f"mean {total_ms / len(entries):.0f} ms, "
           f"max {slowest[0]['ms']} ms (seed {slowest[0]['seed']})")
 
-    path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if not path:
-        return 0
     mode = "".join(m for m, on in
                    [("history", report.get("history")),
                     ("elasticity", report.get("elasticity"))] if on)
@@ -139,11 +202,7 @@ def soak_wall_clock_summary(report_path: Path, top: int = 15) -> int:
     for e in slowest:
         verdict = "**FAIL**" if e["seed"] in failed else "ok"
         lines.append(f"| {e['seed']} | {e['ms']} | {verdict} |")
-    try:
-        with open(path, "a") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as e:
-        print(f"warning: cannot write step summary: {e}", file=sys.stderr)
+    append_step_summary(lines)
     return 0
 
 
@@ -156,6 +215,10 @@ def main() -> int:
     parser.add_argument("--soak-report", type=Path, metavar="JSON",
                         help="summarize a chaos_soak report's per-seed "
                              "wall-clock instead of gating benches")
+    parser.add_argument("--exact", action="store_true",
+                        help="list every metric that differs from its "
+                             "baseline (host time aside) instead of gating; "
+                             "never fails")
     args = parser.parse_args()
 
     if args.soak_report:
@@ -163,6 +226,8 @@ def main() -> int:
     if args.results_dir is None or args.baselines_dir is None:
         parser.error("results_dir and baselines_dir are required unless "
                      "--soak-report is given")
+    if args.exact:
+        return exact_drift(args.results_dir, args.baselines_dir)
 
     baselines = sorted(args.baselines_dir.glob("BENCH_*.json"))
     if not baselines:

@@ -51,10 +51,11 @@ StatusOr<storage::Record> TxnHandle::Get(TableId table, Key key) {
 Status TxnHandle::Put(TableId table, Key key,
                       const std::vector<uint8_t>& payload) {
   WATTDB_RETURN_IF_ERROR(CheckUsable());
-  // Single admission unit: RoutedUpsert folds the update probe and the
+  // Single admission unit: an upsert folds the update probe and the
   // fresh-key insert into one queued op (the old Update-then-Insert pair
   // took two admission decisions for one logical Put).
-  return cluster::RoutedUpsert(cluster_, txn_, table, key, payload);
+  return cluster::RoutedWrite(cluster_, txn_, table, key,
+                              cluster::WriteOp::kUpsert, payload);
 }
 
 Status TxnHandle::Insert(TableId table, Key key,
@@ -66,12 +67,14 @@ Status TxnHandle::Insert(TableId table, Key key,
 Status TxnHandle::Update(TableId table, Key key,
                          const std::vector<uint8_t>& payload) {
   WATTDB_RETURN_IF_ERROR(CheckUsable());
-  return cluster::RoutedUpdate(cluster_, txn_, table, key, payload);
+  return cluster::RoutedWrite(cluster_, txn_, table, key,
+                              cluster::WriteOp::kUpdate, payload);
 }
 
 Status TxnHandle::Delete(TableId table, Key key) {
   WATTDB_RETURN_IF_ERROR(CheckUsable());
-  return cluster::RoutedDelete(cluster_, txn_, table, key);
+  return cluster::RoutedWrite(cluster_, txn_, table, key,
+                              cluster::WriteOp::kDelete);
 }
 
 StatusOr<int64_t> TxnHandle::Scan(

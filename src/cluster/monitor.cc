@@ -1,6 +1,5 @@
 #include "cluster/monitor.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,16 +19,7 @@ std::vector<NodeStats> Monitor::Sample(SimTime window) const {
     // master — the failure detector (and everyone planning off this
     // sample) must see it as gone, even though its data path still runs.
     s.active = n->IsActive() && !cluster_->node_state(n->id()).partitioned;
-    if (s.active) {
-      s.cpu = n->hardware().CpuUtilizationIn(from, now);
-      for (const auto& d : n->hardware().disks()) {
-        s.max_disk = std::max(s.max_disk, d->resource().UtilizationIn(from, now));
-      }
-      s.net_in = cluster_->network().IngressUtilization(n->id(), from, now);
-      s.net_out = cluster_->network().EgressUtilization(n->id(), from, now);
-      s.buffer_hits = n->buffer().hits();
-      s.buffer_misses = n->buffer().misses();
-    }
+    if (s.active) s.cpu = n->hardware().CpuUtilizationIn(from, now);
     out.push_back(s);
   }
   return out;

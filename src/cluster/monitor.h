@@ -16,12 +16,7 @@ class Cluster;
 struct NodeStats {
   NodeId node;
   bool active = false;
-  double cpu = 0.0;        ///< Core-pool utilization in [0, 1].
-  double max_disk = 0.0;   ///< Busiest local disk's utilization.
-  double net_in = 0.0;
-  double net_out = 0.0;
-  int64_t buffer_hits = 0;
-  int64_t buffer_misses = 0;
+  double cpu = 0.0;  ///< Core-pool utilization in [0, 1].
 };
 
 /// Per-segment activity since the previous sample (the "performance-

@@ -271,6 +271,15 @@ Status Node::Insert(tx::Txn* txn, catalog::Partition* part, Key key,
 
 Status Node::Update(tx::Txn* txn, catalog::Partition* part, Key key,
                     const std::vector<uint8_t>& payload) {
+  return Rewrite(txn, part, key, &payload);
+}
+
+Status Node::Delete(tx::Txn* txn, catalog::Partition* part, Key key) {
+  return Rewrite(txn, part, key, /*after=*/nullptr);
+}
+
+Status Node::Rewrite(tx::Txn* txn, catalog::Partition* part, Key key,
+                     const std::vector<uint8_t>* after) {
   if (!IsActive()) return Status::Unavailable("node in standby");
   LockForWrite(txn, part, key);
   const SegmentId sid = part->SegmentFor(key);
@@ -281,40 +290,20 @@ Status Node::Update(tx::Txn* txn, catalog::Partition* part, Key key,
   auto pos = seg->Locate(key);
   if (!pos.ok()) return Status::NotFound("no such record");
   // Read-modify-write: fetch for read, preserve pre-image for old
-  // snapshots, then write in place.
+  // snapshots, then write in place (or delete).
   FetchPage(txn, sid, pos.value().page, /*for_write=*/false);
   auto current = seg->ReadAt(pos.value());
   if (!current.ok()) return current.status();
-  WATTDB_RETURN_IF_ERROR(tm_->versions().Write(
-      part->table(), key, *txn, std::move(current.value().payload), payload,
-      /*deleted=*/false));
-  WATTDB_RETURN_IF_ERROR(seg->Update(key, payload));
-  FetchPage(txn, sid, pos.value().page, /*for_write=*/true);
-  ChargeCpu(txn, costs_.cpu_record_write_us, seg);
-  AppendWal(txn, tx::LogRecordType::kUpdate, part, key, &payload);
-  return Status::OK();
-}
-
-Status Node::Delete(tx::Txn* txn, catalog::Partition* part, Key key) {
-  if (!IsActive()) return Status::Unavailable("node in standby");
-  LockForWrite(txn, part, key);
-  const SegmentId sid = part->SegmentFor(key);
-  storage::Segment* seg = sid.valid() ? segments_->Get(sid) : nullptr;
-  if (sid.valid()) WATTDB_CHECK(seg != nullptr);
-  ChargeCpu(txn, ProbeCost(seg), seg);
-  if (seg == nullptr) return Status::NotFound("key outside partition");
-  auto pos = seg->Locate(key);
-  if (!pos.ok()) return Status::NotFound("no such record");
-  FetchPage(txn, sid, pos.value().page, /*for_write=*/false);
-  auto current = seg->ReadAt(pos.value());
-  if (!current.ok()) return current.status();
+  const bool deleted = after == nullptr;
   WATTDB_RETURN_IF_ERROR(tm_->versions().Write(
       part->table(), key, *txn, std::move(current.value().payload),
-      std::nullopt, /*deleted=*/true));
-  WATTDB_RETURN_IF_ERROR(seg->Delete(key));
+      deleted ? std::nullopt : std::make_optional(*after), deleted));
+  WATTDB_RETURN_IF_ERROR(deleted ? seg->Delete(key) : seg->Update(key, *after));
   FetchPage(txn, sid, pos.value().page, /*for_write=*/true);
   ChargeCpu(txn, costs_.cpu_record_write_us, seg);
-  AppendWal(txn, tx::LogRecordType::kDelete, part, key, nullptr);
+  AppendWal(txn,
+            deleted ? tx::LogRecordType::kDelete : tx::LogRecordType::kUpdate,
+            part, key, after);
   return Status::OK();
 }
 

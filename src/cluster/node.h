@@ -131,22 +131,31 @@ class Node {
   /// SSD to place a new data segment on (HDD is reserved for the WAL).
   hw::Disk* DataDisk(SimTime now);
 
- private:
-  /// Charge CPU work: queueing + service on this node's core pool — or,
-  /// when the lane policy is on and the work targets a known segment, on
-  /// that segment's worker lane (its private execution timeline). Ops on
-  /// different lanes never queue behind each other; ops on one lane
-  /// serialize, which is exactly the shared-nothing contract.
+  // --- Charges on behalf of a transaction (also used by exec operators) --
+
+  /// Charge CPU work in 4 ms timeslices (so concurrent transactions share
+  /// the cores instead of demanding one contiguous reservation): queueing +
+  /// service on this node's core pool — or, when the lane policy is on and
+  /// the work targets a known segment, on that segment's worker lane (its
+  /// private execution timeline). Ops on different lanes never queue
+  /// behind each other; ops on one lane serialize, which is exactly the
+  /// shared-nothing contract.
   void ChargeCpu(tx::Txn* txn, SimTime service_us,
                  storage::Segment* seg = nullptr);
+  /// Fetch a page on behalf of `txn`, folding component times into it.
+  void FetchPage(tx::Txn* txn, SegmentId seg, uint16_t page, bool for_write);
+
+ private:
   /// Index-probe service time against `seg`'s index structure (nullptr:
   /// the B+-tree baseline cost).
   SimTime ProbeCost(const storage::Segment* seg) const;
-  /// Fetch a page on behalf of `txn`, folding component times into it.
-  void FetchPage(tx::Txn* txn, SegmentId seg, uint16_t page, bool for_write);
   /// Acquire a lock on behalf of `txn`, folding wait time into it.
   void AcquireLock(tx::Txn* txn, const tx::LockResource& res,
                    tx::LockMode mode);
+  /// Read-modify-write of an existing record under Update/Delete:
+  /// `after` is the new payload, or null to delete the record.
+  Status Rewrite(tx::Txn* txn, catalog::Partition* part, Key key,
+                 const std::vector<uint8_t>* after);
   /// Locks taken before reading/writing one record, per CC scheme.
   void LockForRead(tx::Txn* txn, catalog::Partition* part, Key key);
   void LockForWrite(tx::Txn* txn, catalog::Partition* part, Key key);

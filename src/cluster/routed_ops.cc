@@ -37,6 +37,60 @@ void CompleteOps(Cluster* c, tx::Txn* txn, NodeId owner, int ops = 1) {
   c->admission().Complete(owner, txn->now, ops);
 }
 
+/// Candidate locations of one key under the two-pointer protocol.
+struct KeyRoute {
+  catalog::Partition* part = nullptr;
+  catalog::Partition* second = nullptr;
+};
+
+/// Two-pointer protocol (§4.3): whether the op must also visit the other
+/// location — the primary missed (or its owner is down) while a move is in
+/// flight, so the record may already live at `second`.
+bool NeedsSecondVisit(const Status& primary, const catalog::Partition* second) {
+  return second != nullptr && (primary.IsNotFound() || primary.IsUnavailable());
+}
+
+/// Whether the second visit's result replaces the primary's. A dead primary
+/// and a missing secondary is "unreachable", not "absent": the key may well
+/// exist on the downed node, so the primary's Unavailable stands (never
+/// NotFound, which would let an upsert's insert shadow the dead copy).
+bool SecondVisitDecides(const Status& primary, const Status& retry) {
+  return !(primary.IsUnavailable() && retry.IsNotFound());
+}
+
+/// One write of `key` at `route`, after the hop to the primary owner has
+/// been charged: run `op` on the primary; on a mid-move miss re-ship the
+/// payload to the secondary (charged per straggler) and retry there; for an
+/// upsert still NotFound, insert at the currently-routed partition. `stats`
+/// (batches only) counts the stragglers and the inserts.
+Status WriteAt(Cluster* c, tx::Txn* txn, TableId table, Key key,
+               const KeyRoute& route, WriteOp op,
+               const std::vector<uint8_t>& payload, BatchStats* stats) {
+  const auto apply = [&](catalog::Partition* part) {
+    Node* node = c->node(part->owner());
+    return op == WriteOp::kDelete ? node->Delete(txn, part, key)
+                                  : node->Update(txn, part, key, payload);
+  };
+  Status s = apply(route.part);
+  if (NeedsSecondVisit(s, route.second)) {
+    c->ChargeClientHop(txn, route.second->owner(), 96 + payload.size(), 32);
+    if (stats != nullptr) ++stats->straggler_retries;
+    const Status retry = apply(route.second);
+    if (SecondVisitDecides(s, retry)) s = retry;
+  }
+  if (op != WriteOp::kUpsert || !s.IsNotFound()) return s;
+  // Upsert tail: insert at the currently-routed location (which may have
+  // shifted mid-move). A same-owner insert rides the hop already charged.
+  catalog::Partition* ins = c->Route(txn, table, key);
+  // A fenced route mid-handoff must not read as "key absent".
+  if (ins == nullptr) return c->NoRouteStatus(table, key);
+  if (ins->owner() != route.part->owner()) {
+    c->ChargeClientHop(txn, ins->owner(), 96 + payload.size(), 32);
+  }
+  if (stats != nullptr) ++stats->inserts;
+  return c->node(ins->owner())->Insert(txn, ins, key, payload);
+}
+
 }  // namespace
 
 Status RoutedRead(Cluster* c, tx::Txn* txn, TableId table, Key key,
@@ -54,18 +108,15 @@ Status RoutedRead(Cluster* c, tx::Txn* txn, TableId table, Key key,
   Status s = c->node(part->owner())->Read(txn, part, key, out);
   c->ChargeClientHop(txn, part->owner(), 96,
                      32 + (s.ok() ? out->StoredSize() : 0));
-  if ((s.IsNotFound() || s.IsUnavailable()) && second != nullptr) {
-    // Two-pointer protocol (§4.3): mid-move the record may already live at
-    // the other location; visit it. A down owner (crashed node) is treated
-    // like a miss — the secondary may hold the data, and once recovery
-    // remaps the range the retry succeeds there. The same path serves the
-    // replica-fanout miss: `second` is then the owner.
+  if (NeedsSecondVisit(s, second)) {
+    // A down owner (crashed node) is treated like a miss — the secondary
+    // may hold the data, and once recovery remaps the range the retry
+    // succeeds there. The same path serves the replica-fanout miss:
+    // `second` is then the owner.
     const Status retry = c->node(second->owner())->Read(txn, second, key, out);
     c->ChargeClientHop(txn, second->owner(), 96,
                        32 + (retry.ok() ? out->StoredSize() : 0));
-    // A dead primary and a missing secondary is "unreachable", not
-    // "absent": the key may well exist on the downed node.
-    if (!(s.IsUnavailable() && retry.IsNotFound())) {
+    if (SecondVisitDecides(s, retry)) {
       s = retry;
       served_by_replica = second->is_replica();
     }
@@ -77,55 +128,15 @@ Status RoutedRead(Cluster* c, tx::Txn* txn, TableId table, Key key,
   return s;
 }
 
-Status RoutedUpdate(Cluster* c, tx::Txn* txn, TableId table, Key key,
-                    const std::vector<uint8_t>& payload) {
+Status RoutedWrite(Cluster* c, tx::Txn* txn, TableId table, Key key,
+                   WriteOp op, const std::vector<uint8_t>& payload) {
   auto [part, second] = c->RouteBoth(txn, table, key);
   if (part == nullptr) return c->NoRouteStatus(table, key);
   WATTDB_RETURN_IF_ERROR(AdmitOps(c, txn, part->owner(), ClassOf(txn)));
   c->ChargeClientHop(txn, part->owner(), 96 + payload.size(), 32);
-  Status s = c->node(part->owner())->Update(txn, part, key, payload);
-  if ((s.IsNotFound() || s.IsUnavailable()) && second != nullptr) {
-    c->ChargeClientHop(txn, second->owner(), 96 + payload.size(), 32);
-    const Status retry =
-        c->node(second->owner())->Update(txn, second, key, payload);
-    if (!(s.IsUnavailable() && retry.IsNotFound())) s = retry;
-  }
-  CompleteOps(c, txn, part->owner());
-  return s;
-}
-
-Status RoutedUpsert(Cluster* c, tx::Txn* txn, TableId table, Key key,
-                    const std::vector<uint8_t>& payload) {
-  auto [part, second] = c->RouteBoth(txn, table, key);
-  if (part == nullptr) return c->NoRouteStatus(table, key);
-  // One admission decision for the whole logical op: the update probe, a
-  // possible §4.3 secondary retry, and the insert fall-through are one
-  // queued unit, not two (the old Update-then-Insert path double-charged
-  // the owner's queue depth on every fresh key).
-  WATTDB_RETURN_IF_ERROR(AdmitOps(c, txn, part->owner(), ClassOf(txn)));
-  c->ChargeClientHop(txn, part->owner(), 96 + payload.size(), 32);
-  Status s = c->node(part->owner())->Update(txn, part, key, payload);
-  if ((s.IsNotFound() || s.IsUnavailable()) && second != nullptr) {
-    c->ChargeClientHop(txn, second->owner(), 96 + payload.size(), 32);
-    const Status retry =
-        c->node(second->owner())->Update(txn, second, key, payload);
-    if (!(s.IsUnavailable() && retry.IsNotFound())) s = retry;
-  }
-  if (s.IsNotFound()) {
-    // Insert at the currently-routed location (may have shifted mid-move),
-    // exactly like RoutedMultiWrite's upsert tail. A same-owner insert
-    // rides the hop already charged above.
-    catalog::Partition* ins = c->Route(txn, table, key);
-    if (ins != nullptr) {
-      if (ins->owner() != part->owner()) {
-        c->ChargeClientHop(txn, ins->owner(), 96 + payload.size(), 32);
-      }
-      s = c->node(ins->owner())->Insert(txn, ins, key, payload);
-    } else {
-      // A fenced route mid-handoff must not read as "key absent".
-      s = c->NoRouteStatus(table, key);
-    }
-  }
+  const Status s =
+      WriteAt(c, txn, table, key, KeyRoute{part, second}, op, payload,
+              /*stats=*/nullptr);
   CompleteOps(c, txn, part->owner());
   return s;
 }
@@ -141,28 +152,7 @@ Status RoutedInsert(Cluster* c, tx::Txn* txn, TableId table, Key key,
   return s;
 }
 
-Status RoutedDelete(Cluster* c, tx::Txn* txn, TableId table, Key key) {
-  auto [part, second] = c->RouteBoth(txn, table, key);
-  if (part == nullptr) return c->NoRouteStatus(table, key);
-  WATTDB_RETURN_IF_ERROR(AdmitOps(c, txn, part->owner(), ClassOf(txn)));
-  c->ChargeClientHop(txn, part->owner(), 96, 32);
-  Status s = c->node(part->owner())->Delete(txn, part, key);
-  if ((s.IsNotFound() || s.IsUnavailable()) && second != nullptr) {
-    c->ChargeClientHop(txn, second->owner(), 96, 32);
-    const Status retry = c->node(second->owner())->Delete(txn, second, key);
-    if (!(s.IsUnavailable() && retry.IsNotFound())) s = retry;
-  }
-  CompleteOps(c, txn, part->owner());
-  return s;
-}
-
 namespace {
-
-/// Candidate locations of one batch key under the two-pointer protocol.
-struct KeyRoute {
-  catalog::Partition* part = nullptr;
-  catalog::Partition* second = nullptr;
-};
 
 /// Key indexes grouped by the owner of their primary route, in first-
 /// appearance order so charging is deterministic. An owner -> group index
@@ -298,11 +288,7 @@ Status RoutedMultiRead(Cluster* c, tx::Txn* txn, TableId table,
   // other location. Stragglers are retried one by one — they missed the
   // batch and pay their own hop.
   for (size_t i = 0; i < keys.size(); ++i) {
-    const Status primary_status = (*out)[i].status();
-    if (routes[i].second == nullptr ||
-        !(primary_status.IsNotFound() || primary_status.IsUnavailable())) {
-      continue;
-    }
+    if (!NeedsSecondVisit((*out)[i].status(), routes[i].second)) continue;
     storage::Record rec;
     const NodeId owner = routes[i].second->owner();
     Status s = c->node(owner)->Read(txn, routes[i].second, keys[i], &rec);
@@ -358,38 +344,8 @@ Status RoutedMultiWrite(Cluster* c, tx::Txn* txn, TableId table,
          })) {
       txn->now = group_start;
       for (size_t i : lane_idxs) {
-        const Key key = kvs[i].key;
-        const std::vector<uint8_t>& payload = kvs[i].payload;
-        Status s = c->node(owner)->Update(txn, routes[i].part, key, payload);
-        if ((s.IsNotFound() || s.IsUnavailable()) &&
-            routes[i].second != nullptr) {
-          // §4.3 straggler: the record already moved; re-ship the payload.
-          const NodeId second_owner = routes[i].second->owner();
-          c->ChargeClientHop(txn, second_owner, 96 + payload.size(), 32);
-          ++local.straggler_retries;
-          const Status retry = c->node(second_owner)
-                                   ->Update(txn, routes[i].second, key,
-                                            payload);
-          // An unreachable primary stays Unavailable (never NotFound, which
-          // would fall through to the insert tail and shadow the dead copy).
-          if (!(s.IsUnavailable() && retry.IsNotFound())) s = retry;
-        }
-        if (s.IsNotFound()) {
-          // Upsert tail: insert at the currently-routed location (which may
-          // have shifted under the batch mid-move).
-          catalog::Partition* ins = c->Route(txn, table, key);
-          if (ins != nullptr) {
-            if (ins->owner() != owner) {
-              c->ChargeClientHop(txn, ins->owner(), 96 + payload.size(), 32);
-            }
-            s = c->node(ins->owner())->Insert(txn, ins, key, payload);
-            ++local.inserts;
-          } else {
-            // A fenced route mid-handoff must not read as "key absent".
-            s = c->NoRouteStatus(table, key);
-          }
-        }
-        (*out)[i] = s;
+        (*out)[i] = WriteAt(c, txn, table, kvs[i].key, routes[i],
+                            WriteOp::kUpsert, kvs[i].payload, &local);
       }
       group_done = std::max(group_done, txn->now);
     }

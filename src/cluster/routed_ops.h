@@ -28,23 +28,28 @@ namespace wattdb::cluster {
 Status RoutedRead(Cluster* c, tx::Txn* txn, TableId table, Key key,
                   storage::Record* out);
 
-Status RoutedUpdate(Cluster* c, tx::Txn* txn, TableId table, Key key,
-                    const std::vector<uint8_t>& payload);
+/// What RoutedWrite does to an existing record.
+enum class WriteOp {
+  kUpdate,  ///< Replace its payload; NotFound when the key is absent.
+  /// Update, or insert at the currently-routed partition when the key is
+  /// absent, as ONE admission unit: the update probe, the §4.3 secondary
+  /// retry, and the insert fall-through ride one Admit/Complete pair, as
+  /// RoutedMultiWrite's keys ride their group admission. An update and a
+  /// separate insert would take two admission decisions (and possibly shed
+  /// half of one logical op), double-counting queue depth exactly when the
+  /// cluster is loaded enough for it to matter.
+  kUpsert,
+  kDelete,  ///< Delete it (old snapshots keep it); takes no payload.
+};
+
+/// Write one record: one admission, one request hop to the primary owner
+/// carrying `payload`, the §4.3 secondary retry (re-shipping the payload)
+/// while a move is in flight, and the upsert insert tail.
+Status RoutedWrite(Cluster* c, tx::Txn* txn, TableId table, Key key,
+                   WriteOp op, const std::vector<uint8_t>& payload = {});
 
 Status RoutedInsert(Cluster* c, tx::Txn* txn, TableId table, Key key,
                     const std::vector<uint8_t>& payload);
-
-/// Update-or-insert as ONE admission unit. The historical Put path ran
-/// RoutedUpdate and, on NotFound, RoutedInsert — two admission decisions
-/// (and potentially one shed) for a single logical op, double-counting
-/// queue depth exactly when the cluster is loaded enough for it to matter.
-/// Here the update probe, the §4.3 secondary retry, and the insert
-/// fall-through all ride one Admit/Complete pair, mirroring how
-/// RoutedMultiWrite's upsert tail rides its group admission.
-Status RoutedUpsert(Cluster* c, tx::Txn* txn, TableId table, Key key,
-                    const std::vector<uint8_t>& payload);
-
-Status RoutedDelete(Cluster* c, tx::Txn* txn, TableId table, Key key);
 
 /// Visit visible records with keys in `range`. A range may span several
 /// partitions mid-migration: every route overlapping the range is visited.
@@ -94,9 +99,8 @@ Status RoutedMultiRead(Cluster* c, tx::Txn* txn, TableId table,
 
 /// Batched upserts with the same owner-grouped hop charging: one request
 /// per owner group carrying all of the group's payloads, one response.
-/// Each key updates its primary location, retries the secondary mid-move
-/// (re-shipping the payload, charged per straggler), and finally falls back
-/// to an insert at the currently-routed partition. `out` is parallel to
+/// Each key then runs as a WriteOp::kUpsert does after its request hop
+/// (secondary retry per straggler, insert tail). `out` is parallel to
 /// `kvs`.
 Status RoutedMultiWrite(Cluster* c, tx::Txn* txn, TableId table,
                         const std::vector<KeyValue>& kvs,

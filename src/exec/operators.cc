@@ -10,24 +10,6 @@
 namespace wattdb::exec {
 
 namespace {
-/// OS-timeslice granularity for CPU accounting: long computations (sorts)
-/// are charged in slices so concurrent queries share cores fairly instead
-/// of requiring one contiguous reservation.
-constexpr SimTime kCpuSliceUs = 4000;
-
-/// Charge CPU on `node`'s core pool along the txn timeline.
-void ChargeCpu(ExecContext* ctx, NodeId node, SimTime service) {
-  if (service <= 0) return;
-  auto& cpu = ctx->cluster->node(node)->hardware().cpu();
-  while (service > 0) {
-    const SimTime slice = std::min(service, kCpuSliceUs);
-    const SimTime done = cpu.Acquire(ctx->txn->now, slice);
-    ctx->txn->cpu_us += done - ctx->txn->now;
-    ctx->txn->AdvanceTo(done);
-    service -= slice;
-  }
-}
-
 size_t BatchBytes(const Batch& b) {
   size_t n = 0;
   for (const auto& r : b) n += r.StoredSize();
@@ -51,7 +33,8 @@ void TableScanOp::Open(ExecContext* ctx) {
   last_page_ = UINT16_MAX;
   last_page_seg_ = SegmentId::Invalid();
   // Gather the cursor's row list from the indexes (charged as one probe).
-  ChargeCpu(ctx, node_, costs_.next_call_overhead_us);
+  ctx->cluster->node(node_)->ChargeCpu(ctx->txn,
+                                       costs_.next_call_overhead_us);
   for (const auto& entry : partition_->SegmentsInRange(range_)) {
     storage::Segment* seg = ctx->cluster->segments().Get(entry.segment);
     WATTDB_CHECK(seg != nullptr);
@@ -68,8 +51,8 @@ void TableScanOp::Open(ExecContext* ctx) {
 bool TableScanOp::Next(ExecContext* ctx, Batch* out) {
   out->clear();
   if (cursor_ >= rows_.size()) return false;
-  ChargeCpu(ctx, node_, costs_.next_call_overhead_us);
   cluster::Node* node = ctx->cluster->node(node_);
+  node->ChargeCpu(ctx->txn, costs_.next_call_overhead_us);
   while (cursor_ < rows_.size() && out->size() < vector_size_) {
     const auto& [key, rid] = rows_[cursor_++];
     storage::Segment* seg = ctx->cluster->segments().Get(rid.segment);
@@ -78,17 +61,12 @@ bool TableScanOp::Next(ExecContext* ctx, Batch* out) {
     if (rid.segment != last_page_seg_ || rid.pos.page != last_page_) {
       last_page_seg_ = rid.segment;
       last_page_ = rid.pos.page;
-      const storage::PageAccess acc =
-          node->buffer().FetchPage(ctx->txn->now, rid.segment, rid.pos.page,
-                                   /*for_write=*/false);
-      ctx->txn->disk_us += acc.disk_us;
-      ctx->txn->net_us += acc.net_us;
-      ctx->txn->latch_us += acc.latch_us;
-      ctx->txn->AdvanceTo(acc.done);
+      node->FetchPage(ctx->txn, rid.segment, rid.pos.page,
+                       /*for_write=*/false);
     }
     auto rec = seg->ReadAt(rid.pos);
     if (!rec.ok()) continue;  // Deleted since Open; skip.
-    ChargeCpu(ctx, node_, costs_.scan_us_per_record);
+    node->ChargeCpu(ctx->txn, costs_.scan_us_per_record);
     out->push_back(std::move(rec).value());
   }
   return !out->empty() || cursor_ < rows_.size();
@@ -108,10 +86,11 @@ ProjectOp::ProjectOp(std::unique_ptr<Operator> child, NodeId node,
 void ProjectOp::Open(ExecContext* ctx) { child_->Open(ctx); }
 
 bool ProjectOp::Next(ExecContext* ctx, Batch* out) {
-  ChargeCpu(ctx, node_, costs_.next_call_overhead_us);
+  cluster::Node* node = ctx->cluster->node(node_);
+  node->ChargeCpu(ctx->txn, costs_.next_call_overhead_us);
   if (!child_->Next(ctx, out)) return false;
-  ChargeCpu(ctx, node_,
-            static_cast<SimTime>(out->size()) * costs_.project_us_per_record);
+  node->ChargeCpu(ctx->txn, static_cast<SimTime>(out->size()) *
+                                costs_.project_us_per_record);
   return true;
 }
 
@@ -142,9 +121,9 @@ bool SortOp::Next(ExecContext* ctx, Batch* out) {
                            std::make_move_iterator(b.end()));
     }
     const double n = static_cast<double>(std::max<size_t>(2, materialized_.size()));
-    ChargeCpu(ctx, node_,
-              static_cast<SimTime>(n * std::log2(n)) *
-                  costs_.sort_us_per_compare);
+    ctx->cluster->node(node_)->ChargeCpu(
+        ctx->txn,
+        static_cast<SimTime>(n * std::log2(n)) * costs_.sort_us_per_compare);
     std::sort(materialized_.begin(), materialized_.end(),
               [](const storage::Record& a, const storage::Record& b) {
                 return a.key < b.key;
@@ -152,7 +131,8 @@ bool SortOp::Next(ExecContext* ctx, Batch* out) {
     sorted_ = true;
   }
   out->clear();
-  ChargeCpu(ctx, node_, costs_.next_call_overhead_us);
+  ctx->cluster->node(node_)->ChargeCpu(ctx->txn,
+                                       costs_.next_call_overhead_us);
   while (cursor_ < materialized_.size() && out->size() < vector_size_) {
     out->push_back(materialized_[cursor_++]);
   }
@@ -187,8 +167,9 @@ bool GroupAggregateOp::Next(ExecContext* ctx, Batch* out) {
     std::unordered_map<uint64_t, int64_t> counts;
     Batch b;
     while (child_->Next(ctx, &b)) {
-      ChargeCpu(ctx, node_,
-                static_cast<SimTime>(b.size()) * costs_.aggregate_us_per_record);
+      ctx->cluster->node(node_)->ChargeCpu(
+          ctx->txn,
+          static_cast<SimTime>(b.size()) * costs_.aggregate_us_per_record);
       for (const auto& r : b) counts[group_of_(r)]++;
     }
     for (const auto& [group, count] : counts) {
@@ -205,7 +186,8 @@ bool GroupAggregateOp::Next(ExecContext* ctx, Batch* out) {
     done_ = true;
   }
   out->clear();
-  ChargeCpu(ctx, node_, costs_.next_call_overhead_us);
+  ctx->cluster->node(node_)->ChargeCpu(ctx->txn,
+                                       costs_.next_call_overhead_us);
   while (cursor_ < groups_.size() && out->size() < 1024) {
     out->push_back(groups_[cursor_++]);
   }
@@ -240,8 +222,8 @@ bool ExchangeOp::Next(ExecContext* ctx, Batch* out) {
     return false;
   }
   // Producer marshals the batch before it ships.
-  ChargeCpu(ctx, producer,
-            static_cast<SimTime>(out->size()) * costs_.ship_us_per_record);
+  ctx->cluster->node(producer)->ChargeCpu(
+      ctx->txn, static_cast<SimTime>(out->size()) * costs_.ship_us_per_record);
   // Response: the batch ships back.
   const SimTime t1 = ctx->txn->now;
   const SimTime delivered = ctx->cluster->network().Transfer(

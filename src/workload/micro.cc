@@ -51,7 +51,8 @@ void MicroWorkload::ClientLoop(int idx) {
     if (status.ok() && updater) {
       PutF64(&rec.payload, CustomerFields::kBalance,
              GetF64(rec.payload, CustomerFields::kBalance) + 1.0);
-      status = cluster::RoutedUpdate(c, txn, customer, key, rec.payload);
+      status = cluster::RoutedWrite(c, txn, customer, key,
+                                    cluster::WriteOp::kUpdate, rec.payload);
     }
   }
 

@@ -43,8 +43,8 @@ Status TpccRunner::DoRead(tx::Txn* txn, TpccTable table, Key key,
 
 Status TpccRunner::DoUpdate(tx::Txn* txn, TpccTable table, Key key,
                             const std::vector<uint8_t>& payload) {
-  return cluster::RoutedUpdate(db_->cluster(), txn, db_->table(table), key,
-                               payload);
+  return cluster::RoutedWrite(db_->cluster(), txn, db_->table(table), key,
+                              cluster::WriteOp::kUpdate, payload);
 }
 
 Status TpccRunner::DoInsert(tx::Txn* txn, TpccTable table, Key key,
@@ -54,7 +54,8 @@ Status TpccRunner::DoInsert(tx::Txn* txn, TpccTable table, Key key,
 }
 
 Status TpccRunner::DoDelete(tx::Txn* txn, TpccTable table, Key key) {
-  return cluster::RoutedDelete(db_->cluster(), txn, db_->table(table), key);
+  return cluster::RoutedWrite(db_->cluster(), txn, db_->table(table), key,
+                              cluster::WriteOp::kDelete);
 }
 
 Status TpccRunner::DoScan(tx::Txn* txn, TpccTable table, const KeyRange& range,

@@ -145,7 +145,7 @@ TEST(Admission, AddKvWorkloadValidatesRetryKnobs) {
 TEST(Admission, ShedSurfacesAsResourceExhaustedAndDrains) {
   admission::AdmissionPolicy ap;
   ap.enabled = true;
-  // An upsert of a fresh key is ONE admission (RoutedUpsert folds the
+  // An upsert of a fresh key is ONE admission (WriteOp::kUpsert folds the
   // update probe and the insert into a single queued unit), so cap 1 lets
   // exactly one autocommit Put through.
   ap.max_queue_ops = 1;
@@ -181,8 +181,8 @@ TEST(Admission, ShedSurfacesAsResourceExhaustedAndDrains) {
 
 TEST(Admission, UpsertOfFreshKeyIsOneAdmissionUnit) {
   // Regression (PR 7 follow-up): Session::Put of a fresh key used to run
-  // RoutedUpdate + RoutedInsert — two admission decisions (and two queued
-  // ops of depth) for one logical upsert. RoutedUpsert must take exactly
+  // an update + RoutedInsert — two admission decisions (and two queued
+  // ops of depth) for one logical upsert. WriteOp::kUpsert must take exactly
   // one decision whether the key is fresh (update -> insert fall-through)
   // or already present (plain update).
   admission::AdmissionPolicy ap;

@@ -257,24 +257,43 @@ TEST(Session, GetSucceedsMidMigrationViaTwoPointerRetry) {
   const TableId customer = db.table(workload::TpccTable::kCustomer);
   const int64_t per_district = db.tpcc()->customers_per_district();
 
+  // Warehouse 2 is the half that moves (node 1 -> node 2); warehouse 1
+  // stays on the master.
+  std::vector<Key> keys;
+  for (int64_t w = 1; w <= 2; ++w) {
+    for (int64_t c = 1; c <= per_district; ++c) {
+      keys.push_back(workload::TpccKeys::Customer(w, 1, c));
+    }
+  }
+
   bool done = false;
   ASSERT_TRUE(
       db.TriggerRebalance({NodeId(2), NodeId(3)}, 0.5, [&]() { done = true; })
           .ok());
 
-  // Probe every customer of warehouse 1 / district 1 repeatedly while the
-  // move is in flight. Every read must succeed: primary, forwarded, or
-  // secondary location.
+  // Probe every customer of district 1 repeatedly while the move is in
+  // flight. Every read must succeed: primary, forwarded, or secondary
+  // location. Every update must find the record the same way — a write that
+  // misses a moving record must not read as NotFound.
+  std::vector<std::vector<uint8_t>> last_written(keys.size());
   int64_t reads = 0;
+  uint8_t round = 0;
   const SimTime t0 = db.Now();
   while (!done && db.Now() < t0 + 600 * kUsPerSec) {
     db.RunFor(kUsPerSec / 2);
-    for (int64_t c = 1; c <= per_district; ++c) {
-      const Key key = workload::TpccKeys::Customer(1, 1, c);
-      const StatusOr<storage::Record> rec = session.Get(customer, key);
-      ASSERT_TRUE(rec.ok()) << "customer " << c << " unreadable mid-move: "
+    ++round;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      StatusOr<storage::Record> rec = session.Get(customer, keys[i]);
+      ASSERT_TRUE(rec.ok()) << "key " << keys[i] << " unreadable mid-move: "
                             << rec.status().ToString();
       ++reads;
+      rec->payload.back() = round;
+      TxnHandle txn = session.Begin();
+      const Status update = txn.Update(customer, keys[i], rec->payload);
+      ASSERT_TRUE(update.ok()) << "key " << keys[i] << " not updatable "
+                               << "mid-move: " << update.ToString();
+      ASSERT_TRUE(txn.Commit().ok());
+      last_written[i] = rec->payload;
     }
   }
   EXPECT_TRUE(done) << "migration did not finish";
@@ -282,10 +301,14 @@ TEST(Session, GetSucceedsMidMigrationViaTwoPointerRetry) {
   EXPECT_GT(reads, 0);
   EXPECT_TRUE(db.cluster().catalog().CheckInvariants());
 
-  // After the move the same keys still resolve (ownership transferred).
-  for (int64_t c = 1; c <= per_district; ++c) {
-    EXPECT_TRUE(
-        session.Get(customer, workload::TpccKeys::Customer(1, 1, c)).ok());
+  // After the move the same keys still resolve (ownership transferred), each
+  // holding its last write.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const StatusOr<storage::Record> rec = session.Get(customer, keys[i]);
+    ASSERT_TRUE(rec.ok()) << "key " << keys[i] << ": "
+                          << rec.status().ToString();
+    EXPECT_EQ(rec->payload, last_written[i])
+        << "key " << keys[i] << " lost its last mid-move write";
   }
 }
 
@@ -699,6 +722,14 @@ TEST(Fault, CrashedOwnerIsUnavailableAndRedoRecoversItsWrites) {
   EXPECT_TRUE(
       session.Put(*table, 600, std::vector<uint8_t>(64, 1)).IsUnavailable());
   EXPECT_TRUE(session.Get(*table, 42).ok());
+  // Updates and deletes of a key on the dead owner are unreachable, not
+  // absent.
+  TxnHandle writer = session.Begin();
+  const Status update = writer.Update(*table, 601, std::vector<uint8_t>(64, 2));
+  EXPECT_TRUE(update.IsUnavailable()) << update.ToString();
+  const Status del = writer.Delete(*table, 602);
+  EXPECT_TRUE(del.IsUnavailable()) << del.ToString();
+  writer.Abort();
 
   // Batches fail only the dead owner's keys, each reported per slot.
   StatusOr<MultiGetResult> batch = session.MultiGet(*table, {42, 600, 601});
@@ -706,6 +737,16 @@ TEST(Fault, CrashedOwnerIsUnavailableAndRedoRecoversItsWrites) {
   EXPECT_TRUE(batch->records[0].ok());
   EXPECT_TRUE(batch->records[1].status().IsUnavailable());
   EXPECT_TRUE(batch->records[2].status().IsUnavailable());
+  StatusOr<MultiPutResult> puts = session.MultiPut(
+      *table, {{42, std::vector<uint8_t>(64, 0xBB)},
+               {600, std::vector<uint8_t>(64, 3)},
+               {601, std::vector<uint8_t>(64, 3)}});
+  ASSERT_TRUE(puts.ok());
+  EXPECT_TRUE(puts->statuses[0].ok()) << puts->statuses[0].ToString();
+  EXPECT_TRUE(puts->statuses[1].IsUnavailable())
+      << puts->statuses[1].ToString();
+  EXPECT_TRUE(puts->statuses[2].IsUnavailable())
+      << puts->statuses[2].ToString();
 
   // Restart: the crash wiped the unflushed inserts; redo must rebuild them
   // from the WAL tail (§4.3: the log reconstructs partitions).
@@ -726,6 +767,50 @@ TEST(Fault, CrashedOwnerIsUnavailableAndRedoRecoversItsWrites) {
     ASSERT_TRUE(rec.ok()) << rec.status().ToString();
     EXPECT_EQ(rec->payload, std::vector<uint8_t>(64, 0xAA));
   }
+}
+
+TEST(Fault, CrashedMoveSourceIsUnavailableNotAbsent) {
+  // Mid-move a key may still sit at its primary location on a node that
+  // just crashed while the secondary does not hold it yet: the §4.3 retry
+  // then misses, and the write must surface the primary's Unavailable —
+  // NotFound would claim a record that exists on the downed node.
+  auto opened = Db::Open(SmallOptions()
+                             .WithScheme("logical")
+                             .WithLogicalBatchRecords(64)
+                             .WithMigrateOnly(workload::TpccTable::kCustomer));
+  ASSERT_TRUE(opened.ok());
+  Db& db = **opened;
+  Session session = db.OpenSession();
+  const TableId customer = db.table(workload::TpccTable::kCustomer);
+  // Warehouse 2 moves from node 1 to node 2.
+  std::vector<Key> keys;
+  for (int64_t c = 1; c <= db.tpcc()->customers_per_district(); ++c) {
+    keys.push_back(workload::TpccKeys::Customer(2, 1, c));
+  }
+
+  bool done = false;
+  ASSERT_TRUE(
+      db.TriggerRebalance({NodeId(2), NodeId(3)}, 0.5, [&]() { done = true; })
+          .ok());
+  int round = 0;
+  int unavailable = 0;
+  const SimTime t0 = db.Now();
+  while (!done && db.Now() < t0 + 60 * kUsPerSec) {
+    db.RunFor(kUsPerSec / 2);
+    if (++round == 3) {
+      ASSERT_TRUE(db.CrashNode(NodeId(1)).ok());
+    }
+    for (Key key : keys) {
+      TxnHandle txn = session.Begin();
+      const Status update = txn.Update(customer, key, std::vector<uint8_t>(64));
+      ASSERT_TRUE(update.ok() || update.IsUnavailable())
+          << "key " << key << " round " << round << ": " << update.ToString();
+      if (update.IsUnavailable()) ++unavailable;
+      txn.Abort();
+    }
+  }
+  EXPECT_TRUE(done) << "migration did not finish";
+  EXPECT_GT(unavailable, 0) << "the crash never hid a key";
 }
 
 TEST(Fault, CrashMigrationTargetAtHalfProgressThenRecover) {
