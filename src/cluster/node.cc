@@ -298,7 +298,8 @@ Status Node::Rewrite(tx::Txn* txn, catalog::Partition* part, Key key,
   WATTDB_RETURN_IF_ERROR(tm_->versions().Write(
       part->table(), key, *txn, std::move(current.value().payload),
       deleted ? std::nullopt : std::make_optional(*after), deleted));
-  WATTDB_RETURN_IF_ERROR(deleted ? seg->Delete(key) : seg->Update(key, *after));
+  WATTDB_RETURN_IF_ERROR(deleted ? seg->DeleteAt(pos.value(), key)
+                                 : seg->UpdateAt(pos.value(), key, *after));
   FetchPage(txn, sid, pos.value().page, /*for_write=*/true);
   ChargeCpu(txn, costs_.cpu_record_write_us, seg);
   AppendWal(txn,
@@ -404,10 +405,12 @@ void Node::ApplyUndo(
     if (part == nullptr) continue;
     const SegmentId sid = part->SegmentFor(e.key);
     storage::Segment* seg = sid.valid() ? segments_->Get(sid) : nullptr;
+    StatusOr<storage::RecordPos> pos = Status::NotFound("no covering segment");
+    if (seg != nullptr) pos = seg->Locate(e.key);
     if (e.pre_image.has_value()) {
       // Aborted update or delete: restore the pre-image.
-      if (seg != nullptr && seg->Contains(e.key)) {
-        WATTDB_CHECK(seg->Update(e.key, *e.pre_image).ok());
+      if (pos.ok()) {
+        WATTDB_CHECK(seg->UpdateAt(pos.value(), e.key, *e.pre_image).ok());
       } else if (seg != nullptr) {
         WATTDB_CHECK(seg->Insert(e.key, *e.pre_image).ok());
       } else {
@@ -421,9 +424,7 @@ void Node::ApplyUndo(
       }
     } else {
       // Aborted insert: remove the provisional record.
-      if (seg != nullptr && seg->Contains(e.key)) {
-        WATTDB_CHECK(seg->Delete(e.key).ok());
-      }
+      if (pos.ok()) WATTDB_CHECK(seg->DeleteAt(pos.value(), e.key).ok());
     }
   }
 }

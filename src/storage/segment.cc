@@ -74,9 +74,12 @@ StatusOr<Record> Segment::ReadAt(RecordPos pos) const {
 }
 
 Status Segment::Update(Key key, const std::vector<uint8_t>& payload) {
-  const RecordPos* posp = pk_index_->Find(key);
-  if (posp == nullptr) return Status::NotFound("key not in segment");
-  const RecordPos pos = *posp;
+  auto pos = Locate(key);
+  return pos.ok() ? UpdateAt(pos.value(), key, payload) : pos.status();
+}
+
+Status Segment::UpdateAt(RecordPos pos, Key key,
+                         const std::vector<uint8_t>& payload) {
   const std::vector<uint8_t> body = EncodeRecord(key, payload);
   Status s = pages_[pos.page]->Update(pos.slot, body.data(), body.size());
   if (s.ok()) {
@@ -97,9 +100,12 @@ Status Segment::Update(Key key, const std::vector<uint8_t>& payload) {
 }
 
 Status Segment::Delete(Key key) {
-  const RecordPos* posp = pk_index_->Find(key);
-  if (posp == nullptr) return Status::NotFound("key not in segment");
-  WATTDB_RETURN_IF_ERROR(pages_[posp->page]->Delete(posp->slot));
+  auto pos = Locate(key);
+  return pos.ok() ? DeleteAt(pos.value(), key) : pos.status();
+}
+
+Status Segment::DeleteAt(RecordPos pos, Key key) {
+  WATTDB_RETURN_IF_ERROR(pages_[pos.page]->Delete(pos.slot));
   pk_index_->Erase(key);
   ++writes_;
   return Status::OK();

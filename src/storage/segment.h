@@ -66,8 +66,13 @@ class Segment {
   /// Overwrite the payload of `key`. May relocate the record within the
   /// segment if it grew; the local index is kept consistent.
   Status Update(Key key, const std::vector<uint8_t>& payload);
+  /// Update of the record `key` already found at `pos` by Locate, without a
+  /// second index lookup.
+  Status UpdateAt(RecordPos pos, Key key, const std::vector<uint8_t>& payload);
 
   Status Delete(Key key);
+  /// Delete of the record `key` already found at `pos` by Locate.
+  Status DeleteAt(RecordPos pos, Key key);
 
   bool Contains(Key key) const { return pk_index_->Contains(key); }
   StatusOr<RecordPos> Locate(Key key) const;

@@ -1,6 +1,7 @@
 #ifndef WATTDB_TX_LOCK_MANAGER_H_
 #define WATTDB_TX_LOCK_MANAGER_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -65,18 +66,15 @@ struct LockGrant {
 class LockManager {
  public:
   /// Request `mode` on `res` at time `now`, intending to hold it until
-  /// `release_at` (the requester's projected completion; it may be extended
-  /// later via ExtendHold). Same-transaction re-requests upgrade in place.
+  /// `release_at` (the requester's projected completion). Same-transaction
+  /// re-requests upgrade in place: a transaction holds at most one grant per
+  /// resource.
   LockGrant Acquire(const LockResource& res, LockMode mode, TxnId txn,
                     SimTime now, SimTime release_at);
 
   /// Earliest time `mode` could be granted, without taking the lock.
   SimTime EarliestGrant(const LockResource& res, LockMode mode, TxnId txn,
                         SimTime now) const;
-
-  /// Push a transaction's release horizon on every lock it holds (called
-  /// when a transaction's completion estimate grows).
-  void ExtendHold(TxnId txn, SimTime release_at);
 
   /// Truncate every grant of `txn` to release exactly at `at` (its actual
   /// commit/abort time). The grants stay in the table and expire by time:
@@ -101,7 +99,25 @@ class LockManager {
     SimTime until;
   };
 
-  std::unordered_map<LockResource, std::vector<Grant>, LockResourceHash> table_;
+  /// One resource's grants, with how many of them hold each mode and the
+  /// largest transaction id ever granted. A request whose conflicting modes
+  /// all count zero is granted without a scan, and a transaction newer than
+  /// every grant skips the search for its own, so the thousands of intention
+  /// grants a partition collects cost nothing.
+  struct Entry {
+    std::vector<Grant> grants;
+    std::array<uint32_t, 4> held{};  ///< Indexed by LockMode.
+    uint64_t max_txn = 0;
+  };
+
+  static SimTime EarliestIn(const Entry& entry, LockMode mode, TxnId txn,
+                            SimTime now);
+  /// Drop the grants matching `drop`, keeping the mode counts; returns true
+  /// when the entry is left empty.
+  template <typename Pred>
+  static bool EraseIf(Entry& entry, Pred drop);
+
+  std::unordered_map<LockResource, Entry, LockResourceHash> table_;
   std::unordered_map<TxnId, std::vector<LockResource>> by_txn_;
 };
 

@@ -11,8 +11,8 @@ Status VersionStore::Write(TableId table, Key key, const Txn& txn,
                            std::optional<std::vector<uint8_t>> new_payload,
                            bool deleted) {
   const ChainKey ck{table, key};
-  auto it = chains_.find(ck);
-  if (it == chains_.end()) {
+  auto it = chains_.lower_bound(ck);
+  if (it == chains_.end() || ck < it->first) {
     Chain chain;
     if (prior_in_page.has_value()) {
       // Materialize the implicit bulk-loaded version so old readers keep a
@@ -25,7 +25,7 @@ Status VersionStore::Write(TableId table, Key key, const Txn& txn,
       overhead_bytes_ += VersionBytes(pre);
       chain.push_back(std::move(pre));
     }
-    it = chains_.emplace(ck, std::move(chain)).first;
+    it = chains_.emplace_hint(it, ck, std::move(chain));
   }
   Chain& chain = it->second;
   if (!chain.empty()) {
@@ -50,7 +50,7 @@ Status VersionStore::Write(TableId table, Key key, const Txn& txn,
   if (new_payload.has_value()) v.payload = std::move(*new_payload);
   overhead_bytes_ += VersionBytes(v);
   chain.push_back(std::move(v));
-  write_sets_[txn.id].push_back(ck);
+  write_sets_[txn.id].push_back(it);
   return Status::OK();
 }
 
@@ -58,9 +58,7 @@ void VersionStore::Commit(const Txn& txn) {
   WATTDB_CHECK(txn.commit_ts != 0);
   auto ws = write_sets_.find(txn.id);
   if (ws == write_sets_.end()) return;
-  for (const ChainKey& ck : ws->second) {
-    auto it = chains_.find(ck);
-    if (it == chains_.end() || it->second.empty()) continue;
+  for (const ChainMap::iterator& it : ws->second) {
     Chain& chain = it->second;
     Version& newest = chain.back();
     if (!newest.committed && newest.writer == txn.id) {
@@ -78,16 +76,14 @@ std::vector<VersionStore::UndoEntry> VersionStore::Abort(const Txn& txn) {
   std::vector<UndoEntry> undo;
   auto ws = write_sets_.find(txn.id);
   if (ws == write_sets_.end()) return undo;
-  for (const ChainKey& ck : ws->second) {
-    auto it = chains_.find(ck);
-    if (it == chains_.end() || it->second.empty()) continue;
+  for (const ChainMap::iterator& it : ws->second) {
     Chain& chain = it->second;
     if (!chain.back().committed && chain.back().writer == txn.id) {
       overhead_bytes_ -= VersionBytes(chain.back());
       chain.pop_back();
       UndoEntry e;
-      e.table = ck.table;
-      e.key = ck.key;
+      e.table = it->first.table;
+      e.key = it->first.key;
       if (!chain.empty() && !chain.back().deleted) {
         e.pre_image = chain.back().payload;
         chain.back().end_ts = kInfinityTs;

@@ -35,6 +35,11 @@ struct Version {
 /// readers running while records move between partitions.
 class VersionStore {
  public:
+  VersionStore() = default;
+  /// Write sets hold iterators into this store's own chain map.
+  VersionStore(const VersionStore&) = delete;
+  VersionStore& operator=(const VersionStore&) = delete;
+
   /// What a snapshot read resolved to.
   struct ReadView {
     enum class Source {
@@ -116,12 +121,17 @@ class VersionStore {
   /// Resolve one chain under a snapshot (shared by Read and range visits).
   ReadView Resolve(const Chain& chain, Timestamp snapshot, TxnId self) const;
 
+  using ChainMap = std::map<ChainKey, Chain>;
+
   /// Ordered so range scans can merge chain state with page state. GC keeps
   /// this map small (only recently-written keys have chains).
-  std::map<ChainKey, Chain> chains_;
-  /// Keys provisionally written per active transaction, so Commit/Abort
-  /// touch only the write set instead of scanning every chain.
-  std::unordered_map<TxnId, std::vector<ChainKey>> write_sets_;
+  ChainMap chains_;
+  /// Chains provisionally written per active transaction, so Commit/Abort
+  /// touch only the write set, with no lookup. The iterators stay valid:
+  /// while a transaction is active its provisional version is the newest of
+  /// each chain it wrote, and neither Gc nor another transaction's Abort
+  /// erases such a chain.
+  std::unordered_map<TxnId, std::vector<ChainMap::iterator>> write_sets_;
   size_t overhead_bytes_ = 0;
 };
 

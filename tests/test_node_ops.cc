@@ -138,6 +138,39 @@ TEST_F(NodeOpsTest, AbortRollsBackPages) {
   cluster_.tm().Release(r->id);
 }
 
+TEST_F(NodeOpsTest, ApplyUndoRestoresPreImagesAndDropsInserts) {
+  Node* n = cluster_.master();
+  tx::Txn* w = cluster_.BeginTxn();
+  for (Key k = 1; k <= 60; ++k) {
+    ASSERT_TRUE(n->Insert(w, part_, k, Payload(1)).ok());
+  }
+  cluster_.CommitTxn(n, w);
+  cluster_.tm().Release(w->id);
+
+  // Undo a grown update (restored in place), a delete (re-inserted) and an
+  // insert (removed), applied straight through Node::ApplyUndo.
+  tx::Txn* bad = cluster_.BeginTxn();
+  ASSERT_TRUE(n->Update(bad, part_, 1, std::vector<uint8_t>(3000, 9)).ok());
+  ASSERT_TRUE(n->Delete(bad, part_, 2).ok());
+  ASSERT_TRUE(n->Insert(bad, part_, 100, Payload(5)).ok());
+  auto undo = cluster_.tm().Abort(bad);
+  ASSERT_EQ(undo.size(), 3u);
+  n->ApplyUndo(undo, [&](TableId, Key) { return part_; });
+  cluster_.tm().Release(bad->id);
+
+  storage::Segment* seg = cluster_.segments().Get(part_->SegmentFor(1));
+  ASSERT_NE(seg, nullptr);
+  auto one = seg->Read(1);
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one.value().payload, Payload(1));
+  auto two = seg->Read(2);
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(two.value().payload, Payload(1));
+  EXPECT_FALSE(seg->Contains(100));
+  EXPECT_EQ(seg->record_count(), 60u);
+  EXPECT_TRUE(seg->CheckInvariants());
+}
+
 TEST_F(NodeOpsTest, ScanSeesOnlyVisibleRecords) {
   Node* n = cluster_.master();
   tx::Txn* w = cluster_.BeginTxn();

@@ -221,6 +221,42 @@ TEST(Segment, UpdateGrowAcrossPages) {
   EXPECT_TRUE(seg.CheckInvariants());
 }
 
+TEST(Segment, UpdateAtRelocatesWhenGrownPastItsPage) {
+  Segment seg(SegmentId(1), NodeId(0), DiskId(0));
+  for (Key k = 0; k < 70; ++k) ASSERT_TRUE(seg.Insert(k, Bytes(100)).ok());
+  auto before = seg.Locate(5);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(seg.UpdateAt(before.value(), 5, Bytes(4000, 9)).ok());
+  auto after = seg.Locate(5);
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(after.value().page, before.value().page);
+  auto rec = seg.ReadAt(after.value());
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec.value().key, 5u);
+  EXPECT_EQ(rec.value().payload.size(), 4000u);
+  EXPECT_EQ(rec.value().payload[0], 9);
+  EXPECT_EQ(seg.record_count(), 70u);
+  EXPECT_TRUE(seg.CheckInvariants());
+  // A grow that still fits stays at its position.
+  auto small = seg.Locate(6);
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(seg.UpdateAt(small.value(), 6, Bytes(100, 3)).ok());
+  EXPECT_EQ(seg.Locate(6).value().page, small.value().page);
+  EXPECT_EQ(seg.Read(6).value().payload[0], 3);
+}
+
+TEST(Segment, DeleteAtRemovesRecordAndIndexEntry) {
+  Segment seg(SegmentId(1), NodeId(0), DiskId(0));
+  for (Key k = 0; k < 10; ++k) ASSERT_TRUE(seg.Insert(k, Bytes(100)).ok());
+  auto pos = seg.Locate(4);
+  ASSERT_TRUE(pos.ok());
+  ASSERT_TRUE(seg.DeleteAt(pos.value(), 4).ok());
+  EXPECT_FALSE(seg.Contains(4));
+  EXPECT_TRUE(seg.Read(4).status().IsNotFound());
+  EXPECT_EQ(seg.record_count(), 9u);
+  EXPECT_TRUE(seg.CheckInvariants());
+}
+
 TEST(Segment, RelocateUpdatesPlacement) {
   Segment seg(SegmentId(1), NodeId(0), DiskId(0));
   seg.Relocate(NodeId(3), DiskId(9));

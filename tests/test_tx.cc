@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "hw/disk.h"
 #include "hw/network.h"
 #include "tx/lock_manager.h"
@@ -123,6 +131,199 @@ TEST(LockManager, PruneDropsExpired) {
   lm.Prune(500);
   EXPECT_EQ(lm.GrantCount(), 1u);
 }
+
+int Strength(LockMode m) {
+  return m == LockMode::kIS ? 0 : m == LockMode::kX ? 2 : 1;
+}
+
+// Reference model for the differential test: the plain linear-scan lock
+// table that `LockManager` must match grant for grant. Every search walks
+// the whole grant vector front to back.
+class RefLockManager {
+ public:
+  LockGrant Acquire(const LockResource& res, LockMode mode, TxnId txn,
+                    SimTime now, SimTime release_at) {
+    auto& grants = table_[res];
+    for (Grant& g : grants) {
+      if (g.txn != txn) continue;
+      if (Strength(mode) > Strength(g.mode)) {
+        const SimTime t = EarliestGrant(res, mode, txn, now);
+        g.mode = mode;
+        g.until = std::max(g.until, release_at);
+        return LockGrant{t, t - now};
+      }
+      g.until = std::max(g.until, release_at);
+      return LockGrant{now, 0};
+    }
+    const SimTime t = EarliestGrant(res, mode, txn, now);
+    grants.push_back(Grant{txn, mode, t, std::max(release_at, t)});
+    by_txn_[txn].push_back(res);
+    return LockGrant{t, t - now};
+  }
+
+  SimTime EarliestGrant(const LockResource& res, LockMode mode, TxnId txn,
+                        SimTime now) const {
+    auto it = table_.find(res);
+    if (it == table_.end()) return now;
+    SimTime t = now;
+    for (const Grant& g : it->second) {
+      if (g.txn == txn || g.until <= t) continue;
+      if (!LockCompatible(g.mode, mode)) t = std::max(t, g.until);
+    }
+    return t;
+  }
+
+  void SettleAll(TxnId txn, SimTime at) {
+    auto it = by_txn_.find(txn);
+    if (it == by_txn_.end()) return;
+    for (const LockResource& res : it->second) {
+      auto tit = table_.find(res);
+      if (tit == table_.end()) continue;
+      for (Grant& g : tit->second) {
+        if (g.txn == txn) g.until = std::max(g.from, at);
+      }
+    }
+    by_txn_.erase(it);
+  }
+
+  void ReleaseAll(TxnId txn) {
+    auto it = by_txn_.find(txn);
+    if (it == by_txn_.end()) return;
+    for (const LockResource& res : it->second) {
+      auto tit = table_.find(res);
+      if (tit == table_.end()) continue;
+      EraseIf(tit->second, [&](const Grant& g) { return g.txn == txn; });
+      if (tit->second.empty()) table_.erase(tit);
+    }
+    by_txn_.erase(it);
+  }
+
+  void Prune(SimTime before) {
+    for (auto it = table_.begin(); it != table_.end();) {
+      EraseIf(it->second, [&](const Grant& g) { return g.until <= before; });
+      it = it->second.empty() ? table_.erase(it) : std::next(it);
+    }
+  }
+
+  size_t GrantCount() const {
+    size_t n = 0;
+    for (const auto& [res, grants] : table_) n += grants.size();
+    return n;
+  }
+
+  std::optional<LockMode> HeldMode(const LockResource& res, TxnId txn) const {
+    auto it = table_.find(res);
+    if (it == table_.end()) return std::nullopt;
+    for (const Grant& g : it->second) {
+      if (g.txn == txn) return g.mode;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  struct Grant {
+    TxnId txn;
+    LockMode mode;
+    SimTime from;
+    SimTime until;
+  };
+
+  template <typename Pred>
+  static void EraseIf(std::vector<Grant>& grants, Pred pred) {
+    grants.erase(std::remove_if(grants.begin(), grants.end(), pred),
+                 grants.end());
+  }
+
+  std::unordered_map<LockResource, std::vector<Grant>, LockResourceHash> table_;
+  std::unordered_map<TxnId, std::vector<LockResource>> by_txn_;
+};
+
+// Seeded random workload over three partitions of eight records each plus
+// their table. Partitions mostly see intention modes (so their grant
+// vectors grow long and mostly compatible), with occasional S/X as the
+// mover and scans take them; records see all four modes. Transactions come
+// from a slowly sliding id window, so the same transaction re-acquires
+// after its own SettleAll, after ReleaseAll and after Prune dropped its
+// grant, and upgrades in place.
+class LockDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LockDifferentialTest, MatchesLinearScanReference) {
+  std::mt19937_64 rng(GetParam());
+  auto pick = [&](uint64_t n) { return rng() % n; };
+  LockManager lm;
+  RefLockManager ref;
+  std::set<std::pair<uint64_t, size_t>> acquired;  // (txn, resource index)
+  std::set<uint64_t> settled;
+  std::vector<LockResource> resources;
+  resources.push_back(LockResource::Table(TableId(1)));
+  for (uint64_t p = 1; p <= 3; ++p) {
+    resources.push_back(LockResource::Partition(PartitionId(p)));
+    for (Key k = 0; k < 8; ++k) {
+      resources.push_back(LockResource::Record(PartitionId(p), k));
+    }
+  }
+  SimTime clock = 0;
+  SimTime horizon = 0;
+  uint64_t txn_base = 1;
+  int after_settle = 0, after_drop = 0, upgrades = 0;
+  size_t max_grants = 0;
+  for (int step = 0; step < 40000; ++step) {
+    clock += static_cast<SimTime>(pick(20));
+    if (pick(200) == 0) ++txn_base;
+    const uint64_t t = txn_base + pick(24);
+    const TxnId txn(t);
+    const uint64_t op = pick(100);
+    if (op < 70) {
+      const size_t r = pick(resources.size());
+      const LockResource& res = resources[r];
+      const bool coarse = res.kind != LockResource::Kind::kRecord;
+      LockMode mode = static_cast<LockMode>(pick(4));
+      if (coarse && pick(50) != 0) {
+        mode = pick(2) == 0 ? LockMode::kIS : LockMode::kIX;
+      }
+      const SimTime now = clock + static_cast<SimTime>(pick(100));
+      const SimTime release =
+          now + static_cast<SimTime>(pick(coarse ? 400 : 150));
+      const std::optional<LockMode> held = ref.HeldMode(res, txn);
+      if (acquired.count({t, r}) != 0 && !held) ++after_drop;
+      if (held && settled.count(t) != 0) ++after_settle;
+      if (held && Strength(mode) > Strength(*held)) ++upgrades;
+      acquired.insert({t, r});
+      const LockGrant want = ref.Acquire(res, mode, txn, now, release);
+      const LockGrant got = lm.Acquire(res, mode, txn, now, release);
+      ASSERT_EQ(got.granted_at, want.granted_at) << "step " << step;
+      ASSERT_EQ(got.waited_us, want.waited_us) << "step " << step;
+    } else if (op < 80) {
+      const LockResource& res = resources[pick(resources.size())];
+      const LockMode mode = static_cast<LockMode>(pick(4));
+      ASSERT_EQ(lm.EarliestGrant(res, mode, txn, clock),
+                ref.EarliestGrant(res, mode, txn, clock))
+          << "step " << step;
+    } else if (op < 92) {
+      const SimTime at = clock + static_cast<SimTime>(pick(60));
+      ref.SettleAll(txn, at);
+      lm.SettleAll(txn, at);
+      settled.insert(t);
+    } else if (op < 95) {
+      ref.ReleaseAll(txn);
+      lm.ReleaseAll(txn);
+    } else {
+      horizon = std::max(horizon, clock - static_cast<SimTime>(pick(300)));
+      ref.Prune(horizon);
+      lm.Prune(horizon);
+    }
+    ASSERT_EQ(lm.GrantCount(), ref.GrantCount()) << "step " << step;
+    max_grants = std::max(max_grants, ref.GrantCount());
+  }
+  // The mix reached every path the fast table special-cases.
+  EXPECT_GT(after_settle, 100);
+  EXPECT_GT(after_drop, 100);
+  EXPECT_GT(upgrades, 100);
+  EXPECT_GT(max_grants, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LockDifferentialTest,
+                         ::testing::Values(1, 7, 42, 12345, 999983));
 
 // ------------------------------------------------------------ VersionStore
 
@@ -279,6 +480,106 @@ TEST(VersionStore, RangeResolution) {
                               }
                             });
   EXPECT_EQ(seen, 2);  // Table 2's chain not visited.
+}
+
+TEST(VersionStore, WriteSetSurvivesGcAndOtherTransactions) {
+  // A transaction's write set must still reach its own chains when, between
+  // its writes and its Commit/Abort, Gc sweeps and other transactions
+  // commit and abort (one of them erasing its own chain).
+  using Source = VersionStore::ReadView::Source;
+  VersionStore vs;
+  Txn a = MakeTxn(10), e = MakeTxn(11);
+  ASSERT_TRUE(vs.Write(TableId(1), 1, a, Payload(1), Payload(2), false).ok());
+  ASSERT_TRUE(
+      vs.Write(TableId(1), 2, a, std::nullopt, Payload(3), false).ok());
+  ASSERT_TRUE(vs.Write(TableId(1), 3, a, Payload(4), std::nullopt, true).ok());
+  ASSERT_TRUE(vs.Write(TableId(1), 20, e, Payload(5), Payload(6), false).ok());
+  ASSERT_TRUE(
+      vs.Write(TableId(1), 21, e, std::nullopt, Payload(7), false).ok());
+  for (uint64_t i = 0; i < 50; ++i) {
+    Txn other = MakeTxn(100 + i);
+    const Key k = 1000 + i;
+    ASSERT_TRUE(vs.Write(TableId(1), k, other,
+                         i % 2 ? std::make_optional(Payload(8)) : std::nullopt,
+                         Payload(9), false)
+                    .ok());
+    if (i % 3 == 0) {
+      vs.Abort(other);  // Fresh inserts erase their chain here.
+    } else {
+      other.commit_ts = 200 + i;
+      vs.Commit(other);
+    }
+    vs.Gc(/*min_active=*/10);
+  }
+  vs.Gc(/*min_active=*/1000);
+
+  a.commit_ts = 300;
+  vs.Commit(a);
+  EXPECT_EQ(vs.Read(TableId(1), 1, 300, TxnId(300)).source, Source::kPage);
+  EXPECT_EQ(vs.Read(TableId(1), 2, 300, TxnId(300)).source, Source::kPage);
+  EXPECT_EQ(vs.Read(TableId(1), 3, 300, TxnId(300)).source, Source::kDeleted);
+  auto old = vs.Read(TableId(1), 1, 299, TxnId(299));
+  ASSERT_EQ(old.source, Source::kChain);
+  EXPECT_EQ((*old.payload)[0], 1);
+  EXPECT_EQ(vs.Read(TableId(1), 2, 299, TxnId(299)).source,
+            Source::kInvisible);
+
+  auto undo = vs.Abort(e);
+  ASSERT_EQ(undo.size(), 2u);
+  EXPECT_EQ(undo[0].key, 20u);
+  ASSERT_TRUE(undo[0].pre_image.has_value());
+  EXPECT_EQ((*undo[0].pre_image)[0], 5);
+  EXPECT_EQ(undo[1].key, 21u);
+  EXPECT_FALSE(undo[1].pre_image.has_value());
+  EXPECT_EQ(vs.Read(TableId(1), 21, 400, TxnId(400)).source, Source::kPage);
+}
+
+TEST(VersionStore, AbortThatEmptiesTheChainDropsIt) {
+  VersionStore vs;
+  Txn w = MakeTxn(10);
+  ASSERT_TRUE(
+      vs.Write(TableId(1), 42, w, std::nullopt, Payload(2), false).ok());
+  EXPECT_EQ(vs.ChainCount(), 1u);
+  vs.Abort(w);
+  EXPECT_EQ(vs.ChainCount(), 0u);
+  EXPECT_EQ(vs.VersionCount(), 0u);
+  EXPECT_EQ(vs.OverheadBytes(), 0u);
+  // The key is writable again, by a later transaction, from a fresh chain.
+  Txn again = MakeTxn(11);
+  ASSERT_TRUE(
+      vs.Write(TableId(1), 42, again, std::nullopt, Payload(3), false).ok());
+  again.commit_ts = 20;
+  vs.Commit(again);
+  EXPECT_EQ(vs.VersionCount(), 1u);
+  EXPECT_EQ(vs.Read(TableId(1), 42, 20, TxnId(20)).source,
+            VersionStore::ReadView::Source::kPage);
+}
+
+TEST(VersionStore, SameTxnOverwriteKeepsOneWriteSetEntry) {
+  VersionStore vs;
+  Txn w = MakeTxn(10);
+  ASSERT_TRUE(vs.Write(TableId(1), 42, w, Payload(1), Payload(2), false).ok());
+  ASSERT_TRUE(
+      vs.Write(TableId(1), 42, w, std::nullopt, Payload(3), false).ok());
+  ASSERT_TRUE(
+      vs.Write(TableId(1), 42, w, std::nullopt, std::nullopt, true).ok());
+  EXPECT_EQ(vs.VersionCount(), 2u);  // The pre-image and one provisional.
+  auto undo = vs.Abort(w);
+  ASSERT_EQ(undo.size(), 1u);
+  ASSERT_TRUE(undo[0].pre_image.has_value());
+  EXPECT_EQ((*undo[0].pre_image)[0], 1);
+  EXPECT_EQ(vs.VersionCount(), 1u);
+
+  Txn c = MakeTxn(11);
+  ASSERT_TRUE(
+      vs.Write(TableId(1), 7, c, std::nullopt, Payload(4), false).ok());
+  ASSERT_TRUE(
+      vs.Write(TableId(1), 7, c, std::nullopt, Payload(5), false).ok());
+  c.commit_ts = 20;
+  vs.Commit(c);
+  EXPECT_EQ(vs.VersionCount(), 2u);  // Key 42's pre-image, key 7's commit.
+  EXPECT_EQ(vs.Read(TableId(1), 7, 19, TxnId(19)).source,
+            VersionStore::ReadView::Source::kInvisible);
 }
 
 // -------------------------------------------------------------- LogManager
