@@ -53,9 +53,7 @@ admission::AdmissionPolicy ShedPolicy(bool enabled) {
   // ~10 ms of queueing per node — an admitted transaction stays an order
   // of magnitude inside the 100 ms SLO.
   ap.max_queue_ops = 64;
-  ap.batch_share = 0.5;
   ap.overload_ratio = 0.75;
-  ap.overload_trigger_after = 2;
   return ap;
 }
 
@@ -103,7 +101,7 @@ PointResult RunPoint(double offered_qps, bool shedding, SimTime warmup,
   workload::KvWorkload& lat_driver = **lat_kv;
 
   // Batch-priority stream at a fixed modest rate: the cheap class the
-  // shedder sacrifices first (its cap is batch_share x max_queue_ops).
+  // shedder sacrifices first (its cap is kBatchShare x max_queue_ops).
   workload::KvConfig batch;
   batch.arrival_qps = kBatchQps;
   batch.count_at_completion = true;
@@ -172,7 +170,7 @@ void Run() {
   json.Config("slo_ms", static_cast<double>(kSlo) / kUsPerMs);
   json.Config("batch_qps", kBatchQps);
   json.Config("max_queue_ops", 64.0);
-  json.Config("batch_share", 0.5);
+  json.Config("batch_share", admission::kBatchShare);
   json.Config("window_s", ToSeconds(window));
 
   std::printf(

@@ -41,7 +41,6 @@ cluster::MasterPolicy HealingPolicy(bool auto_heal) {
   policy.enable_scale_out = false;
   policy.enable_scale_in = false;
   policy.recovery.auto_heal = auto_heal;
-  policy.recovery.declare_dead_after = 2;
   return policy;
 }
 

@@ -60,7 +60,6 @@ cluster::MasterPolicy Policy(bool replicated) {
   policy.enable_scale_in = false;
   policy.balance.enabled = false;
   policy.recovery.auto_heal = true;  // The unreplicated arm's failover path.
-  policy.recovery.declare_dead_after = 2;
   policy.replica.enabled = replicated;
   policy.replica.replicas_per_segment = 1;
   policy.replica.heat_threshold = 40.0;

@@ -18,15 +18,12 @@ Status AdmissionController::Admit(NodeId node, OpClass cls, SimTime now,
   Prune(&q, now);
   if (policy_.enabled) {
     // The batch class only sees a slice of the queue: once depth crosses
-    // batch_share * cap the remaining headroom is reserved for
+    // kBatchShare * cap the remaining headroom is reserved for
     // latency-sensitive ops, so shedding hits the cheap class first.
     const int64_t full_cap = std::max(1, policy_.max_queue_ops);
-    const int64_t cap =
-        cls == OpClass::kBatch
-            ? std::max<int64_t>(
-                  1, static_cast<int64_t>(policy_.batch_share *
-                                          static_cast<double>(full_cap)))
-            : full_cap;
+    const int64_t batch_cap = std::max<int64_t>(
+        1, static_cast<int64_t>(kBatchShare * static_cast<double>(full_cap)));
+    const int64_t cap = cls == OpClass::kBatch ? batch_cap : full_cap;
     if (q.outstanding + ops > cap) {
       shed_[static_cast<int>(cls)] += 1;
       return Status::ResourceExhausted(

@@ -24,6 +24,16 @@ inline const char* ToString(OpClass cls) {
   return cls == OpClass::kBatch ? "batch" : "latency-sensitive";
 }
 
+/// Fraction of max_queue_ops available to the batch class: batch ops are
+/// refused once depth reaches kBatchShare * max_queue_ops, so under
+/// pressure the remaining headroom is reserved for latency-sensitive
+/// traffic (shedding hits the cheap class first).
+inline constexpr double kBatchShare = 0.5;
+
+/// Consecutive overloaded control ticks before the master emits the
+/// overload event and treats it as scale-out/balance pressure.
+inline constexpr int kOverloadTriggerAfter = 2;
+
 /// Per-node admission queue caps and the overload signal they feed the
 /// master. Shedding refuses work with ResourceExhausted at the routing
 /// layer — before any hop is charged or any node op runs — instead of
@@ -39,17 +49,9 @@ struct AdmissionPolicy {
   /// Per-node cap on outstanding admitted ops (queued + executing). The
   /// latency-sensitive class is admitted up to this depth.
   int max_queue_ops = 256;
-  /// Fraction of max_queue_ops available to the batch class: batch ops are
-  /// refused once depth reaches batch_share * max_queue_ops, so under
-  /// pressure the remaining headroom is reserved for latency-sensitive
-  /// traffic (shedding hits the cheap class first).
-  double batch_share = 0.5;
   /// A node whose depth reaches overload_ratio * max_queue_ops counts as
   /// overloaded in the master's control tick.
   double overload_ratio = 0.75;
-  /// Consecutive overloaded control ticks before the master emits the
-  /// overload event and treats it as scale-out/balance pressure.
-  int overload_trigger_after = 2;
 };
 
 /// Tracks every node's outstanding admitted operations and enforces the

@@ -73,11 +73,6 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
         "MasterPolicy.trigger_after must be >= 1, got " +
         std::to_string(mp.trigger_after));
   }
-  if (mp.recovery.declare_dead_after < 1) {
-    return Status::InvalidArgument(
-        "RecoveryPolicy.declare_dead_after must be >= 1, got " +
-        std::to_string(mp.recovery.declare_dead_after));
-  }
   if (mp.recovery.restart_backoff < 0) {
     return Status::InvalidArgument(
         "RecoveryPolicy.restart_backoff must be >= 0, got " +
@@ -159,20 +154,10 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
         "AdmissionPolicy.max_queue_ops must be >= 1, got " +
         std::to_string(ap.max_queue_ops));
   }
-  if (ap.batch_share <= 0.0 || ap.batch_share > 1.0) {
-    return Status::InvalidArgument(
-        "AdmissionPolicy.batch_share must lie in (0, 1], got " +
-        std::to_string(ap.batch_share));
-  }
   if (ap.overload_ratio <= 0.0 || ap.overload_ratio > 1.0) {
     return Status::InvalidArgument(
         "AdmissionPolicy.overload_ratio must lie in (0, 1], got " +
         std::to_string(ap.overload_ratio));
-  }
-  if (ap.overload_trigger_after < 1) {
-    return Status::InvalidArgument(
-        "AdmissionPolicy.overload_trigger_after must be >= 1, got " +
-        std::to_string(ap.overload_trigger_after));
   }
   // LanePolicy is validated even when disabled, for the same reason as
   // BalancePolicy above.

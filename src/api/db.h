@@ -162,7 +162,7 @@ class Db {
 
   // --- Warm replicas -------------------------------------------------------
   /// The warm-standby subsystem (always constructed; idle unless
-  /// WithReplicaPolicy enabled it). Observers for replica state and the
+  /// MasterPolicy::replica enabled it). Observers for replica state and the
   /// replication network tax; its decisions are counted on the master's
   /// timeline (master().event_count).
   replica::ReplicaManager& replicas() { return *replicas_; }

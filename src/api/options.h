@@ -120,21 +120,6 @@ struct DbOptions {
     start_master = true;
     return *this;
   }
-  /// Failure detection and self-healing knobs of the control loop; implies
-  /// starting the master loop (detection happens in its ticks).
-  DbOptions& WithRecoveryPolicy(cluster::RecoveryPolicy policy) {
-    master.recovery = policy;
-    start_master = true;
-    return *this;
-  }
-  /// Warm standbys of hot segments (read scale-out + catch-up-and-flip
-  /// failover); implies starting the master loop (the ReplicaManager runs
-  /// from its control ticks).
-  DbOptions& WithReplicaPolicy(cluster::ReplicaPolicy policy) {
-    master.replica = policy;
-    start_master = true;
-    return *this;
-  }
 
   /// Intra-node parallel data plane: per-core shared-nothing worker lanes
   /// (src/lanes). Routing charges segment work to the owning lane; with

@@ -121,16 +121,6 @@ Future<StatusOr<storage::Record>> TxnHandle::GetAsync(TableId table, Key key) {
   return promise.future();
 }
 
-Future<Status> TxnHandle::PutAsync(TableId table, Key key,
-                                   const std::vector<uint8_t>& payload) {
-  const Status usable = CheckUsable();
-  if (!usable.ok()) return Future<Status>::MakeReady(usable);
-  Status result = Put(table, key, payload);
-  sim::Promise<Status> promise(&cluster_->events());
-  promise.ResolveAt(txn_->now, std::move(result));
-  return promise.future();
-}
-
 Status TxnHandle::Commit() {
   WATTDB_RETURN_IF_ERROR(CheckUsable());
   if (txn_->read_only) {
@@ -223,24 +213,6 @@ Future<StatusOr<storage::Record>> Session::GetAsync(TableId table, Key key) {
   }
   sim::Promise<StatusOr<storage::Record>> promise(&cluster_->events());
   promise.ResolveAt(txn.completed_at(), std::move(rec));
-  return promise.future();
-}
-
-Future<Status> Session::PutAsync(TableId table, Key key,
-                                 const std::vector<uint8_t>& payload) {
-  if (cluster_ == nullptr) {
-    return Future<Status>::MakeReady(
-        Status::FailedPrecondition("session was moved from"));
-  }
-  TxnHandle txn = Begin();
-  Status s = txn.Put(table, key, payload);
-  if (s.ok()) {
-    s = txn.Commit();
-  } else {
-    txn.Abort();
-  }
-  sim::Promise<Status> promise(&cluster_->events());
-  promise.ResolveAt(txn.completed_at(), std::move(s));
   return promise.future();
 }
 

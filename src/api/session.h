@@ -115,10 +115,6 @@ class TxnHandle {
   /// transaction (in issue order on its private clock).
   Future<StatusOr<storage::Record>> GetAsync(TableId table, Key key);
 
-  /// Async upsert under this transaction.
-  Future<Status> PutAsync(TableId table, Key key,
-                          const std::vector<uint8_t>& payload);
-
   /// Durably commit (commit record on the master, locks settled) and close.
   Status Commit();
 
@@ -152,9 +148,9 @@ class TxnHandle {
 /// A client connection to the database. Cheap to create; hand one to each
 /// simulated client. Transactions begin at the cluster's current simulated
 /// time. The one-shot Get/Put/Scan/MultiGet/MultiPut helpers run an
-/// autocommit transaction; the *Async helpers run one autocommit
-/// transaction per operation, so independent futures resolve in sim-time
-/// order, not issue order. Moved-from sessions return FailedPrecondition.
+/// autocommit transaction; GetAsync runs one autocommit transaction per
+/// read, so independent futures resolve in sim-time order, not issue
+/// order. Moved-from sessions return FailedPrecondition.
 class Session {
  public:
   Session(Session&& other) noexcept : cluster_(other.cluster_) {
@@ -197,10 +193,6 @@ class Session {
   /// Autocommit async read in its own transaction; the future resolves at
   /// the read's simulated completion time.
   Future<StatusOr<storage::Record>> GetAsync(TableId table, Key key);
-
-  /// Autocommit async upsert in its own transaction.
-  Future<Status> PutAsync(TableId table, Key key,
-                          const std::vector<uint8_t>& payload);
 
  private:
   friend class Db;

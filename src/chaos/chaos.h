@@ -25,20 +25,6 @@ namespace wattdb::chaos {
 struct ChaosConfig {
   uint64_t seed = 1;
 
-  /// Topology bounds the seed picks within (num_nodes includes the master).
-  int min_nodes = 4;
-  int max_nodes = 6;
-
-  /// Simulated time the randomized workload + fault schedule runs for.
-  SimTime workload_duration = 20 * kUsPerSec;
-  /// After Disarm + heal, how long the scenario waits for the cluster to
-  /// re-converge (all ranges owned by live nodes, no in-flight moves or
-  /// fences, overload cleared) before declaring it stuck.
-  SimTime settle_timeout = 90 * kUsPerSec;
-
-  /// Key space of the scenario's KV table.
-  Key max_key = 2048;
-
   /// Catalog epoch fencing on the route serve path. Turning it off is the
   /// deliberately injected bug of the acceptance test: a partitioned owner
   /// keeps serving routes a promotion sealed, and the invariant checker
@@ -59,11 +45,6 @@ struct ChaosConfig {
   /// per-key linearizability checker after the settle phase. Off by
   /// default: recording and checking cost time the plain soak does not pay.
   bool record_history = false;
-  /// Key space of the history workload — deliberately small so keys see
-  /// enough concurrent ops for the checker to have real interleavings.
-  int64_t history_keys = 64;
-  /// Closed-loop single-op clients of the history workload.
-  int history_clients = 8;
 };
 
 /// What the committed history *should* look like, maintained by the

@@ -44,14 +44,34 @@ bool DecodePayload(const std::vector<uint8_t>& payload, Key* key,
 
 namespace {
 
+/// Topology bounds the seed picks within (num_nodes includes the master).
+constexpr int kMinNodes = 4;
+constexpr int kMaxNodes = 6;
+
+/// Simulated time the randomized workload + fault schedule runs for.
+constexpr SimTime kWorkloadDuration = 20 * kUsPerSec;
+/// After Disarm + heal, how long the scenario waits for the cluster to
+/// re-converge (all ranges owned by live nodes, no in-flight moves or
+/// fences, overload cleared) before declaring it stuck.
+constexpr SimTime kSettleTimeout = 90 * kUsPerSec;
+
+/// Key space of the scenario's KV table.
+constexpr Key kMaxKey = 2048;
+
+/// Key space of the history workload — deliberately small so keys see
+/// enough concurrent ops for the checker to have real interleavings.
+constexpr int64_t kHistoryKeys = 64;
+/// Closed-loop single-op clients of the history workload.
+constexpr int kHistoryClients = 8;
+
 /// One workload transaction: 1-4 randomized ops (Zipf-skewed keys so some
 /// segments run hot enough to earn replicas and heat moves), then commit,
 /// deliberate abort, or — when the data path refused an op mid-txn — a
 /// forced abort. Ground truth is updated only from *definite* outcomes; a
 /// failed Commit() leaves its keys fuzzy (the fault may have landed after
 /// the commit point, so asserting either outcome would be wrong).
-void RunOneTxn(Session* session, TableId table, const ChaosConfig& config,
-               Rng* rng, uint64_t* next_seq, GroundTruth* truth) {
+void RunOneTxn(Session* session, TableId table, Rng* rng, uint64_t* next_seq,
+               GroundTruth* truth) {
   struct StagedOp {
     bool is_delete;
     Key key;
@@ -64,9 +84,9 @@ void RunOneTxn(Session* session, TableId table, const ChaosConfig& config,
   for (int i = 0; i < ops && !doomed; ++i) {
     const Key key =
         rng->UniformDouble() < 0.5
-            ? static_cast<Key>(rng->Zipf(config.max_key, 0.8))
+            ? static_cast<Key>(rng->Zipf(kMaxKey, 0.8))
             : static_cast<Key>(
-                  rng->UniformInt(0, static_cast<int64_t>(config.max_key) - 1));
+                  rng->UniformInt(0, static_cast<int64_t>(kMaxKey) - 1));
     const double roll = rng->UniformDouble();
     if (roll < 0.55) {
       const uint64_t seq = (*next_seq)++;
@@ -88,7 +108,7 @@ void RunOneTxn(Session* session, TableId table, const ChaosConfig& config,
     } else if (roll < 0.90) {
       (void)txn.Get(table, key);
     } else {
-      const KeyRange r{key, std::min<Key>(key + 64, config.max_key)};
+      const KeyRange r{key, std::min<Key>(key + 64, kMaxKey)};
       (void)txn.Scan(table, r, [](const storage::Record&) { return true; });
     }
   }
@@ -122,15 +142,15 @@ void RunOneTxn(Session* session, TableId table, const ChaosConfig& config,
 /// committed batch applies exactly the per-key OK statuses; a refused key
 /// inside a committed batch definitely did not apply, so its seq joins the
 /// aborted set (it must never surface).
-void RunMultiPut(Session* session, TableId table, const ChaosConfig& config,
-                 Rng* rng, uint64_t* next_seq, GroundTruth* truth) {
+void RunMultiPut(Session* session, TableId table, Rng* rng, uint64_t* next_seq,
+                 GroundTruth* truth) {
   const int n = static_cast<int>(rng->UniformInt(2, 8));
   std::vector<cluster::KeyValue> kvs;
   std::vector<uint64_t> seqs;
   kvs.reserve(n);
   for (int i = 0; i < n; ++i) {
-    const Key key = static_cast<Key>(
-        rng->UniformInt(0, static_cast<int64_t>(config.max_key) - 1));
+    const Key key =
+        static_cast<Key>(rng->UniformInt(0, static_cast<int64_t>(kMaxKey) - 1));
     const uint64_t seq = (*next_seq)++;
     kvs.push_back({key, EncodePayload(key, seq)});
     seqs.push_back(seq);
@@ -294,8 +314,7 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
   };
 
   // --- Topology + policy, drawn from the seed ----------------------------
-  const int num_nodes =
-      static_cast<int>(rng.UniformInt(config.min_nodes, config.max_nodes));
+  const int num_nodes = static_cast<int>(rng.UniformInt(kMinNodes, kMaxNodes));
   result.nodes = num_nodes;
 
   cluster::MasterPolicy policy;
@@ -305,7 +324,6 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
   policy.enable_scale_out = false;
   policy.enable_scale_in = false;
   policy.recovery.auto_heal = true;
-  policy.recovery.declare_dead_after = 2;
   policy.recovery.restart_backoff =
       rng.UniformDouble() < 0.5 ? 0 : 500 * kUsPerMs;
   policy.recovery.exclude_after_crashes =
@@ -335,9 +353,7 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
 
   // --- Fault schedule ----------------------------------------------------
   const SimTime fault_lo = 2 * kUsPerSec;
-  const SimTime fault_hi = config.workload_duration > 4 * kUsPerSec
-                               ? config.workload_duration - 2 * kUsPerSec
-                               : config.workload_duration;
+  const SimTime fault_hi = kWorkloadDuration - 2 * kUsPerSec;
   auto pick_node = [&]() {
     return NodeId(static_cast<uint32_t>(rng.UniformInt(1, num_nodes - 1)));
   };
@@ -525,7 +541,7 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
   }
   Db& db = *opened.value();
   db.cluster().set_epoch_fencing(config.epoch_fencing);
-  auto created = db.CreateKvTable("chaos", 16, config.max_key,
+  auto created = db.CreateKvTable("chaos", 16, kMaxKey,
                                   /*segments_per_partition=*/2);
   if (!created.ok()) {
     result.violations.push_back("CreateKvTable failed: " +
@@ -580,12 +596,12 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
   workload::KvWorkload* history_kv = nullptr;
   if (config.record_history) {
     workload::KvConfig kcfg;
-    kcfg.num_clients = config.history_clients;
+    kcfg.num_clients = kHistoryClients;
     kcfg.think_time = 10 * kUsPerMs;
     kcfg.read_ratio = 0.6;
     kcfg.batch_size = 1;
     kcfg.batched = false;
-    kcfg.num_keys = config.history_keys;
+    kcfg.num_keys = kHistoryKeys;
     kcfg.value_bytes = 16;  // EncodePayload width.
     kcfg.history_payloads = true;
     kcfg.seed = config.seed * 31 + 7;
@@ -604,14 +620,14 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
   Session session = db.OpenSession();
   GroundTruth truth;
   uint64_t next_seq = 1;
-  const SimTime t_end = db.Now() + config.workload_duration;
+  const SimTime t_end = db.Now() + kWorkloadDuration;
   while (db.Now() < t_end) {
     const int txns = static_cast<int>(rng.UniformInt(2, 5));
     for (int i = 0; i < txns; ++i) {
-      RunOneTxn(&session, table, config, &rng, &next_seq, &truth);
+      RunOneTxn(&session, table, &rng, &next_seq, &truth);
     }
     if (rng.UniformDouble() < 0.2) {
-      RunMultiPut(&session, table, config, &rng, &next_seq, &truth);
+      RunMultiPut(&session, table, &rng, &next_seq, &truth);
     }
     db.RunFor(250 * kUsPerMs);
   }
@@ -627,7 +643,7 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
     const NodeId id(static_cast<uint32_t>(i));
     if (db.cluster().node_state(id).partitioned) (void)db.HealPartition(id);
   }
-  const SimTime settle_deadline = db.Now() + config.settle_timeout;
+  const SimTime settle_deadline = db.Now() + kSettleTimeout;
   std::string blocker = ConvergenceBlocker(db, table);
   while (!blocker.empty() && db.Now() < settle_deadline) {
     for (int i = 1; i < total_nodes; ++i) {
@@ -645,7 +661,7 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
   }
 
   // --- Invariant audit ---------------------------------------------------
-  for (std::string& v : CheckInvariants(db, table, config.max_key, truth)) {
+  for (std::string& v : CheckInvariants(db, table, kMaxKey, truth)) {
     result.violations.push_back(std::move(v));
   }
 

@@ -86,15 +86,17 @@ void Master::ControlTick() {
   const auto stats = monitor_.Sample(policy_.stats_window);
   CheckHeartbeats(stats);
   CheckOverload();
-  MaybeBalanceHeat();
-  if (policy_.replica.enabled && replicas_ != nullptr) {
-    // The replica selector consumes the same per-segment heat EWMA the
-    // balancer maintains; keep it advancing when the balancer is off.
-    if (!policy_.balance.enabled) {
-      monitor_.UpdateHeat(policy_.check_period, policy_.balance.ewma_alpha);
-    }
-    replicas_->Tick();
+  // The heat balancer and the replica selector read the same per-segment
+  // heat EWMA. Advance it every tick — idle windows must cool segments
+  // down — but only after CheckHeartbeats, so a promotion there still
+  // breaks ties on the previous tick's heat.
+  const bool balancing = policy_.balance.enabled && repartitioner_ != nullptr;
+  const bool replicating = policy_.replica.enabled && replicas_ != nullptr;
+  if (balancing || replicating) {
+    monitor_.UpdateHeat(policy_.check_period, policy_.balance.ewma_alpha);
   }
+  MaybeBalanceHeat();
+  if (replicating) replicas_->Tick();
   if (repartitioner_ == nullptr || !repartitioner_->InProgress()) {
     MaybeScaleOut(stats);
     MaybeScaleIn(stats);
@@ -117,20 +119,19 @@ void Master::CheckHeartbeats(const std::vector<NodeStats>& stats) {
     if (state.healing) continue;   // Restart in flight: booting and redo
                                    // take a while.
     const int misses = cluster_->NoteMissedWindow(s.node);
-    if (misses == 1 && policy_.recovery.declare_dead_after > 1) {
+    if (misses == 1) {
       Emit(ControlEventType::kNodeSuspected, s.node,
-           "missed 1 of " +
-               std::to_string(policy_.recovery.declare_dead_after) +
+           "missed 1 of " + std::to_string(kDeclareDeadAfter) +
                " heartbeat windows");
     }
-    if (misses >= policy_.recovery.declare_dead_after) DeclareDead(s.node);
+    if (misses >= kDeclareDeadAfter) DeclareDead(s.node);
   }
 }
 
 void Master::DeclareDead(NodeId node) {
   const int crashes = cluster_->NoteDeclaredDead(node);
   Emit(ControlEventType::kNodeDeclaredDead, node,
-       "missed " + std::to_string(policy_.recovery.declare_dead_after) +
+       "missed " + std::to_string(kDeclareDeadAfter) +
            " consecutive windows; crash #" + std::to_string(crashes));
   // The scheme abandons queued moves touching the node; idempotent when the
   // recovery manager already notified it at crash time.
@@ -434,7 +435,8 @@ void Master::CheckOverload() {
   }
   last_overload_node_ = deepest_node;
   ++overload_streak_;
-  if (overload_streak_ >= ap.overload_trigger_after && !overload_announced_) {
+  if (overload_streak_ >= admission::kOverloadTriggerAfter &&
+      !overload_announced_) {
     overload_announced_ = true;
     Emit(ControlEventType::kOverloadDetected, deepest_node,
          std::to_string(over_nodes) + " node(s) past " + std::to_string(line) +
@@ -448,8 +450,6 @@ void Master::CheckOverload() {
 void Master::MaybeBalanceHeat() {
   const BalancePolicy& bp = policy_.balance;
   if (!bp.enabled || repartitioner_ == nullptr) return;
-  // Advance the EWMA every tick — idle windows must cool segments down.
-  monitor_.UpdateHeat(policy_.check_period, bp.ewma_alpha);
   if (!repartitioner_->SupportsDrain()) return;  // Needs ownership transfer.
 
   const auto node_heat = monitor_.NodeHeats();

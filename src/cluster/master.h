@@ -113,6 +113,10 @@ class Repartitioner {
   virtual void OnNodeFailure(NodeId down) { (void)down; }
 };
 
+/// Consecutive missed Monitor::Sample windows before a previously-active
+/// node is declared dead (k). The first miss only raises kNodeSuspected.
+inline constexpr int kDeclareDeadAfter = 2;
+
 /// What the self-healing control loop does with nodes it declares dead.
 /// §3.4 has the master continuously correlating node reports with cluster
 /// state and *reacting* — node departure is a first-class event, not an
@@ -122,9 +126,6 @@ struct RecoveryPolicy {
   /// dead (and notifies the scheme) but never restarts or drains — the
   /// "without auto-healing" baseline of bench_self_healing.
   bool auto_heal = true;
-  /// Consecutive missed Monitor::Sample windows before a previously-active
-  /// node is declared dead (k).
-  int declare_dead_after = 2;
   /// Restart-in-place until a node has been declared dead this many times;
   /// from then on it is treated as flaky — restarted once more for data
   /// access, drained onto survivors, powered off, and excluded from any
@@ -319,11 +320,11 @@ class Master {
   }
 
   /// Overload pressure is currently sustained: queue depths have sat past
-  /// overload_ratio × max_queue_ops for overload_trigger_after ticks. Feeds
-  /// MaybeScaleOut and relaxes the heat-balance trigger.
+  /// overload_ratio × max_queue_ops for admission::kOverloadTriggerAfter
+  /// ticks. Feeds MaybeScaleOut and relaxes the heat-balance trigger.
   bool OverloadPressure() const {
     return policy_.admission.enabled &&
-           overload_streak_ >= policy_.admission.overload_trigger_after;
+           overload_streak_ >= admission::kOverloadTriggerAfter;
   }
 
   // --- Heat-balancing observers -------------------------------------------
@@ -350,7 +351,7 @@ class Master {
   void CheckOverload();
 
   // Heat balancing internals.
-  /// Update the monitor's heat EWMA and, when the imbalance trigger has
+  /// When the imbalance trigger on the (already advanced) heat EWMA has
   /// held for `trigger_after` ticks, plan and start a round of moves.
   void MaybeBalanceHeat();
   /// Greedy plan: hottest segments of `hot` onto the coldest eligible

@@ -193,8 +193,7 @@ StatusOr<storage::Segment*> Node::AllocateSegment(SimTime now,
 
 StatusOr<storage::Segment*> Node::SegmentForInsert(SimTime now, tx::Txn* txn,
                                                    catalog::Partition* part,
-                                                   Key key,
-                                                   size_t record_bytes) {
+                                                   Key key) {
   const SegmentId sid = part->SegmentFor(key);
   if (!sid.valid()) {
     // No covering segment: carve the gap between neighbors, clamped to the
@@ -214,7 +213,6 @@ StatusOr<storage::Segment*> Node::SegmentForInsert(SimTime now, tx::Txn* txn,
   }
   storage::Segment* seg = segments_->Get(sid);
   WATTDB_CHECK(seg != nullptr);
-  (void)record_bytes;
   // While the segment can still materialize pages it can always accept the
   // record (pages grow on demand up to the 32 MB geometry).
   if (seg->page_count() < kPagesPerSegment) {
@@ -255,7 +253,7 @@ Status Node::Insert(tx::Txn* txn, catalog::Partition* part, Key key,
   LockForWrite(txn, part, key);
   // Resolve the target segment first so the probe charge can be routed to
   // its worker lane (allocation/split costs inside still charge normally).
-  auto seg = SegmentForInsert(txn->now, txn, part, key, payload.size());
+  auto seg = SegmentForInsert(txn->now, txn, part, key);
   if (!seg.ok()) return seg.status();
   ChargeCpu(txn, ProbeCost(seg.value()), seg.value());
   auto pos = seg.value()->Insert(key, payload);
@@ -435,8 +433,7 @@ Status Node::RedoInto(catalog::Partition* part,
     if (rec.partition != part->id()) continue;
     switch (rec.type) {
       case tx::LogRecordType::kInsert: {
-        auto seg = SegmentForInsert(/*now=*/0, /*txn=*/nullptr, part, rec.key,
-                                    rec.after_image.size());
+        auto seg = SegmentForInsert(/*now=*/0, /*txn=*/nullptr, part, rec.key);
         if (!seg.ok()) return seg.status();
         auto pos = seg.value()->Insert(rec.key, rec.after_image);
         if (!pos.ok() && !pos.status().IsAlreadyExists()) return pos.status();

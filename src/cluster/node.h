@@ -67,7 +67,6 @@ class Node {
   }
   storage::BufferManager& buffer() { return buffer_; }
   tx::LogManager& log() { return *log_; }
-  tx::CcScheme cc_scheme() const { return cc_; }
   void set_cc_scheme(tx::CcScheme cc) { cc_ = cc; }
   const NodeCostConfig& costs() const { return costs_; }
 
@@ -126,7 +125,7 @@ class Node {
   /// recovery) — costs then go unaccounted.
   StatusOr<storage::Segment*> SegmentForInsert(SimTime now, tx::Txn* txn,
                                                catalog::Partition* part,
-                                               Key key, size_t record_bytes);
+                                               Key key);
 
   /// SSD to place a new data segment on (HDD is reserved for the WAL).
   hw::Disk* DataDisk(SimTime now);

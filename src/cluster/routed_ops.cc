@@ -188,26 +188,41 @@ int LaneOfKey(Cluster* c, catalog::Partition* part, Key key) {
   return c->lanes().LaneOf(seg);
 }
 
-/// Sub-group one owner group's key indexes by the worker lane of each key's
-/// segment, in first-appearance order. With lanes disabled everything lands
-/// in a single group, so the caller's fan-out loop degenerates to the plain
-/// serial batch.
-std::vector<std::vector<size_t>> GroupByLane(
-    Cluster* c, const std::vector<size_t>& idxs,
-    const std::function<int(size_t)>& lane_of) {
-  if (!c->lanes().enabled()) return {idxs};
-  std::vector<std::vector<size_t>> groups;
-  std::unordered_map<int, size_t> group_of;
-  group_of.reserve(idxs.size());
-  for (size_t i : idxs) {
-    auto [it, inserted] = group_of.emplace(lane_of(i), groups.size());
-    if (inserted) {
-      groups.push_back({i});
-    } else {
-      groups[it->second].push_back(i);
+/// Fan one owner group out over the worker lanes of its keys' segments —
+/// shared-nothing intra-node parallelism. The key indexes are sub-grouped
+/// by lane in first-appearance order (`lane_of` runs once per index, in
+/// index order: lanes are assigned lazily). Every lane's sub-batch runs
+/// `body(i)` per index from the same start instant on that lane's private
+/// timeline, and the group completes when its slowest lane does. With
+/// lanes disabled the group is one plain serial batch.
+template <typename LaneOf, typename Body>
+void FanOutByLane(Cluster* c, tx::Txn* txn, const std::vector<size_t>& idxs,
+                  LaneOf&& lane_of, Body&& body) {
+  const SimTime start = txn->now;
+  SimTime done = start;
+  auto run = [&](const std::vector<size_t>& lane_idxs) {
+    txn->now = start;
+    for (size_t i : lane_idxs) body(i);
+    done = std::max(done, txn->now);
+  };
+  if (!c->lanes().enabled()) {
+    run(idxs);
+  } else {
+    std::vector<std::vector<size_t>> groups;
+    std::unordered_map<int, size_t> group_of;
+    group_of.reserve(idxs.size());
+    for (size_t i : idxs) {
+      auto [it, inserted] = group_of.emplace(lane_of(i), groups.size());
+      if (inserted) {
+        groups.push_back({i});
+      } else {
+        groups[it->second].push_back(i);
+      }
     }
+    for (const auto& lane_idxs : groups) run(lane_idxs);
   }
-  return groups;
+  txn->now = start;
+  txn->AdvanceTo(done);
 }
 
 }  // namespace
@@ -251,34 +266,24 @@ Status RoutedMultiRead(Cluster* c, tx::Txn* txn, TableId table,
     }
     // One request listing the group's keys, one response carrying its
     // records: the whole group rides a single round trip. On the owner the
-    // group fans out over the worker lanes of its keys' segments —
-    // shared-nothing intra-node parallelism: every lane's sub-batch starts
-    // at the same instant and runs on that lane's private timeline, and the
-    // group completes when its slowest lane does.
+    // group fans out over the worker lanes of its keys' segments.
     size_t resp_bytes = 32;
-    const SimTime group_start = txn->now;
-    SimTime group_done = group_start;
-    for (const auto& lane_idxs : GroupByLane(c, idxs, [&](size_t i) {
-           return LaneOfKey(c, routes[i].part, keys[i]);
-         })) {
-      txn->now = group_start;
-      for (size_t i : lane_idxs) {
-        storage::Record rec;
-        Status s = c->node(owner)->Read(txn, routes[i].part, keys[i], &rec);
-        resp_bytes += s.ok() ? 32 + rec.StoredSize() : 8;
-        // Conservative replica tagging: a straggler retry below may still
-        // land on the authoritative copy, but over-tagging only relaxes
-        // what history checking asserts about the observation.
-        if ((s.ok() || s.IsNotFound()) && routes[i].part->is_replica()) {
-          ++txn->replica_reads;
-        }
-        (*out)[i] = s.ok() ? StatusOr<storage::Record>(std::move(rec))
-                           : StatusOr<storage::Record>(s);
+    auto lane_of = [&](size_t i) {
+      return LaneOfKey(c, routes[i].part, keys[i]);
+    };
+    FanOutByLane(c, txn, idxs, lane_of, [&](size_t i) {
+      storage::Record rec;
+      Status s = c->node(owner)->Read(txn, routes[i].part, keys[i], &rec);
+      resp_bytes += s.ok() ? 32 + rec.StoredSize() : 8;
+      // Conservative replica tagging: a straggler retry below may still
+      // land on the authoritative copy, but over-tagging only relaxes what
+      // history checking asserts about the observation.
+      if ((s.ok() || s.IsNotFound()) && routes[i].part->is_replica()) {
+        ++txn->replica_reads;
       }
-      group_done = std::max(group_done, txn->now);
-    }
-    txn->now = group_start;
-    txn->AdvanceTo(group_done);
+      (*out)[i] = s.ok() ? StatusOr<storage::Record>(std::move(rec))
+                         : StatusOr<storage::Record>(s);
+    });
     c->ChargeClientHop(txn, owner, 96 + 8 * idxs.size(), resp_bytes);
     if (owner != master_id) ++local.owner_round_trips;
     CompleteOps(c, txn, owner, static_cast<int>(idxs.size()));
@@ -334,23 +339,13 @@ Status RoutedMultiWrite(Cluster* c, tx::Txn* txn, TableId table,
     c->ChargeClientHop(txn, owner, req_bytes, 32);
     if (owner != master_id) ++local.owner_round_trips;
 
-    // Fan the group out over worker lanes exactly as RoutedMultiRead does:
-    // each lane's sub-batch starts at the fan-out instant, the group
-    // completes when its slowest lane does.
-    const SimTime group_start = txn->now;
-    SimTime group_done = group_start;
-    for (const auto& lane_idxs : GroupByLane(c, idxs, [&](size_t i) {
-           return LaneOfKey(c, routes[i].part, kvs[i].key);
-         })) {
-      txn->now = group_start;
-      for (size_t i : lane_idxs) {
-        (*out)[i] = WriteAt(c, txn, table, kvs[i].key, routes[i],
-                            WriteOp::kUpsert, kvs[i].payload, &local);
-      }
-      group_done = std::max(group_done, txn->now);
-    }
-    txn->now = group_start;
-    txn->AdvanceTo(group_done);
+    auto lane_of = [&](size_t i) {
+      return LaneOfKey(c, routes[i].part, kvs[i].key);
+    };
+    FanOutByLane(c, txn, idxs, lane_of, [&](size_t i) {
+      (*out)[i] = WriteAt(c, txn, table, kvs[i].key, routes[i],
+                          WriteOp::kUpsert, kvs[i].payload, &local);
+    });
     CompleteOps(c, txn, owner, static_cast<int>(idxs.size()));
   }
 

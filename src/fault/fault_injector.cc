@@ -109,10 +109,7 @@ void FaultInjector::Fire(FaultPlan::Crash spec, uint64_t generation) {
     cluster_->events().ScheduleAfter(spec.restart_after, [this, spec]() {
       // Auto-restarts survive Disarm so churn plans cannot leave a node
       // permanently dark.
-      const Status restarted = recovery_->Restart(
-          spec.node, [this](const RecoveryReport& report) {
-            if (on_recovered_) on_recovered_(report);
-          });
+      const Status restarted = recovery_->Restart(spec.node);
       if (restarted.ok()) ++restarts_injected_;
     });
   }

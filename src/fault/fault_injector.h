@@ -2,7 +2,6 @@
 #define WATTDB_FAULT_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -142,11 +141,6 @@ class FaultInjector {
   /// its progress. May be null (those triggers then never fire).
   void set_replica_manager(replica::ReplicaManager* rm) { replicas_ = rm; }
 
-  /// Callback invoked after every injected restart finishes recovery.
-  void set_on_recovered(std::function<void(const RecoveryReport&)> cb) {
-    on_recovered_ = std::move(cb);
-  }
-
   int crashes_injected() const { return crashes_injected_; }
   int restarts_injected() const { return restarts_injected_; }
   int partitions_injected() const { return partitions_injected_; }
@@ -159,7 +153,6 @@ class FaultInjector {
   RecoveryManager* recovery_;
   cluster::Repartitioner* scheme_;
   replica::ReplicaManager* replicas_ = nullptr;
-  std::function<void(const RecoveryReport&)> on_recovered_;
   /// Bumped by Disarm(); events from older generations become no-ops.
   uint64_t generation_ = 0;
   int crashes_injected_ = 0;

@@ -37,14 +37,6 @@ void TimeSeries::RecordPower(SimTime from, SimTime to, double watts) {
   }
 }
 
-std::vector<double> TimeSeries::AxisSeconds() const {
-  std::vector<double> out;
-  for (const auto& [b, bucket] : buckets_) {
-    out.push_back(static_cast<double>(b) * ToSeconds(bucket_width_));
-  }
-  return out;
-}
-
 std::string TimeSeries::ToTable(const std::string& label) const {
   std::ostringstream os;
   os << "# " << label << "\n";

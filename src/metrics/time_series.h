@@ -47,8 +47,6 @@ class TimeSeries {
   /// Record power for the window [from, to) at `watts`.
   void RecordPower(SimTime from, SimTime to, double watts);
 
-  /// Axis seconds (relative to origin) of the first/last bucket.
-  std::vector<double> AxisSeconds() const;
   const std::map<int64_t, SeriesBucket>& buckets() const { return buckets_; }
   double BucketSeconds() const { return ToSeconds(bucket_width_); }
 

@@ -20,11 +20,6 @@ class LogicalPartitioning : public MigrationManagerBase {
 
   std::string name() const override { return "logical"; }
 
-  /// Bytes of blocked-writer "pending change lists" accumulated while
-  /// records were locked mid-move (the locking-scheme storage overhead the
-  /// paper contrasts with MVCC version storage in Fig. 3).
-  int64_t pending_change_bytes() const { return pending_change_bytes_; }
-
  protected:
   void ExecuteTask(const MoveTask& task, std::function<void()> next) override;
   bool TransfersOwnership() const override { return true; }
@@ -33,8 +28,6 @@ class LogicalPartitioning : public MigrationManagerBase {
   void MoveBatch(const MoveTask& task, PartitionId dst_id, Key cursor,
                  std::function<void()> next);
   void FinalizeRange(const MoveTask& task, PartitionId dst_id);
-
-  int64_t pending_change_bytes_ = 0;
 };
 
 }  // namespace wattdb::partition

@@ -159,7 +159,6 @@ int64_t ReplicaManager::CatchUp(const std::shared_ptr<ReplicaInfo>& rep,
   rep->records_applied += static_cast<int64_t>(tail.size());
   rep->bytes_shipped += static_cast<int64_t>(bytes);
   replication_bytes_ += static_cast<int64_t>(bytes);
-  log_records_shipped_ += static_cast<int64_t>(tail.size());
   return lag;
 }
 
@@ -475,7 +474,6 @@ int ReplicaManager::PromoteReplicasOf(NodeId dead) {
       rep->records_applied += static_cast<int64_t>(tail.size());
       rep->bytes_shipped += static_cast<int64_t>(bytes);
       replication_bytes_ += static_cast<int64_t>(bytes);
-      log_records_shipped_ += static_cast<int64_t>(tail.size());
     }
     rep->applied_lsn = src->log().next_lsn() - 1;
 

@@ -93,7 +93,6 @@ class ReplicaManager {
   /// Bootstrap + log-shipping bytes across all replicas ever (the
   /// replication network tax reported by bench_warm_replicas).
   int64_t replication_bytes() const { return replication_bytes_; }
-  int64_t log_records_shipped() const { return log_records_shipped_; }
 
   /// Lifecycle progress of the current replica set, for fault triggers
   /// ("crash the owner at 50% of replica catch-up"): each replica
@@ -128,7 +127,6 @@ class ReplicaManager {
   std::vector<std::shared_ptr<ReplicaInfo>> replicas_;
 
   int64_t replication_bytes_ = 0;
-  int64_t log_records_shipped_ = 0;
 };
 
 }  // namespace wattdb::replica

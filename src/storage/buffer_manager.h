@@ -87,10 +87,6 @@ class BufferManager {
   int64_t remote_memory_hits() const { return remote_memory_hits_; }
   int64_t dirty_writebacks() const { return dirty_writebacks_; }
   size_t resident_pages() const { return frames_.size(); }
-  double HitRate() const {
-    const int64_t total = hits_ + misses_;
-    return total == 0 ? 0.0 : static_cast<double>(hits_) / total;
-  }
 
   NodeId node() const { return node_; }
   const BufferSpec& spec() const { return spec_; }

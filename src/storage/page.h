@@ -54,22 +54,9 @@ class Page {
 
   /// Live (non-tombstoned) record count.
   uint16_t record_count() const { return record_count_; }
-  uint16_t slot_count() const { return static_cast<uint16_t>(slots_.size()); }
 
   /// Bytes occupied by live record bodies.
   size_t LiveBytes() const { return live_bytes_; }
-
-  uint64_t lsn() const { return lsn_; }
-  void set_lsn(uint64_t lsn) { lsn_ = lsn; }
-
-  /// Visit every live slot: fn(slot, data, size).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (uint16_t s = 0; s < slots_.size(); ++s) {
-      if (slots_[s].offset == kTombstone) continue;
-      fn(s, frame_.data() + slots_[s].offset, slots_[s].length);
-    }
-  }
 
   /// Squeeze out dead space; slot numbers are preserved.
   void Compact();
@@ -90,7 +77,6 @@ class Page {
   size_t free_ptr_;           // Start of the packed record area.
   size_t live_bytes_ = 0;     // Total bytes of live record bodies.
   uint16_t record_count_ = 0;
-  uint64_t lsn_ = 0;
 };
 
 }  // namespace wattdb::storage

@@ -155,8 +155,7 @@ Status TpccDatabase::LoadWarehouse(int64_t w, NodeId home) {
 
   auto insert = [&](TpccTable t, Key key) -> Status {
     catalog::Partition* part = parts[static_cast<int>(t)];
-    auto seg = node->SegmentForInsert(now, /*txn=*/nullptr, part, key,
-                                      TpccRecordBytes(t));
+    auto seg = node->SegmentForInsert(now, /*txn=*/nullptr, part, key);
     if (!seg.ok()) return seg.status();
     auto pos = seg.value()->Insert(key, MakePayload(t, &rng_));
     if (!pos.ok()) return pos.status();

@@ -61,11 +61,6 @@ class TpccRunner {
   /// committed/aborted and released.
   TpccTxnResult Run(TpccTxnType type, Rng* rng);
 
-  /// Run one transaction drawn from `mix`.
-  TpccTxnResult RunMixed(const TpccMix& mix, Rng* rng) {
-    return Run(mix.Pick(rng), rng);
-  }
-
   int64_t aborts() const { return aborts_; }
 
  private:

@@ -33,8 +33,7 @@ TEST(AdmissionController, CapsAndGlobalTimePruning) {
   admission::AdmissionController ctl;
   admission::AdmissionPolicy ap;
   ap.enabled = true;
-  ap.max_queue_ops = 4;
-  ap.batch_share = 0.5;  // Batch cap: 2.
+  ap.max_queue_ops = 4;  // Batch cap (kBatchShare): 2.
   ctl.set_policy(ap);
   const NodeId n1(1);
   const auto lat = admission::OpClass::kLatencySensitive;
@@ -110,16 +109,7 @@ TEST(Admission, OpenValidatesPolicyKnobs) {
   ap.max_queue_ops = 0;
   EXPECT_TRUE(with(ap).IsInvalidArgument());
   ap = {};
-  ap.batch_share = 0.0;
-  EXPECT_TRUE(with(ap).IsInvalidArgument());
-  ap = {};
-  ap.batch_share = 1.5;
-  EXPECT_TRUE(with(ap).IsInvalidArgument());
-  ap = {};
   ap.overload_ratio = -0.1;
-  EXPECT_TRUE(with(ap).IsInvalidArgument());
-  ap = {};
-  ap.overload_trigger_after = 0;
   EXPECT_TRUE(with(ap).IsInvalidArgument());
 }
 
@@ -225,8 +215,7 @@ TEST(Admission, UpsertOfFreshKeyIsOneAdmissionUnit) {
 TEST(Admission, BatchClassShedBeforeLatencySensitive) {
   admission::AdmissionPolicy ap;
   ap.enabled = true;
-  ap.max_queue_ops = 2;
-  ap.batch_share = 0.5;  // Batch cap: 1.
+  ap.max_queue_ops = 2;  // Batch cap (kBatchShare): 1.
   auto opened = Db::Open(DbOptions()
                              .WithNodes(2)
                              .WithActiveNodes(2)
@@ -337,7 +326,6 @@ TEST(Admission, SustainedOverloadTriggersScaleOutAndClears) {
   ap.enabled = true;
   ap.max_queue_ops = 16;
   ap.overload_ratio = 0.5;
-  ap.overload_trigger_after = 2;
   cluster::MasterPolicy mp;
   mp.check_period = kUsPerSec / 2;
   mp.stats_window = kUsPerSec;

@@ -1069,14 +1069,14 @@ TEST(Db, RoutesExposeOwnership) {
 // --- Self-healing control loop ---------------------------------------------
 
 /// A fast control loop with elasticity disabled, so only the failure
-/// detector acts: 200 ms ticks, dead after 2 missed windows.
+/// detector acts: 200 ms ticks, dead after kDeclareDeadAfter (2) missed
+/// windows.
 cluster::MasterPolicy HealingPolicy() {
   cluster::MasterPolicy policy;
   policy.check_period = kUsPerSec / 5;
   policy.stats_window = kUsPerSec / 2;
   policy.enable_scale_out = false;
   policy.enable_scale_in = false;
-  policy.recovery.declare_dead_after = 2;
   return policy;
 }
 
@@ -1144,13 +1144,6 @@ TEST(DbOptions, ValidatesMasterPolicy) {
       with([](cluster::MasterPolicy& p) { p.trigger_after = 0; });
   ASSERT_FALSE(bad_trigger.ok());
   EXPECT_TRUE(bad_trigger.status().IsInvalidArgument());
-
-  auto bad_dead = with(
-      [](cluster::MasterPolicy& p) { p.recovery.declare_dead_after = 0; });
-  ASSERT_FALSE(bad_dead.ok());
-  EXPECT_TRUE(bad_dead.status().IsInvalidArgument());
-  EXPECT_NE(bad_dead.status().message().find("declare_dead_after"),
-            std::string::npos);
 
   auto bad_backoff = with(
       [](cluster::MasterPolicy& p) { p.recovery.restart_backoff = -1; });

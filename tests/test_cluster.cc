@@ -556,7 +556,6 @@ TEST(Master, UnwiredMasterDetectsButCannotHealACrash) {
   policy.stats_window = kUsPerSec;
   policy.enable_scale_out = false;
   policy.enable_scale_in = false;
-  policy.recovery.declare_dead_after = 2;
   Master master(&c, &scheme, policy);
   master.Start();
   c.RunUntil(2 * kUsPerSec + kUsPerMs);
@@ -591,6 +590,67 @@ TEST(Master, UnwiredMasterDetectsButCannotHealACrash) {
     EXPECT_EQ(master.event_count(static_cast<ControlEventType>(t)),
               on_timeline[t]);
   }
+}
+
+// The heartbeat detector's two stages: one missed window only raises
+// suspicion; the node is declared dead once kDeclareDeadAfter consecutive
+// windows have gone by without a report. Each stage fires once, in order.
+TEST(Master, DetectorSuspectsAfterOneWindowAndDeclaresDeadAfterK) {
+  Cluster c(SmallConfig(4, 3));
+  partition::PhysiologicalPartitioning scheme(&c);
+  MasterPolicy policy;
+  policy.check_period = kUsPerSec;
+  policy.stats_window = kUsPerSec;
+  policy.enable_scale_out = false;
+  policy.enable_scale_in = false;
+  Master master(&c, &scheme, policy);
+  master.Start();
+  c.RunUntil(2 * kUsPerSec + kUsPerMs);
+  ASSERT_TRUE(c.node_state(NodeId(2)).watched) << "node 2 reported";
+
+  fault::RecoveryManager faults(&c, &scheme);
+  ASSERT_TRUE(faults.Crash(NodeId(2)).ok());
+  const auto suspected = [&] {
+    return master.event_count(ControlEventType::kNodeSuspected);
+  };
+  const auto dead = [&] {
+    return master.event_count(ControlEventType::kNodeDeclaredDead);
+  };
+  EXPECT_EQ(suspected(), 0);
+
+  // One window missed: suspected, not yet dead.
+  c.RunUntil(c.Now() + policy.check_period);
+  EXPECT_EQ(suspected(), 1);
+  EXPECT_EQ(dead(), 0);
+  for (int missed = 2; missed < kDeclareDeadAfter; ++missed) {
+    c.RunUntil(c.Now() + policy.check_period);
+    EXPECT_EQ(dead(), 0) << "only " << missed << " windows missed";
+  }
+
+  // The k-th missed window declares the node dead.
+  c.RunUntil(c.Now() + policy.check_period);
+  EXPECT_EQ(suspected(), 1);
+  EXPECT_EQ(dead(), 1);
+
+  // Later windows emit neither again: a declared-dead node is unwatched.
+  c.RunUntil(c.Now() + 3 * policy.check_period);
+  EXPECT_EQ(suspected(), 1);
+  EXPECT_EQ(dead(), 1);
+
+  std::vector<ControlEvent> detector;
+  for (const auto& e : master.control_events()) {
+    if (e.type == ControlEventType::kNodeSuspected ||
+        e.type == ControlEventType::kNodeDeclaredDead) {
+      detector.push_back(e);
+    }
+  }
+  ASSERT_EQ(detector.size(), 2u);
+  EXPECT_EQ(detector[0].type, ControlEventType::kNodeSuspected);
+  EXPECT_EQ(detector[1].type, ControlEventType::kNodeDeclaredDead);
+  EXPECT_EQ(detector[0].node, NodeId(2));
+  EXPECT_EQ(detector[1].node, NodeId(2));
+  EXPECT_EQ(detector[1].at - detector[0].at,
+            (kDeclareDeadAfter - 1) * policy.check_period);
 }
 
 }  // namespace

@@ -45,7 +45,6 @@ struct SoakArgs {
   bool fencing = true;
   bool history = false;
   bool elasticity = false;
-  int duration_s = 20;
   bool verbose = false;
 };
 
@@ -54,7 +53,6 @@ void Usage() {
       << "usage: chaos_soak [--seeds N] [--base-seed B] [--seed X]\n"
       << "                  [--out report.json] [--no-fencing] [--history]\n"
       << "                  [--elasticity] [--history-out file.json]\n"
-      << "                  [--duration-s S]\n"
       << "  --seeds N       run seeds B..B+N-1 (default 50)\n"
       << "  --base-seed B   first seed of the sweep (default 1)\n"
       << "  --seed X        replay a single seed and print its fault\n"
@@ -68,8 +66,6 @@ void Usage() {
       << "                  history_violation.json)\n"
       << "  --elasticity    race seeded scale-out / drain / scale-in\n"
       << "                  decisions against the fault schedule\n"
-      << "  --duration-s S  simulated workload seconds per seed (default "
-         "20)\n"
       << "  --verbose       engine INFO logging (replay debugging)\n";
 }
 
@@ -114,16 +110,12 @@ bool ParseArgs(int argc, char** argv, SoakArgs* args) {
       args->elasticity = true;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       args->verbose = true;
-    } else if (is_flag(i, "--duration-s")) {
-      const char* v = value_of(&i);
-      if (v == nullptr) return false;
-      args->duration_s = std::atoi(v);
     } else {
       std::cerr << "unknown argument: " << argv[i] << "\n";
       return false;
     }
   }
-  return args->seeds > 0 && args->duration_s > 0;
+  return args->seeds > 0;
 }
 
 std::string ReplayCommand(const SoakArgs& args, uint64_t seed) {
@@ -131,9 +123,6 @@ std::string ReplayCommand(const SoakArgs& args, uint64_t seed) {
   if (!args.fencing) cmd += " --no-fencing";
   if (args.history) cmd += " --history";
   if (args.elasticity) cmd += " --elasticity";
-  if (args.duration_s != 20) {
-    cmd += " --duration-s " + std::to_string(args.duration_s);
-  }
   return cmd;
 }
 
@@ -166,8 +155,6 @@ int main(int argc, char** argv) {
     config.epoch_fencing = args.fencing;
     config.record_history = args.history;
     config.elasticity = args.elasticity;
-    config.workload_duration =
-        static_cast<wattdb::SimTime>(args.duration_s) * wattdb::kUsPerSec;
     const auto t0 = std::chrono::steady_clock::now();
     const ScenarioResult result = wattdb::chaos::RunScenario(config);
     const int64_t ms = std::chrono::duration_cast<std::chrono::milliseconds>(
