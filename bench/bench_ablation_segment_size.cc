@@ -48,7 +48,7 @@ AblationResult RunWithChunk(size_t chunk_bytes, double cost_scale) {
 
   AblationResult out;
   out.migration_secs = ToSeconds(*window);
-  out.avg_qps_during = pool.completed() / ToSeconds(*window);
+  out.avg_qps_during = pool.committed() / ToSeconds(*window);
   out.avg_ms_during = pool.latencies().mean() / kUsPerMs;
   return out;
 }

@@ -55,7 +55,7 @@ SchemeOutcome RunScheme(const RebalanceSetup& setup,
   db.RunUntil(Warmup() + RunAfter());
   rig.pool->Stop();
 
-  out.completed = rig.pool->completed();
+  out.completed = rig.pool->committed();
   out.aborted = rig.pool->aborted();
   // Logical may still be mid-move when the window closes (it is the slow
   // scheme by design); a negative duration must not reach the gate.

@@ -56,7 +56,7 @@ HelperOutcome RunOne(bool helpers) {
   });
   db.RunUntil(Warmup() + RunAfter());
   rig.pool->Stop();
-  out.completed = rig.pool->completed();
+  out.completed = rig.pool->committed();
   out.migration_secs =
       db.scheme().stats().finished_at > db.scheme().stats().started_at
           ? ToSeconds(db.scheme().stats().finished_at -

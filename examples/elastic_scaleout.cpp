@@ -64,7 +64,7 @@ int main() {
   int64_t last_completed = 0;
   for (int t = 10; t <= 480; t += 10) {
     db.RunUntil(static_cast<SimTime>(t) * kUsPerSec);
-    const int64_t done = base.completed() + surge.completed();
+    const int64_t done = base.committed() + surge.committed();
     const double qps = (done - last_completed) / 10.0;
     last_completed = done;
     const SimTime now = db.Now();

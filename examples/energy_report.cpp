@@ -48,10 +48,10 @@ RunResult RunAt(int clients, int active_nodes) {
   pool.Stop();
 
   RunResult r;
-  r.qps = pool.completed() / ToSeconds(kWindow);
+  r.qps = pool.committed() / ToSeconds(kWindow);
   r.watts = db.energy().joules() / ToSeconds(kWindow);
-  r.j_per_query = pool.completed() > 0
-                      ? db.energy().joules() / pool.completed()
+  r.j_per_query = pool.committed() > 0
+                      ? db.energy().joules() / pool.committed()
                       : 0.0;
   return r;
 }

@@ -28,7 +28,7 @@ PhaseStats Window(Db* db, workload::ClientPool* pool, SimTime duration) {
   pool->ResetStats();
   db->RunFor(duration);
   PhaseStats s;
-  s.qps = pool->completed() / ToSeconds(duration);
+  s.qps = pool->committed() / ToSeconds(duration);
   s.avg_ms = pool->latencies().mean() / kUsPerMs;
   return s;
 }
@@ -63,7 +63,7 @@ void RunScheme(const std::string& name) {
   const double move_secs =
       moved.ok() ? ToSeconds(*moved) : ToSeconds(600 * kUsPerSec);
   PhaseStats during;
-  during.qps = pool.completed() / move_secs;
+  during.qps = pool.committed() / move_secs;
   during.avg_ms = pool.latencies().mean() / kUsPerMs;
   const PhaseStats after = Window(&db, &pool, 30 * kUsPerSec);
   pool.Stop();

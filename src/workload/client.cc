@@ -1,46 +1,19 @@
 #include "workload/client.h"
 
-#include <algorithm>
-
 #include "chaos/history.h"
-#include "common/logging.h"
 
 namespace wattdb::workload {
 
 ClientPool::ClientPool(TpccDatabase* db, ClientPoolConfig config)
-    : db_(db), config_(config), runner_(db) {
-  for (int i = 0; i < config_.num_clients; ++i) {
-    rngs_.push_back(std::make_unique<Rng>(config_.seed * 7919 + i));
-  }
-}
+    : WorkloadDriver(&db->cluster()->events(), config.num_clients,
+                     config.seed * 7919, config.think_time),
+      runner_(db) {}
 
-void ClientPool::Start() {
-  if (running_) return;
-  running_ = true;
-  auto& events = db_->cluster()->events();
-  for (int i = 0; i < config_.num_clients; ++i) {
-    // Stagger initial arrivals across one think interval so the pool does
-    // not thunder in lock-step.
-    const SimTime offset = static_cast<SimTime>(
-        rngs_[i]->UniformDouble() * static_cast<double>(config_.think_time));
-    events.ScheduleAfter(offset, [this, i]() { ClientLoop(i); });
-  }
-}
-
-void ClientPool::ClientLoop(int client_idx) {
-  if (!running_) return;
-  RunClient(client_idx, config_.mix.Pick(rngs_[client_idx].get()), 0);
-}
-
-void ClientPool::RunClient(int client_idx, TpccTxnType type, int attempt) {
-  if (!running_) return;
-  Rng* rng = rngs_[client_idx].get();
-  const TpccTxnResult result = runner_.Run(type, rng);
-  const bool shed = result.status.IsResourceExhausted();
-  if (shed) ++shed_;
+WorkloadDriver::Attempt ClientPool::RunAttempt(int client, Rng* rng) {
+  const TpccTxnResult result = runner_.Run(mix_.Pick(rng), rng);
   if (history_ != nullptr) {
     chaos::HistoryOp op;
-    op.client = client_idx;
+    op.client = client;
     op.kind = chaos::OpKind::kTxn;
     op.outcome = result.committed ? chaos::OpOutcome::kOk
                                   : chaos::OpOutcome::kFailed;
@@ -49,41 +22,19 @@ void ClientPool::RunClient(int client_idx, TpccTxnType type, int attempt) {
     history_->Record(op);
   }
   if (result.committed) {
-    ++completed_;
-    latencies_.Add(static_cast<double>(result.latency_us));
     if (series_ != nullptr) {
       series_->RecordCompletion(result.completed_at, result.latency_us);
     }
     if (breakdown_ != nullptr) {
       breakdown_->AddTxn(result.profile);
     }
-  } else if (shed && attempt < config_.shed_retries) {
-    // Shed by admission control with retries left: re-submit the *same*
-    // transaction type after a jittered exponential backoff instead of
-    // booking an abort — from the user's side the request is still pending.
-    ++retried_;
-    const double base =
-        static_cast<double>(config_.retry_backoff) *
-        static_cast<double>(int64_t{1} << std::min(attempt, 16));
-    const SimTime backoff = std::max<SimTime>(
-        1, static_cast<SimTime>(base * (0.5 + rng->UniformDouble())));
-    db_->cluster()->events().ScheduleAt(
-        result.completed_at + backoff, [this, client_idx, type, attempt]() {
-          RunClient(client_idx, type, attempt + 1);
-        });
-    return;
-  } else {
-    ++aborted_;
-    if (shed) ++dropped_;
   }
-  // Closed loop: next submission after the answer plus think time.
-  const SimTime think = static_cast<SimTime>(
-      rng->Exponential(static_cast<double>(config_.think_time)));
-  const SimTime next_at = result.completed_at + think;
-  db_->cluster()->events().ScheduleAt(next_at,
-                                      [this, client_idx]() {
-                                        ClientLoop(client_idx);
-                                      });
+  Attempt a;
+  a.completed_at = result.completed_at;
+  a.latency = result.latency_us;
+  a.committed = result.committed;
+  a.shed = result.status.IsResourceExhausted();
+  return a;
 }
 
 }  // namespace wattdb::workload

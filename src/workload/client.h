@@ -1,12 +1,6 @@
 #ifndef WATTDB_WORKLOAD_CLIENT_H_
 #define WATTDB_WORKLOAD_CLIENT_H_
 
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "common/rng.h"
-#include "common/stats.h"
 #include "metrics/breakdown.h"
 #include "metrics/time_series.h"
 #include "workload/driver.h"
@@ -23,26 +17,17 @@ struct ClientPoolConfig {
   int num_clients = 50;
   /// Mean think time between a completion and the next submission.
   SimTime think_time = 100 * kUsPerMs;
-  TpccMix mix;
-  /// Times a transaction shed by admission control (ResourceExhausted) is
-  /// retried — same type, jittered exponential backoff — before the client
-  /// gives up and moves on. 0 = shed work counts as an abort outright.
-  int shed_retries = 0;
-  /// Base backoff before the first retry; doubles per attempt with a
-  /// uniform 0.5-1.5x jitter.
-  SimTime retry_backoff = 50 * kUsPerMs;
   uint64_t seed = 1234;
 };
 
+/// Each attempt draws a transaction type from the standard TpccMix. The
+/// pool never retries: a transaction shed by admission control counts as
+/// aborted (and dropped).
 class ClientPool : public WorkloadDriver {
  public:
   ClientPool(TpccDatabase* db, ClientPoolConfig config);
 
   std::string name() const override { return "tpcc"; }
-
-  /// Begin issuing queries now; clients run until Stop().
-  void Start() override;
-  void Stop() override { running_ = false; }
 
   /// Attach sinks: completions are recorded into `series` (may be null) and
   /// component times into `breakdown` (may be null; switched atomically so
@@ -58,49 +43,15 @@ class ClientPool : public WorkloadDriver {
     history_ = history;
   }
 
-  int64_t completed() const { return completed_; }
-  int64_t committed() const override { return completed_; }
-  int64_t aborted() const override { return aborted_; }
-  const Histogram& latencies() const override { return latencies_; }
-  void ResetStats() override {
-    completed_ = 0;
-    aborted_ = 0;
-    shed_ = 0;
-    retried_ = 0;
-    dropped_ = 0;
-    latencies_.Reset();
-  }
-
-  /// Attempts refused by admission control (each shed retry counts again).
-  int64_t shed() const { return shed_; }
-  /// Backoff retries taken after a shed attempt (<= shed()).
-  int64_t retried() const { return retried_; }
-  /// Transactions counted aborted because a shed attempt had no retries
-  /// left.
-  int64_t dropped() const { return dropped_; }
-
  private:
-  /// One attempt of one client's current transaction: attempt 0 picks the
-  /// type from the mix, retries keep it (the user re-submits the same
-  /// request, not a fresh roll of the dice).
-  void RunClient(int client_idx, TpccTxnType type, int attempt);
-  void ClientLoop(int client_idx);
+  Attempt RunAttempt(int client, Rng* rng) override;
 
-  TpccDatabase* db_;
-  ClientPoolConfig config_;
   TpccRunner runner_;
-  std::vector<std::unique_ptr<Rng>> rngs_;
-  bool running_ = false;
+  TpccMix mix_;
 
   metrics::TimeSeries* series_ = nullptr;
   metrics::TimeBreakdown* breakdown_ = nullptr;
   chaos::HistoryRecorder* history_ = nullptr;
-  int64_t completed_ = 0;
-  int64_t aborted_ = 0;
-  int64_t shed_ = 0;
-  int64_t retried_ = 0;
-  int64_t dropped_ = 0;
-  Histogram latencies_;
 };
 
 }  // namespace wattdb::workload

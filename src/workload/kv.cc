@@ -11,34 +11,17 @@ namespace wattdb::workload {
 
 KvWorkload::KvWorkload(Session session, TableId table, KvConfig config,
                        sim::EventQueue* events)
-    : session_(std::move(session)),
+    : WorkloadDriver(events, config.num_clients, config.seed * 6271,
+                     config.think_time, config.shed_retries,
+                     config.retry_backoff, config.arrival_qps),
+      session_(std::move(session)),
       table_(table),
-      config_(config),
-      events_(events) {
-  for (int i = 0; i < config_.num_clients; ++i) {
-    rngs_.push_back(std::make_unique<Rng>(config_.seed * 6271 + i));
-  }
-  if (config_.zipf_theta > 0.0 && config_.zipf_scramble) {
-    // Fisher–Yates with a private rng: a bijection, so every key stays
-    // reachable and the rank distribution is preserved exactly.
-    scramble_.resize(static_cast<size_t>(config_.num_keys));
-    for (size_t i = 0; i < scramble_.size(); ++i) {
-      scramble_[i] = static_cast<Key>(i);
-    }
-    Rng shuffle(config_.seed * 7919 + 13);
-    for (size_t i = scramble_.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(
-          shuffle.UniformInt(0, static_cast<int64_t>(i) - 1));
-      std::swap(scramble_[i - 1], scramble_[j]);
-    }
-  }
-}
+      config_(config) {}
 
 Key KvWorkload::NextKey(Rng* rng) const {
   if (config_.zipf_theta > 0.0) {
     const uint64_t rank =
         rng->Zipf(static_cast<uint64_t>(config_.num_keys), config_.zipf_theta);
-    if (!scramble_.empty()) return scramble_[rank];
     // A rotation is a bijection, so the rank distribution is untouched;
     // only where in the key space the contiguous hot head sits changes.
     const uint64_t offset = static_cast<uint64_t>(config_.zipf_offset);
@@ -73,9 +56,7 @@ void KvWorkload::set_history(chaos::HistoryRecorder* history) {
 
 Status KvWorkload::Load() {
   if (loaded_) return Status::OK();
-  Rng* rng = rngs_.empty() ? nullptr : rngs_[0].get();
-  Rng fallback(config_.seed);
-  if (rng == nullptr) rng = &fallback;
+  Rng* rng = client_rng(0);
   constexpr int64_t kLoadBatch = 256;
   for (int64_t lo = 0; lo < config_.num_keys; lo += kLoadBatch) {
     const int64_t hi = std::min(config_.num_keys, lo + kLoadBatch);
@@ -104,42 +85,13 @@ Status KvWorkload::Load() {
   return Status::OK();
 }
 
-void KvWorkload::Start() {
-  if (running_) return;
-  WATTDB_CHECK_MSG(loaded_, "KvWorkload::Start() before Load()");
-  running_ = true;
-  if (config_.arrival_qps > 0.0) {
-    // Open loop: one Poisson arrival process, paced by the qps knob alone.
-    ArrivalLoop();
-    return;
-  }
-  for (int i = 0; i < config_.num_clients; ++i) {
-    // Stagger initial arrivals across one think interval so the pool does
-    // not thunder in lock-step.
-    const SimTime offset = static_cast<SimTime>(
-        rngs_[i]->UniformDouble() * static_cast<double>(config_.think_time));
-    events_->ScheduleAfter(offset, [this, i]() { ClientLoop(i, 0); });
-  }
-}
-
-SimTime KvWorkload::Backoff(Rng* rng, int attempt) const {
-  // Exponential in the attempt number, jittered uniformly over 0.5-1.5x so
-  // a wave of sheds does not retry in lock-step and shed again together.
-  const double base = static_cast<double>(config_.retry_backoff) *
-                      static_cast<double>(int64_t{1} << std::min(attempt, 16));
-  return std::max<SimTime>(
-      1, static_cast<SimTime>(base * (0.5 + rng->UniformDouble())));
-}
-
-KvWorkload::RunResult KvWorkload::RunOnce(Rng* rng, int client, int attempt) {
+WorkloadDriver::Attempt KvWorkload::RunAttempt(int client, Rng* rng) {
+  WATTDB_CHECK_MSG(loaded_, "KvWorkload started before Load()");
   const bool updater = rng->UniformDouble() >= config_.read_ratio;
 
   std::vector<Key> keys(static_cast<size_t>(config_.batch_size));
   for (Key& k : keys) k = NextKey(rng);
 
-  // A retry re-runs an already-issued transaction; only fresh arrivals
-  // count toward the offered load.
-  if (attempt == 0) ++issued_;
   TxnHandle txn =
       session_.Begin(/*read_only=*/!updater, config_.batch_priority);
   // Commit()/Abort() close the handle and release the engine transaction;
@@ -179,8 +131,8 @@ KvWorkload::RunResult KvWorkload::RunOnce(Rng* rng, int client, int attempt) {
       status = r.status();
       if (r.ok()) {
         ops = r->oks();
-        owner_round_trips_ += r->stats.owner_round_trips;
-        straggler_retries_ += r->stats.straggler_retries;
+        books_.owner_round_trips += r->stats.owner_round_trips;
+        books_.straggler_retries += r->stats.straggler_retries;
         // An owner down mid-batch fails its keys with Unavailable; treat
         // the transaction as aborted so the dip shows in committed().
         for (const Status& s : r->statuses) {
@@ -207,8 +159,8 @@ KvWorkload::RunResult KvWorkload::RunOnce(Rng* rng, int client, int attempt) {
       status = r.status();
       if (r.ok()) {
         ops = r->hits();
-        owner_round_trips_ += r->stats.owner_round_trips;
-        straggler_retries_ += r->stats.straggler_retries;
+        books_.owner_round_trips += r->stats.owner_round_trips;
+        books_.straggler_retries += r->stats.straggler_retries;
         for (const auto& rec : r->records) {
           if (!rec.ok() && !rec.status().IsNotFound()) {
             status = rec.status();
@@ -246,7 +198,6 @@ KvWorkload::RunResult KvWorkload::RunOnce(Rng* rng, int client, int attempt) {
   if (status.ok()) status = txn.Commit();
   if (!status.ok()) txn.Abort();
   const bool committed = status.ok();
-  const bool shed = status.IsResourceExhausted();
   if (history_ != nullptr) {
     // All ops of the transaction share its [begin, completed] window —
     // wider than each op's true extent, which only *adds* linearization
@@ -296,86 +247,15 @@ KvWorkload::RunResult KvWorkload::RunOnce(Rng* rng, int client, int attempt) {
       }
     }
   }
-  const bool will_retry = shed && attempt < config_.shed_retries;
-  const double latency = static_cast<double>(txn.latency_us());
-  auto book = [this, committed, shed, will_retry, ops, latency]() {
-    if (shed) ++shed_;
-    if (committed) {
-      ++committed_;
-      key_ops_ += ops;
-      latencies_.Add(latency);
-      if (config_.slo_us > 0 &&
-          latency <= static_cast<double>(config_.slo_us)) {
-        ++slo_met_;
-      }
-    } else if (!will_retry) {
-      // A shed attempt with retries left is neither committed nor aborted
-      // yet — its retry (or retry_abandoned_) closes the books.
-      ++aborted_;
-      if (shed) ++dropped_;
-    }
-  };
-  if (config_.count_at_completion) {
-    // Booked when the transaction is actually done in simulated time — a
-    // backlogged node then shows up as committed throughput capped at its
-    // service rate, not at the offered rate.
-    events_->ScheduleAt(txn.completed_at(), std::move(book));
-  } else {
-    book();
-  }
-  return RunResult{txn.completed_at(), will_retry};
-}
-
-void KvWorkload::ClientLoop(int idx, int attempt) {
-  if (!running_) {
-    // The stop raced a scheduled backoff retry: its transaction was issued
-    // but never resolved — account for it so issued == committed + aborted
-    // + retry_abandoned holds after the queue drains.
-    if (attempt > 0) ++retry_abandoned_;
-    return;
-  }
-  Rng* rng = rngs_[idx].get();
-  const RunResult r = RunOnce(rng, idx, attempt);
-  if (r.retry) {
-    // The client sits out the backoff instead of thinking — a shed
-    // transaction is unfinished business, not a completed one.
-    ++retried_;
-    events_->ScheduleAt(
-        r.completed_at + Backoff(rng, attempt),
-        [this, idx, attempt]() { ClientLoop(idx, attempt + 1); });
-    return;
-  }
-  const SimTime think = static_cast<SimTime>(
-      rng->Exponential(static_cast<double>(config_.think_time)));
-  events_->ScheduleAt(r.completed_at + think,
-                      [this, idx]() { ClientLoop(idx, 0); });
-}
-
-void KvWorkload::Dispatch(int attempt) {
-  if (!running_) {
-    if (attempt > 0) ++retry_abandoned_;
-    return;
-  }
-  Rng* rng = rngs_[0].get();
-  const RunResult r = RunOnce(rng, 0, attempt);
-  if (r.retry) {
-    ++retried_;
-    events_->ScheduleAt(r.completed_at + Backoff(rng, attempt),
-                        [this, attempt]() { Dispatch(attempt + 1); });
-  }
-}
-
-void KvWorkload::ArrivalLoop() {
-  if (!running_) return;
-  Rng* rng = rngs_[0].get();
-  // Schedule the next arrival *before* running this one: the offered rate
-  // must not depend on how long the transaction takes.
-  const SimTime gap = std::max<SimTime>(
-      1, static_cast<SimTime>(
-             rng->Exponential(static_cast<double>(kUsPerSec) /
-                              config_.arrival_qps)));
-  events_->ScheduleAfter(gap, [this]() { ArrivalLoop(); });
-  Dispatch(0);
+  Attempt a;
+  a.completed_at = txn.completed_at();
+  a.latency = txn.latency_us();
+  a.committed = committed;
+  a.shed = status.IsResourceExhausted();
+  a.key_ops = ops;
+  a.within_slo = config_.slo_us > 0 && a.latency <= config_.slo_us;
+  a.book_at_completion = config_.count_at_completion;
+  return a;
 }
 
 }  // namespace wattdb::workload

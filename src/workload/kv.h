@@ -2,14 +2,10 @@
 #define WATTDB_WORKLOAD_KV_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/session.h"
-#include "common/rng.h"
-#include "common/stats.h"
-#include "sim/event_queue.h"
 #include "workload/driver.h"
 
 namespace wattdb::workload {
@@ -41,14 +37,10 @@ struct KvConfig {
   /// for range partitioning — one node soaks up nearly all traffic). Works
   /// in both closed- and open-loop mode.
   double zipf_theta = 0.0;
-  /// Scatter the Zipf ranks through a seeded permutation of the key space:
-  /// hot keys then land all over the ranges (hash-distributed hotspots)
-  /// instead of clustering at the low end.
-  bool zipf_scramble = false;
   /// Rotate the rank -> key mapping by this many keys (mod num_keys): the
   /// contiguous Zipf head then starts at this key instead of key 0, which
   /// lets a scenario park the hotspot on a chosen owner (e.g. not the
-  /// master's partition). Ignored under zipf_scramble.
+  /// master's partition).
   int64_t zipf_offset = 0;
   /// Pre-split each node's partition into this many segments at table
   /// creation (Db::AddKvWorkload passes it to CreateKvTable); 0 = lazy
@@ -108,84 +100,28 @@ class KvWorkload : public WorkloadDriver {
   /// by Load(), which already ran by the time Db::AddKvWorkload returns.
   void set_history(chaos::HistoryRecorder* history) override;
 
-  void Start() override;
-  void Stop() override { running_ = false; }
-
-  int64_t committed() const override { return committed_; }
-  int64_t aborted() const override { return aborted_; }
-  const Histogram& latencies() const override { return latencies_; }
-  void ResetStats() override {
-    committed_ = 0;
-    aborted_ = 0;
-    issued_ = 0;
-    key_ops_ = 0;
-    owner_round_trips_ = 0;
-    straggler_retries_ = 0;
-    shed_ = 0;
-    retried_ = 0;
-    dropped_ = 0;
-    slo_met_ = 0;
-    retry_abandoned_ = 0;
-    latencies_.Reset();
-  }
-
   /// Per-key operations inside committed transactions (committed() counts
   /// transactions; a batch of 8 keys counts 8 key ops).
-  int64_t key_ops() const { return key_ops_; }
-  /// Transactions issued since the last ResetStats() — in open-loop mode
-  /// the offered load, vs. committed()+aborted() actually finished.
-  int64_t issued() const { return issued_; }
+  int64_t key_ops() const { return books_.key_ops; }
   /// Master<->owner round trips charged by batched ops so far.
-  int64_t owner_round_trips() const { return owner_round_trips_; }
+  int64_t owner_round_trips() const { return books_.owner_round_trips; }
   /// §4.3 second-location retries batches had to take mid-move.
-  int64_t straggler_retries() const { return straggler_retries_; }
-  /// Attempts refused by admission control (each retry that sheds again
-  /// counts again). Disjoint from committed/aborted only per attempt:
-  /// a shed-then-retried-then-committed transaction counts in both.
-  int64_t shed() const { return shed_; }
-  /// Backoff retries taken after a shed attempt (<= shed()).
-  int64_t retried() const { return retried_; }
-  /// Transactions finally dropped because a shed attempt had no retries
-  /// left — the subset of aborted() caused by admission control.
-  int64_t dropped() const { return dropped_; }
+  int64_t straggler_retries() const { return books_.straggler_retries; }
   /// Commits within KvConfig.slo_us (0 while the SLO knob is off).
-  int64_t slo_met() const { return slo_met_; }
-  /// Scheduled retries abandoned because the driver stopped first; closes
-  /// the books: issued == committed + aborted + retry_abandoned once the
-  /// event queue drains.
-  int64_t retry_abandoned() const { return retry_abandoned_; }
+  int64_t slo_met() const { return books_.slo_met; }
   TableId table() const { return table_; }
   const KvConfig& config() const { return config_; }
 
  private:
-  /// What one attempt did: when `retry` is set the transaction shed and a
-  /// backoff retry is owed (nothing was booked as aborted yet).
-  struct RunResult {
-    SimTime completed_at = 0;
-    bool retry = false;
-  };
-
-  void ClientLoop(int idx, int attempt);
-  void ArrivalLoop();
-  /// Open-loop attempt runner: books the attempt and schedules the backoff
-  /// retry chain (closed loop chains inside ClientLoop instead).
-  void Dispatch(int attempt);
-  /// One transaction (read or update batch per `config_`). `attempt` > 0
-  /// marks a shed retry: it is not a new issued transaction. `client`
-  /// labels recorded history ops (the rng's owner index).
-  RunResult RunOnce(Rng* rng, int client, int attempt);
-  SimTime Backoff(Rng* rng, int attempt) const;
+  /// One transaction (read or update batch per `config_`). `client` labels
+  /// recorded history ops (the rng's owner index).
+  Attempt RunAttempt(int client, Rng* rng) override;
   Key NextKey(Rng* rng) const;
   std::vector<uint8_t> MakeValue(Rng* rng) const;
 
   Session session_;
   TableId table_;
   KvConfig config_;
-  sim::EventQueue* events_;
-  std::vector<std::unique_ptr<Rng>> rngs_;
-  /// Seeded rank -> key permutation (zipf_scramble); empty otherwise.
-  std::vector<Key> scramble_;
-  bool running_ = false;
   bool loaded_ = false;
 
   /// Chaos history recording (null = off). `next_seq_` tags every written
@@ -194,19 +130,6 @@ class KvWorkload : public WorkloadDriver {
   chaos::HistoryRecorder* history_ = nullptr;
   uint64_t next_seq_ = 0;
   std::map<Key, uint64_t> initial_seqs_;
-
-  int64_t committed_ = 0;
-  int64_t aborted_ = 0;
-  int64_t issued_ = 0;
-  int64_t key_ops_ = 0;
-  int64_t owner_round_trips_ = 0;
-  int64_t straggler_retries_ = 0;
-  int64_t shed_ = 0;
-  int64_t retried_ = 0;
-  int64_t dropped_ = 0;
-  int64_t slo_met_ = 0;
-  int64_t retry_abandoned_ = 0;
-  Histogram latencies_;
 };
 
 }  // namespace wattdb::workload

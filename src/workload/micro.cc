@@ -1,28 +1,20 @@
 #include "workload/micro.h"
 
 #include "cluster/routed_ops.h"
-#include "common/logging.h"
 #include "workload/tpcc_schema.h"
 
 namespace wattdb::workload {
 
-MicroWorkload::MicroWorkload(TpccDatabase* db, MicroConfig config)
-    : db_(db), config_(config) {
-  for (int i = 0; i < config_.num_clients; ++i) {
-    rngs_.push_back(std::make_unique<Rng>(config_.seed * 31337 + i));
-  }
-}
+namespace {
+/// Point reads (and, for updaters, updates) per transaction.
+constexpr int kOpsPerTxn = 4;
+}  // namespace
 
-void MicroWorkload::Start() {
-  if (running_) return;
-  running_ = true;
-  auto& events = db_->cluster()->events();
-  for (int i = 0; i < config_.num_clients; ++i) {
-    const SimTime offset = static_cast<SimTime>(
-        rngs_[i]->UniformDouble() * static_cast<double>(config_.think_time));
-    events.ScheduleAfter(offset, [this, i]() { ClientLoop(i); });
-  }
-}
+MicroWorkload::MicroWorkload(TpccDatabase* db, MicroConfig config)
+    : WorkloadDriver(&db->cluster()->events(), config.num_clients,
+                     config.seed * 31337, config.think_time),
+      db_(db),
+      update_ratio_(config.update_ratio) {}
 
 Key MicroWorkload::RandomCustomerKey(Rng* rng) const {
   const int64_t w = rng->UniformInt(1, db_->warehouses());
@@ -31,16 +23,15 @@ Key MicroWorkload::RandomCustomerKey(Rng* rng) const {
   return TpccKeys::Customer(w, d, c);
 }
 
-void MicroWorkload::ClientLoop(int idx) {
-  if (!running_) return;
-  Rng* rng = rngs_[idx].get();
+WorkloadDriver::Attempt MicroWorkload::RunAttempt(int /*client*/,
+                                                  Rng* rng) {
   cluster::Cluster* c = db_->cluster();
-  const bool updater = rng->UniformDouble() < config_.update_ratio;
+  const bool updater = rng->UniformDouble() < update_ratio_;
   tx::Txn* txn = c->BeginTxn(!updater);
   const TableId customer = db_->table(TpccTable::kCustomer);
 
   Status status;
-  for (int op = 0; op < config_.ops_per_txn && status.ok(); ++op) {
+  for (int op = 0; op < kOpsPerTxn && status.ok(); ++op) {
     const Key key = RandomCustomerKey(rng);
     storage::Record rec;
     // Routed ops charge one client hop per read AND per update (the
@@ -56,22 +47,18 @@ void MicroWorkload::ClientLoop(int idx) {
     }
   }
 
-  SimTime completed_at;
+  Attempt a;
   if (status.ok()) {
     c->CommitTxn(c->master(), txn);
-    ++committed_;
-    latencies_.Add(static_cast<double>(txn->Elapsed()));
+    a.committed = true;
+    a.latency = txn->Elapsed();
   } else {
     c->AbortTxn(txn);
-    ++aborted_;
+    a.shed = status.IsResourceExhausted();
   }
-  completed_at = txn->now;
+  a.completed_at = txn->now;
   c->tm().Release(txn->id);
-
-  const SimTime think = static_cast<SimTime>(
-      rng->Exponential(static_cast<double>(config_.think_time)));
-  c->events().ScheduleAt(completed_at + think,
-                         [this, idx]() { ClientLoop(idx); });
+  return a;
 }
 
 }  // namespace wattdb::workload

@@ -1,11 +1,6 @@
 #ifndef WATTDB_WORKLOAD_MICRO_H_
 #define WATTDB_WORKLOAD_MICRO_H_
 
-#include <memory>
-#include <vector>
-
-#include "common/rng.h"
-#include "common/stats.h"
 #include "workload/driver.h"
 #include "workload/tpcc_loader.h"
 
@@ -21,7 +16,6 @@ struct MicroConfig {
   SimTime think_time = 20 * kUsPerMs;
   /// Fraction of transactions that are updaters (the Fig. 3 x-axis).
   double update_ratio = 0.5;
-  int ops_per_txn = 4;
   uint64_t seed = 99;
 };
 
@@ -31,29 +25,12 @@ class MicroWorkload : public WorkloadDriver {
 
   std::string name() const override { return "micro"; }
 
-  void Start() override;
-  void Stop() override { running_ = false; }
-
-  int64_t committed() const override { return committed_; }
-  int64_t aborted() const override { return aborted_; }
-  const Histogram& latencies() const override { return latencies_; }
-  void ResetStats() override {
-    committed_ = 0;
-    aborted_ = 0;
-    latencies_.Reset();
-  }
-
  private:
-  void ClientLoop(int idx);
+  Attempt RunAttempt(int client, Rng* rng) override;
   Key RandomCustomerKey(Rng* rng) const;
 
   TpccDatabase* db_;
-  MicroConfig config_;
-  std::vector<std::unique_ptr<Rng>> rngs_;
-  bool running_ = false;
-  int64_t committed_ = 0;
-  int64_t aborted_ = 0;
-  Histogram latencies_;
+  double update_ratio_;
 };
 
 }  // namespace wattdb::workload

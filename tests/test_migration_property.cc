@@ -106,7 +106,7 @@ TEST_P(MigrationPropertyTest, ConservesRecordsUnderLoad) {
   }
   pool.Stop();
   ASSERT_TRUE(done) << param.scheme << " did not finish";
-  EXPECT_GT(pool.completed(), 100) << "workload must keep running";
+  EXPECT_GT(pool.committed(), 100) << "workload must keep running";
 
   EXPECT_TRUE(c.catalog().CheckInvariants());
   const auto after = CountByTable(&c);

@@ -45,7 +45,7 @@ TEST(Smoke, LoadAndRunWorkload) {
   pool.Start();
   c.RunUntil(20 * kUsPerSec);
   pool.Stop();
-  EXPECT_GT(pool.completed(), 100) << "workload should make progress";
+  EXPECT_GT(pool.committed(), 100) << "workload should make progress";
 }
 
 TEST(Smoke, PhysiologicalRebalance) {
@@ -80,7 +80,7 @@ TEST(Smoke, PhysiologicalRebalance) {
   pool.Start();
   c.RunUntil(c.Now() + 10 * kUsPerSec);
   pool.Stop();
-  EXPECT_GT(pool.completed(), 50);
+  EXPECT_GT(pool.committed(), 50);
 }
 
 TEST(Smoke, PhysicalAndLogicalRebalance) {

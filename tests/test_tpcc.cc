@@ -262,11 +262,11 @@ TEST_F(TpccFixture, ClientPoolDrivesThroughput) {
   pool.Start();
   cluster_.RunUntil(cluster_.Now() + 15 * kUsPerSec);
   pool.Stop();
-  EXPECT_GT(pool.completed(), 100);
+  EXPECT_GT(pool.committed(), 100);
   EXPECT_GT(pool.latencies().count(), 0);
   EXPECT_FALSE(series.buckets().empty());
   // Closed loop: qps bounded by clients/think.
-  EXPECT_LT(pool.completed(), 15.0 * cfg.num_clients / 0.030 + 1);
+  EXPECT_LT(pool.committed(), 15.0 * cfg.num_clients / 0.030 + 1);
 }
 
 TEST_F(TpccFixture, MicroWorkloadReadsAndWrites) {
