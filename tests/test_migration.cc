@@ -240,6 +240,76 @@ TEST_F(MigrationTest, DrainBlocksWritersUntilCopyDone) {
   cluster_.RunUntil(cluster_.Now() + 120 * kUsPerSec);
 }
 
+// A queued move whose source was deposed before it ran: the range was
+// re-assigned to another partition (a promoted standby holding newer
+// values) while the source still lists the segment in its top index. An
+// ownership-moving scheme must abandon the task without registering it
+// with the master, so readers keep seeing the new owner's values.
+class DeposedSourceTest : public MigrationTest {
+ protected:
+  void ExpectMoveAbandoned(MigrationManagerBase* scheme) {
+    const auto entries = part_->top_index().All();
+    ASSERT_EQ(entries.size(), 2u);
+    const index::TopIndex::Entry moving = entries[0];
+    ASSERT_EQ(moving.range.lo, 0u);
+
+    // The new owner: a partition on node 2 with its own copy of the range,
+    // carrying values the source never saw.
+    catalog::Partition* owner =
+        cluster_.catalog().CreatePartition(table_, NodeId(2));
+    ASSERT_TRUE(
+        cluster_.catalog().AssignRange(table_, moving.range, owner->id()).ok());
+    cluster::Node* owner_node = cluster_.node(NodeId(2));
+    ASSERT_TRUE(owner_node->AllocateSegment(0, owner, moving.range).ok());
+    tx::Txn* w = cluster_.BeginTxn();
+    for (Key k = moving.range.lo; k < moving.range.hi; k += 50) {
+      ASSERT_TRUE(owner_node
+                      ->Insert(w, owner, k,
+                               std::vector<uint8_t>(
+                                   64, static_cast<uint8_t>(k / 50 + 100)))
+                      .ok());
+    }
+    cluster_.CommitTxn(owner_node, w);
+    cluster_.tm().Release(w->id);
+    ASSERT_FALSE(part_->top_index().RangeOf(moving.segment).Empty());
+
+    bool done = false;
+    ASSERT_TRUE(scheme
+                    ->StartMoves({cluster::SegmentMove{
+                                     table_, moving.segment, moving.range,
+                                     part_->id(), NodeId(0), NodeId(1)}},
+                                 [&]() { done = true; })
+                    .ok());
+    cluster_.RunUntil(cluster_.Now() + 120 * kUsPerSec);
+    ASSERT_TRUE(done);
+    EXPECT_EQ(scheme->stats().tasks_failed, 1);
+    EXPECT_EQ(scheme->stats().segments_moved, 0);
+    for (const auto& route :
+         cluster_.catalog().RoutesInRange(table_, KeyRange{0, 10000})) {
+      EXPECT_FALSE(route.secondary.valid())
+          << "a move stayed registered on [" << route.range.lo << ", "
+          << route.range.hi << ")";
+    }
+    for (Key k = moving.range.lo; k < moving.range.hi; k += 50) {
+      uint8_t v = 0;
+      ASSERT_TRUE(ReadKey(k, &v).ok()) << k;
+      EXPECT_EQ(v, static_cast<uint8_t>(k / 50 + 100))
+          << "key " << k << " lost the new owner's value";
+    }
+    EXPECT_TRUE(cluster_.catalog().CheckInvariants());
+  }
+};
+
+TEST_F(DeposedSourceTest, PhysiologicalAbandonsMove) {
+  PhysiologicalPartitioning scheme(&cluster_);
+  ExpectMoveAbandoned(&scheme);
+}
+
+TEST_F(DeposedSourceTest, LogicalAbandonsMove) {
+  LogicalPartitioning scheme(&cluster_);
+  ExpectMoveAbandoned(&scheme);
+}
+
 TEST_F(MigrationTest, PhysicalCannotDrain) {
   PhysicalPartitioning scheme(&cluster_);
   EXPECT_TRUE(scheme.Drain(NodeId(0), nullptr).IsNotSupported())
