@@ -2,11 +2,10 @@
 // a compact before/during/after summary — a minute-scale version of the
 // paper's Fig. 6 experiment.
 //
-//   $ ./examples/partition_comparison [physical|logical|physiological|<registered>]
+//   $ ./examples/partition_comparison [physical|logical|physiological]
 //
-// Without an argument, runs all three paper schemes. The scheme argument is
-// resolved through the SchemeRegistry, so any factory registered by linked
-// code works here too.
+// Without an argument, runs all three paper schemes. Any other name fails
+// at Db::Open with NotFound, naming the three.
 
 #include <cstdio>
 #include <memory>

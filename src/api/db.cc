@@ -5,10 +5,53 @@
 #include <string>
 #include <utility>
 
-#include "api/scheme_registry.h"
 #include "common/logging.h"
+#include "partition/logical.h"
+#include "partition/physical.h"
+#include "partition/physiological.h"
 
 namespace wattdb {
+
+namespace {
+
+using SchemeFactory = std::unique_ptr<cluster::Repartitioner> (*)(
+    cluster::Cluster*, const partition::MigrationConfig&);
+
+template <typename Scheme>
+std::unique_ptr<cluster::Repartitioner> MakeScheme(
+    cluster::Cluster* cluster, const partition::MigrationConfig& config) {
+  return std::make_unique<Scheme>(cluster, config);
+}
+
+/// The partitioning schemes of §4 by DbOptions::scheme name. A new scheme
+/// is one MigrationManagerBase subclass plus one row here.
+constexpr struct {
+  const char* name;
+  SchemeFactory make;
+} kSchemes[] = {
+    {"logical", &MakeScheme<partition::LogicalPartitioning>},
+    {"physical", &MakeScheme<partition::PhysicalPartitioning>},
+    {"physiological", &MakeScheme<partition::PhysiologicalPartitioning>},
+};
+
+/// Factory of the scheme called `name`, or nullptr.
+SchemeFactory FindScheme(const std::string& name) {
+  for (const auto& scheme : kSchemes) {
+    if (name == scheme.name) return scheme.make;
+  }
+  return nullptr;
+}
+
+std::string SchemeNames() {
+  std::string names;
+  for (const auto& scheme : kSchemes) {
+    if (!names.empty()) names += ", ";
+    names += scheme.name;
+  }
+  return names;
+}
+
+}  // namespace
 
 Db::Db(DbOptions options) : options_(std::move(options)) {}
 
@@ -16,8 +59,8 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
   // Validate topology and scheme before standing anything up — a bad option
   // must fail here with a message naming it, not deep in cluster wiring.
   if (options.scheme.empty()) {
-    return Status::InvalidArgument(
-        "scheme name is empty; pick one of SchemeRegistry::Global().Names()");
+    return Status::InvalidArgument("scheme name is empty; pick one of " +
+                                   SchemeNames());
   }
   if (options.cluster.num_nodes <= 0) {
     return Status::InvalidArgument(
@@ -35,7 +78,10 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
         ") exceeds WithNodes(" + std::to_string(options.cluster.num_nodes) +
         ")");
   }
-  WATTDB_RETURN_IF_ERROR(SchemeRegistry::Global().Validate(options.scheme));
+  if (FindScheme(options.scheme) == nullptr) {
+    return Status::NotFound("unknown partitioning scheme '" + options.scheme +
+                            "' (known: " + SchemeNames() + ")");
+  }
   // MasterPolicy misconfiguration must fail loudly here, not silently
   // disable the control loop (a check_period of 0 would spin the event
   // queue; inverted CPU bounds would flap scale decisions forever).
@@ -268,9 +314,7 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
     migration.only_table = db->tpcc_->table(*opts.migrate_only);
   }
 
-  WATTDB_ASSIGN_OR_RETURN(
-      db->scheme_, SchemeRegistry::Global().Create(
-                       opts.scheme, db->cluster_.get(), migration));
+  db->scheme_ = FindScheme(opts.scheme)(db->cluster_.get(), migration);
 
   db->master_ = std::make_unique<cluster::Master>(
       db->cluster_.get(), db->scheme_.get(), opts.master);

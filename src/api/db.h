@@ -33,8 +33,8 @@ struct TableRoute {
 };
 
 /// The front door of the engine: owns the simulated cluster, the loaded
-/// TPC-C database, the repartitioning scheme selected by name from the
-/// SchemeRegistry, and the master's elasticity controller — everything the
+/// TPC-C database, the repartitioning scheme selected by name (one of the
+/// three of §4), and the master's elasticity controller — everything the
 /// benches and examples previously wired together by hand (§3-§4 of the
 /// paper as one handle).
 ///
@@ -47,7 +47,7 @@ struct TableRoute {
 class Db {
  public:
   /// Builds and wires the whole system. Fails (without side effects) when
-  /// the scheme name is unregistered or the initial load fails.
+  /// the scheme name is unknown or the initial load fails.
   static StatusOr<std::unique_ptr<Db>> Open(DbOptions options);
 
   ~Db();

@@ -35,7 +35,7 @@ struct DbOptions {
   /// Thresholds of the master's elasticity control loop (§3.4).
   cluster::MasterPolicy master;
 
-  /// Repartitioning scheme, resolved through SchemeRegistry::Global().
+  /// Repartitioning scheme: "physical", "logical" or "physiological" (§4).
   std::string scheme = "physiological";
 
   /// Load the TPC-C database during Open().

@@ -53,10 +53,11 @@ struct RebalanceStats {
   }
 };
 
-/// One targeted segment move, as planned by the master's heat balancer:
-/// this segment's key range leaves its source partition for `dst_node`.
-/// Executed by the scheme with the same §4.3 protocol as fraction-based
-/// rebalancing (two-pointer routing, drain, crash abandonment).
+/// One segment move: this segment's key range leaves its source partition
+/// for `dst_node`. The task unit of every scheme, whether the master's heat
+/// balancer planned it (StartMoves) or a rebalance or drain did; each runs
+/// with the same §4.3 protocol (two-pointer routing, drain, crash
+/// abandonment).
 struct SegmentMove {
   TableId table;
   SegmentId segment;
@@ -67,8 +68,8 @@ struct SegmentMove {
 };
 
 /// Abstract repartitioning engine the master drives. Implemented by the
-/// three schemes in src/partition (physical, logical, physiological) and
-/// extensible through the scheme registry in src/api.
+/// three schemes in src/partition (physical, logical, physiological); the
+/// interface keeps cluster/ and fault/ from depending on partition/.
 class Repartitioner {
  public:
   virtual ~Repartitioner() = default;
@@ -94,23 +95,20 @@ class Repartitioner {
   /// failures land in stats() like any other rebalance. Schemes that cannot
   /// transfer ownership reject with NotSupported.
   virtual Status StartMoves(const std::vector<SegmentMove>& moves,
-                            std::function<void()> done) {
-    (void)moves;
-    (void)done;
-    return Status::NotSupported(name() + " does not support targeted moves");
-  }
+                            std::function<void()> done) = 0;
 
-  /// Whether Drain can empty a node at all. Physical partitioning cannot
-  /// transfer ownership, so the master's flaky-node drain-and-exclude
-  /// degrades to restart-in-place under it.
-  virtual bool SupportsDrain() const { return true; }
+  /// Whether the scheme transfers ownership, so that Drain can empty a node
+  /// and StartMoves can run at all. Physical partitioning cannot, so the
+  /// master's flaky-node drain-and-exclude degrades to restart-in-place
+  /// under it.
+  virtual bool SupportsDrain() const = 0;
 
   virtual bool InProgress() const = 0;
 
   /// Notification that `down` crashed. Implementations abandon queued move
   /// tasks whose source or target died and let in-flight copies abort
-  /// instead of installing onto (or from) a dead node. Default: no-op.
-  virtual void OnNodeFailure(NodeId down) { (void)down; }
+  /// instead of installing onto (or from) a dead node.
+  virtual void OnNodeFailure(NodeId down) = 0;
 };
 
 /// Consecutive missed Monitor::Sample windows before a previously-active

@@ -9,8 +9,6 @@ DiskSpec DiskSpec::Hdd() {
   s.kind = DiskKind::kHdd;
   s.random_access_us = 8000;      // ~8 ms seek + rotation, 7200 rpm class.
   s.seq_bandwidth_bps = 100e6;    // 100 MB/s.
-  s.active_watts = 6.0;
-  s.idle_watts = 4.0;
   return s;
 }
 
@@ -19,8 +17,6 @@ DiskSpec DiskSpec::Ssd() {
   s.kind = DiskKind::kSsd;
   s.random_access_us = 120;       // ~120 us random read, SATA-era SSD.
   s.seq_bandwidth_bps = 250e6;    // 250 MB/s.
-  s.active_watts = 2.0;
-  s.idle_watts = 0.8;
   return s;
 }
 
@@ -56,11 +52,6 @@ SimTime Disk::AccessAppend(SimTime arrival, size_t bytes) {
   constexpr SimTime kAppendOverheadUs = 60;
   return resource_.Acquire(arrival,
                            kAppendOverheadUs + SequentialServiceTime(bytes));
-}
-
-double Disk::PowerIn(SimTime from, SimTime to) const {
-  const double util = resource_.UtilizationIn(from, to);
-  return spec_.idle_watts + util * (spec_.active_watts - spec_.idle_watts);
 }
 
 }  // namespace wattdb::hw

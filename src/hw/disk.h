@@ -20,10 +20,6 @@ struct DiskSpec {
   SimTime random_access_us = 8000;   // HDD default.
   /// Sustained sequential bandwidth in bytes/second.
   double seq_bandwidth_bps = 100e6;  // 100 MB/s HDD default.
-  /// Active power draw in watts while servicing requests.
-  double active_watts = 6.0;
-  /// Idle power draw in watts while spun up.
-  double idle_watts = 4.0;
 
   static DiskSpec Hdd();
   static DiskSpec Ssd();
@@ -61,10 +57,6 @@ class Disk {
 
   int64_t random_ops() const { return random_ops_; }
   int64_t bytes_transferred() const { return bytes_transferred_; }
-
-  /// Power draw in [from, to) interpolated between idle and active by
-  /// utilization.
-  double PowerIn(SimTime from, SimTime to) const;
 
  private:
   DiskId id_;

@@ -19,8 +19,6 @@ struct NetworkSpec {
   /// Calibrated so that a synchronous record-at-a-time next() round trip
   /// costs ~1 ms, matching the <1000 records/s observed in Fig. 1.
   SimTime message_latency_us = 450;
-  /// Power draw of the switch in watts (always on, §3.1).
-  double switch_watts = 20.0;
 };
 
 /// Simulated cluster interconnect: per-node full-duplex NIC queues joined by

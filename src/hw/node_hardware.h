@@ -13,10 +13,10 @@
 namespace wattdb::hw {
 
 /// Hardware configuration of one wimpy node. Defaults match the paper's
-/// testbed (§3.1): Intel Atom D510 (2 cores), 2 GB DRAM, 1 HDD + 2 SSDs.
+/// testbed (§3.1): Intel Atom D510 (2 cores), 1 HDD + 2 SSDs. The 2 GB of
+/// DRAM is modeled by the buffer pool's page budget, not here.
 struct NodeHardwareSpec {
   int cpu_cores = 2;
-  size_t dram_bytes = 2ULL * 1024 * 1024 * 1024;
   int num_hdd = 1;
   int num_ssd = 2;
   /// Time for a standby node to boot and rejoin the cluster. The paper

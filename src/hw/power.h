@@ -26,8 +26,8 @@ struct PowerModelSpec {
 };
 
 /// Maps node power state + CPU utilization to watts per §3.1. Disk power is
-/// included in the node envelope (the paper quotes node totals); the Disk
-/// class still exposes its own PowerIn() for component-level breakdowns.
+/// included in the node envelope (the paper quotes node totals); disks have
+/// no power model of their own.
 class PowerModel {
  public:
   explicit PowerModel(PowerModelSpec spec = PowerModelSpec()) : spec_(spec) {}

@@ -7,46 +7,22 @@
 
 namespace wattdb::partition {
 
-void LogicalPartitioning::ExecuteTask(const MoveTask& task,
+void LogicalPartitioning::ExecuteTask(const cluster::SegmentMove& task,
                                       std::function<void()> next) {
-  auto& cat = cluster_->catalog();
-  catalog::Partition* src = cat.GetPartition(task.src_partition);
+  catalog::Partition* src =
+      cluster_->catalog().GetPartition(task.src_partition);
   if (src == nullptr || src->top_index().RangeOf(task.segment).Empty()) {
     next();
     return;
   }
-  if (!SourceOwnsRoute(task)) {
-    // A promotion deposed the source while the plan sat in the queue;
-    // draining its stale records over the new owner would undo the writes
-    // committed since the flip.
-    ++stats_.tasks_failed;
-    WATTDB_INFO("migration: logical move of range ["
-                << task.range.lo << ", " << task.range.hi
-                << ") abandoned (source no longer owns the route)");
-    next();
-    return;
-  }
-  const PartitionId dst_id = DstPartitionFor(task.table, task.dst_node, task.range.lo);
-  catalog::Partition* dst_check = cat.GetPartition(dst_id);
-  WATTDB_CHECK(dst_check != nullptr);
-  if (!EvictStaleDstCopies(dst_check, task)) {
-    // Inserting the drained records into a partition that still holds live
-    // colliding segments would interleave two generations of the range.
-    ++stats_.tasks_failed;
-    WATTDB_INFO("migration: logical move of range ["
-                << task.range.lo << ", " << task.range.hi
-                << ") abandoned (destination holds live colliding segments)");
-    next();
-    return;
-  }
-  // Master learns of the move; both locations are visited while in flight.
-  WATTDB_CHECK(cat.BeginMove(task.table, task.range, dst_id).ok());
-  src->set_forward_to(dst_id);
+  const PartitionId dst_id = BeginOwnershipMove(task, src, next);
+  if (!dst_id.valid()) return;
   MoveBatch(task, dst_id, task.range.lo, std::move(next));
 }
 
-void LogicalPartitioning::MoveBatch(const MoveTask& task, PartitionId dst_id,
-                                    Key cursor, std::function<void()> next) {
+void LogicalPartitioning::MoveBatch(const cluster::SegmentMove& task,
+                                    PartitionId dst_id, Key cursor,
+                                    std::function<void()> next) {
   auto& cat = cluster_->catalog();
   catalog::Partition* src = cat.GetPartition(task.src_partition);
   catalog::Partition* dst = cat.GetPartition(dst_id);
@@ -60,12 +36,7 @@ void LogicalPartitioning::MoveBatch(const MoveTask& task, PartitionId dst_id,
   // through the BeginMove two-pointer entry, which is deliberately kept —
   // after the dead node restarts, reads resolve at the secondary again.
   if (!src_node->IsActive() || !dst_node->IsActive()) {
-    ++stats_.tasks_failed;
-    WATTDB_INFO("migration: logical move of range [" << task.range.lo << ", "
-                                                     << task.range.hi
-                                                     << ") abandoned "
-                                                        "(endpoint crashed)");
-    next();
+    Abandon(task, "endpoint crashed", next);
     return;
   }
 
@@ -88,8 +59,7 @@ void LogicalPartitioning::MoveBatch(const MoveTask& task, PartitionId dst_id,
     // finalize it (finalizing would flip routing away from unmoved data).
     cluster_->AbortTxn(sys);
     cluster_->tm().Release(sys->id);
-    ++stats_.tasks_failed;
-    next();
+    Abandon(task, "source scan failed: " + scanned.ToString(), next);
     return;
   }
   if (batch.empty()) {
@@ -123,9 +93,7 @@ void LogicalPartitioning::MoveBatch(const MoveTask& task, PartitionId dst_id,
       // the target are undone — and abandon the task.
       cluster_->AbortTxn(sys);
       cluster_->tm().Release(sys->id);
-      ++stats_.tasks_failed;
-      WATTDB_INFO("migration: logical batch rolled back: " << ins.ToString());
-      next();
+      Abandon(task, "batch rolled back: " + ins.ToString(), next);
       return;
     }
     ++stats_.records_moved;
@@ -174,7 +142,7 @@ void LogicalPartitioning::MoveBatch(const MoveTask& task, PartitionId dst_id,
       });
 }
 
-void LogicalPartitioning::FinalizeRange(const MoveTask& task,
+void LogicalPartitioning::FinalizeRange(const cluster::SegmentMove& task,
                                         PartitionId dst_id) {
   auto& cat = cluster_->catalog();
   catalog::Partition* src = cat.GetPartition(task.src_partition);

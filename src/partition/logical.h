@@ -19,15 +19,16 @@ class LogicalPartitioning : public MigrationManagerBase {
       : MigrationManagerBase(cluster, config) {}
 
   std::string name() const override { return "logical"; }
+  bool SupportsDrain() const override { return true; }
 
  protected:
-  void ExecuteTask(const MoveTask& task, std::function<void()> next) override;
-  bool TransfersOwnership() const override { return true; }
+  void ExecuteTask(const cluster::SegmentMove& task,
+                   std::function<void()> next) override;
 
  private:
-  void MoveBatch(const MoveTask& task, PartitionId dst_id, Key cursor,
-                 std::function<void()> next);
-  void FinalizeRange(const MoveTask& task, PartitionId dst_id);
+  void MoveBatch(const cluster::SegmentMove& task, PartitionId dst_id,
+                 Key cursor, std::function<void()> next);
+  void FinalizeRange(const cluster::SegmentMove& task, PartitionId dst_id);
 };
 
 }  // namespace wattdb::partition

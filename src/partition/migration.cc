@@ -32,10 +32,9 @@ bool HostsReplicaOf(cluster::Cluster* cluster, TableId table,
 
 }  // namespace
 
-std::vector<MigrationManagerBase::MoveTask>
-MigrationManagerBase::PlanRebalance(const std::vector<NodeId>& targets,
-                                    double fraction) {
-  std::vector<MoveTask> tasks;
+std::vector<cluster::SegmentMove> MigrationManagerBase::PlanRebalance(
+    const std::vector<NodeId>& targets, double fraction) {
+  std::vector<cluster::SegmentMove> tasks;
   size_t rr = 0;  // Round-robin cursor over targets.
   for (TableId table : cluster_->catalog().Tables()) {
     if (config_.only_table.valid() && table != config_.only_table) continue;
@@ -89,15 +88,8 @@ MigrationManagerBase::PlanRebalance(const std::vector<NodeId>& targets,
         break;
       }
       if (!dst.valid()) continue;
-      MoveTask t;
-      t.table = table;
-      t.segment = c.entry.segment;
-      t.range = c.entry.range;
-      t.src_partition = c.part->id();
-      t.src_node = c.part->owner();
-      t.dst_node = dst;
-      t.dst_partition = PartitionId::Invalid();  // Resolved at execution.
-      tasks.push_back(t);
+      tasks.push_back({table, c.entry.segment, c.entry.range, c.part->id(),
+                       c.part->owner(), dst});
     }
   }
   return tasks;
@@ -115,9 +107,9 @@ std::vector<NodeId> MigrationManagerBase::DrainSurvivors(NodeId victim) const {
   return survivors;
 }
 
-std::vector<MigrationManagerBase::MoveTask> MigrationManagerBase::PlanDrain(
+std::vector<cluster::SegmentMove> MigrationManagerBase::PlanDrain(
     NodeId victim) {
-  std::vector<MoveTask> tasks;
+  std::vector<cluster::SegmentMove> tasks;
   const std::vector<NodeId> survivors = DrainSurvivors(victim);
   if (survivors.empty()) return tasks;
   size_t rr = 0;
@@ -128,15 +120,8 @@ std::vector<MigrationManagerBase::MoveTask> MigrationManagerBase::PlanDrain(
     // a survivor would be wasted bytes.
     if (part->is_replica()) continue;
     for (const auto& e : part->top_index().All()) {
-      MoveTask t;
-      t.table = part->table();
-      t.segment = e.segment;
-      t.range = e.range;
-      t.src_partition = part->id();
-      t.src_node = victim;
-      t.dst_node = survivors[rr++ % survivors.size()];
-      t.dst_partition = PartitionId::Invalid();
-      tasks.push_back(t);
+      tasks.push_back({part->table(), e.segment, e.range, part->id(), victim,
+                       survivors[rr++ % survivors.size()]});
     }
   }
   return tasks;
@@ -146,14 +131,14 @@ PartitionId MigrationManagerBase::DstPartitionFor(TableId table, NodeId node,
                                                   Key range_lo) {
   const DstKey key{(static_cast<uint64_t>(table.value()) << 32) | node.value(),
                    range_lo};
-  auto it = dst_partitions_.find(key);
-  if (it != dst_partitions_.end()) {
+  auto it = dst_cache_.find(key);
+  if (it != dst_cache_.end()) {
     // Reuse only if the partition still exists and is owned by `node`.
     catalog::Partition* p = cluster_->catalog().GetPartition(it->second);
     if (p != nullptr && p->owner() == node) return it->second;
   }
   catalog::Partition* fresh = cluster_->catalog().CreatePartition(table, node);
-  dst_partitions_[key] = fresh->id();
+  dst_cache_[key] = fresh->id();
   return fresh->id();
 }
 
@@ -182,15 +167,13 @@ Status MigrationManagerBase::StartMoves(
     const std::vector<cluster::SegmentMove>& moves,
     std::function<void()> done) {
   if (stats_.running) return Status::Busy("migration already running");
-  if (!TransfersOwnership()) {
+  if (!SupportsDrain()) {
     return Status::NotSupported(
         name() + " cannot transfer ownership; targeted moves impossible");
   }
   if (moves.empty()) {
     return Status::InvalidArgument("no moves to execute");
   }
-  std::vector<MoveTask> tasks;
-  tasks.reserve(moves.size());
   for (const cluster::SegmentMove& m : moves) {
     catalog::Partition* src = cluster_->catalog().GetPartition(m.src_partition);
     if (src == nullptr || src->owner() != m.src_node) {
@@ -204,23 +187,14 @@ Status MigrationManagerBase::StartMoves(
                                  std::to_string(m.dst_node.value()) +
                                  " is not active");
     }
-    MoveTask t;
-    t.table = m.table;
-    t.segment = m.segment;
-    t.range = m.range;
-    t.src_partition = m.src_partition;
-    t.src_node = m.src_node;
-    t.dst_node = m.dst_node;
-    t.dst_partition = PartitionId::Invalid();  // Resolved at execution.
-    tasks.push_back(t);
   }
-  StartTasks(std::move(tasks), std::move(done));
+  StartTasks(moves, std::move(done));
   return Status::OK();
 }
 
 Status MigrationManagerBase::Drain(NodeId victim, std::function<void()> done) {
   if (stats_.running) return Status::Busy("migration already running");
-  if (!TransfersOwnership()) {
+  if (!SupportsDrain()) {
     return Status::NotSupported(
         "physical partitioning cannot transfer ownership; scale-in "
         "impossible (paper §5.2)");
@@ -233,7 +207,7 @@ void MigrationManagerBase::StartDrainAttempt(NodeId victim, int attempt,
                                              std::function<void()> done) {
   constexpr int kMaxDrainAttempts = 3;
   drain_victim_ = victim;
-  std::vector<MoveTask> plan = PlanDrain(victim);
+  std::vector<cluster::SegmentMove> plan = PlanDrain(victim);
   // Retry only when this round had work to do: an empty plan with data
   // left behind means no survivors exist, and another round cannot help.
   const bool planned_any = !plan.empty();
@@ -263,9 +237,9 @@ void MigrationManagerBase::StartDrainAttempt(NodeId victim, int attempt,
   StartTasks(std::move(plan), std::move(cleanup));
 }
 
-void MigrationManagerBase::StartTasks(std::vector<MoveTask> tasks,
+void MigrationManagerBase::StartTasks(std::vector<cluster::SegmentMove> tasks,
                                       std::function<void()> done) {
-  stats_ = MigrationStats{};
+  stats_ = cluster::RebalanceStats{};
   stats_.running = true;
   stats_.started_at = cluster_->Now();
   stats_.tasks_planned = static_cast<int64_t>(tasks.size());
@@ -275,7 +249,8 @@ void MigrationManagerBase::StartTasks(std::vector<MoveTask> tasks,
   RunNextTask();
 }
 
-bool MigrationManagerBase::SourceOwnsRoute(const MoveTask& task) const {
+bool MigrationManagerBase::SourceOwnsRoute(
+    const cluster::SegmentMove& task) const {
   const auto covering =
       cluster_->catalog().RoutesInRange(task.table, task.range);
   if (covering.empty()) return false;
@@ -285,8 +260,8 @@ bool MigrationManagerBase::SourceOwnsRoute(const MoveTask& task) const {
   return true;
 }
 
-bool MigrationManagerBase::EvictStaleDstCopies(catalog::Partition* dst,
-                                               const MoveTask& task) {
+bool MigrationManagerBase::EvictStaleDstCopies(
+    catalog::Partition* dst, const cluster::SegmentMove& task) {
   // Precondition: SourceOwnsRoute(task) held — the catalog routes every
   // entry of task.range to the source, so a segment of dst intersecting
   // that range is a leftover copy: dst owned the range once (e.g. before a
@@ -314,6 +289,46 @@ bool MigrationManagerBase::EvictStaleDstCopies(catalog::Partition* dst,
   return true;
 }
 
+PartitionId MigrationManagerBase::BeginOwnershipMove(
+    const cluster::SegmentMove& task, catalog::Partition* src,
+    const std::function<void()>& next) {
+  if (!SourceOwnsRoute(task)) {
+    // The route moved on since planning (a standby was promoted over the
+    // source): installing or draining this copy would resurrect
+    // pre-promotion state over the writes committed since the flip.
+    Abandon(task, "source no longer owns the route", next);
+    return PartitionId::Invalid();
+  }
+  const PartitionId dst_id =
+      DstPartitionFor(task.table, task.dst_node, task.range.lo);
+  catalog::Partition* dst = cluster_->catalog().GetPartition(dst_id);
+  WATTDB_CHECK(dst != nullptr);
+  if (!EvictStaleDstCopies(dst, task)) {
+    // The reused destination still serves part of the colliding range:
+    // nothing there can be dropped safely, and installing next to it would
+    // interleave two generations of the range.
+    Abandon(task, "destination holds live colliding segments", next);
+    return PartitionId::Invalid();
+  }
+  // Master: two-pointer routing entry (both locations are visited while
+  // the move is in flight); the source forwards stragglers.
+  WATTDB_CHECK(
+      cluster_->catalog().BeginMove(task.table, task.range, dst_id).ok());
+  src->set_forward_to(dst_id);
+  return dst_id;
+}
+
+void MigrationManagerBase::Abandon(const cluster::SegmentMove& task,
+                                   const std::string& why,
+                                   const std::function<void()>& next) {
+  ++stats_.tasks_failed;
+  WATTDB_INFO("migration: " << name() << " move of segment "
+                            << task.segment.value() << " [" << task.range.lo
+                            << ", " << task.range.hi << ") abandoned (" << why
+                            << ")");
+  next();
+}
+
 void MigrationManagerBase::OnNodeFailure(NodeId down) {
   if (!stats_.running) return;
   // Mid-drain, a task whose *destination* died still has a live source
@@ -329,8 +344,8 @@ void MigrationManagerBase::OnNodeFailure(NodeId down) {
   size_t dropped = 0;
   size_t replanned = 0;
   size_t rr = 0;
-  std::deque<MoveTask> kept;
-  for (MoveTask& t : queue_) {
+  std::deque<cluster::SegmentMove> kept;
+  for (cluster::SegmentMove& t : queue_) {
     if (t.src_node != down && t.dst_node != down) {
       kept.push_back(t);
       continue;
@@ -338,7 +353,6 @@ void MigrationManagerBase::OnNodeFailure(NodeId down) {
     if (t.src_node == drain_victim_ && t.dst_node == down &&
         !survivors.empty()) {
       t.dst_node = survivors[rr++ % survivors.size()];
-      t.dst_partition = PartitionId::Invalid();  // Resolved at execution.
       ++replanned;
       kept.push_back(t);
       continue;
@@ -362,7 +376,7 @@ void MigrationManagerBase::RunNextTask() {
     FinishAll();
     return;
   }
-  const MoveTask task = queue_.front();
+  const cluster::SegmentMove task = queue_.front();
   queue_.pop_front();
   ExecuteTask(task, [this]() { RunNextTask(); });
 }

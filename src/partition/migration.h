@@ -36,14 +36,12 @@ struct MigrationConfig {
   TableId only_table;
 };
 
-/// Progress counters exposed to benches and tests. The struct itself lives
-/// on the Repartitioner interface (cluster::RebalanceStats) so that callers
-/// holding only the abstract scheme can still read progress.
-using MigrationStats = cluster::RebalanceStats;
-
-/// Base class of the three schemes: owns the task queue, the chunked copy
-/// machinery, and the plan that selects which segments/ranges leave which
-/// source partitions. Subclasses decide what a "move" means.
+/// Base class of the three schemes: the skeleton every segment move runs
+/// in. It owns the task queue, the plan that selects which segments leave
+/// which source partitions, the chunked copy machinery, the §4.3
+/// ownership-transfer preamble and the abandon path. Subclasses decide only
+/// what one move does (§4.1-§4.3): ship bytes, drain records, or ship bytes
+/// and flip ownership.
 class MigrationManagerBase : public cluster::Repartitioner {
  public:
   MigrationManagerBase(cluster::Cluster* cluster, MigrationConfig config);
@@ -51,12 +49,11 @@ class MigrationManagerBase : public cluster::Repartitioner {
   Status StartRebalance(const std::vector<NodeId>& targets, double fraction,
                         std::function<void()> done) override;
   Status Drain(NodeId victim, std::function<void()> done) override;
-  /// Targeted moves (the master's heat balancer): each entry becomes one
-  /// MoveTask on the shared queue, so §4.3 two-pointer safety, chunked
+  /// Targeted moves (the master's heat balancer): the moves join the
+  /// shared task queue as given, so §4.3 two-pointer safety, chunked
   /// streaming, and crash abandonment apply unchanged.
   Status StartMoves(const std::vector<cluster::SegmentMove>& moves,
                     std::function<void()> done) override;
-  bool SupportsDrain() const override { return TransfersOwnership(); }
   bool InProgress() const override { return stats_.running; }
 
   /// Crash notification: queued tasks whose source or target is `down` are
@@ -66,36 +63,50 @@ class MigrationManagerBase : public cluster::Repartitioner {
   /// whatever tasks survived.
   void OnNodeFailure(NodeId down) override;
 
-  const MigrationStats& stats() const override { return stats_; }
+  const cluster::RebalanceStats& stats() const override { return stats_; }
   const MigrationConfig& config() const { return config_; }
 
  protected:
-  /// One planned unit of movement: a segment (and its key range) leaving a
-  /// source partition for a target node/partition.
-  struct MoveTask {
-    TableId table;
-    SegmentId segment;
-    KeyRange range;
-    PartitionId src_partition;
-    NodeId src_node;
-    PartitionId dst_partition;  ///< Invalid for physical moves.
-    NodeId dst_node;
-  };
+  /// Subclass hook: execute one move, then call `next()` (possibly from a
+  /// deferred event) to pull the next task — directly on success, through
+  /// Abandon on failure.
+  virtual void ExecuteTask(const cluster::SegmentMove& task,
+                           std::function<void()> next) = 0;
 
-  /// Subclass hook: execute one task, then call `next()` (possibly from a
-  /// deferred event) to pull the next task.
-  virtual void ExecuteTask(const MoveTask& task, std::function<void()> next) = 0;
+  /// The §4.3 preamble of an ownership-transferring move, run once the
+  /// scheme's own checks passed: the route check, the destination pick,
+  /// stale-copy eviction, then the master's two-pointer entry (BeginMove)
+  /// and the source's forwarding pointer. Returns the destination
+  /// partition, or Invalid once the task was abandoned (`next` pulled).
+  PartitionId BeginOwnershipMove(const cluster::SegmentMove& task,
+                                 catalog::Partition* src,
+                                 const std::function<void()>& next);
 
-  /// Whether this scheme transfers ownership (false only for physical).
-  virtual bool TransfersOwnership() const = 0;
+  /// Count `task` as failed (stats().tasks_failed) and pull the next task.
+  void Abandon(const cluster::SegmentMove& task, const std::string& why,
+               const std::function<void()>& next);
 
+  /// Chunked byte shipping: schedules events that stream
+  /// `bytes * cost_scale` from src disk through the network to a dst disk,
+  /// then invokes `done` at the completion time. Maintenance pins are held
+  /// on both buffer managers while streaming. If either endpoint crashes
+  /// mid-stream, the copy aborts at the next chunk boundary and `done`
+  /// receives nullptr — the caller must not install the move.
+  void StreamBytes(SegmentId seg, NodeId src, NodeId dst, size_t bytes,
+                   std::function<void(hw::Disk* dst_disk)> done);
+
+  cluster::Cluster* cluster_;
+  MigrationConfig config_;
+  cluster::RebalanceStats stats_;
+
+ private:
   /// Build the task list for moving `fraction` of each table away from its
   /// current owners onto `targets`. Picks segments round-robin across the
   /// key order so moved ranges interleave with retained ones.
-  std::vector<MoveTask> PlanRebalance(const std::vector<NodeId>& targets,
-                                      double fraction);
+  std::vector<cluster::SegmentMove> PlanRebalance(
+      const std::vector<NodeId>& targets, double fraction);
   /// Task list that empties `victim`.
-  std::vector<MoveTask> PlanDrain(NodeId victim);
+  std::vector<cluster::SegmentMove> PlanDrain(NodeId victim);
   /// Nodes a drain of `victim` may ship data to: active, not the victim,
   /// and not partitioned from the master. A partitioned node's data path
   /// is alive (it is still "active"), but the master has declared it dead
@@ -109,9 +120,9 @@ class MigrationManagerBase : public cluster::Repartitioner {
   /// the master or crashed) and re-point the route at a standby — completing
   /// such a move would install the deposed owner's stale segment copy over
   /// the promoted one, silently dropping every write the new owner has
-  /// committed since. Ownership-transferring schemes must check this before
-  /// BeginMove and abandon the task when it fails.
-  bool SourceOwnsRoute(const MoveTask& task) const;
+  /// committed since. BeginOwnershipMove checks this before BeginMove and
+  /// abandons the task when it fails.
+  bool SourceOwnsRoute(const cluster::SegmentMove& task) const;
 
   /// Drop any segments of `dst` that intersect `task.range` but are no
   /// longer routed to it. Valid only after SourceOwnsRoute(task) held: the
@@ -119,7 +130,8 @@ class MigrationManagerBase : public cluster::Repartitioner {
   /// when `dst` was deposed (promotion while its node was partitioned) and
   /// never reconciled. Returns false — install must be abandoned — when a
   /// stale segment also backs a range `dst` still legitimately serves.
-  bool EvictStaleDstCopies(catalog::Partition* dst, const MoveTask& task);
+  bool EvictStaleDstCopies(catalog::Partition* dst,
+                           const cluster::SegmentMove& task);
 
   /// Destination partition for moving `range` of `table` onto `node`,
   /// created on first use. Keyed by the range start so that warehouse-
@@ -127,16 +139,8 @@ class MigrationManagerBase : public cluster::Repartitioner {
   /// (preserving the §4.3 lock granularity after the move).
   PartitionId DstPartitionFor(TableId table, NodeId node, Key range_lo);
 
-  /// Chunked byte shipping: schedules events that stream
-  /// `bytes * cost_scale` from src disk through the network to a dst disk,
-  /// then invokes `done` at the completion time. Maintenance pins are held
-  /// on both buffer managers while streaming. If either endpoint crashes
-  /// mid-stream, the copy aborts at the next chunk boundary and `done`
-  /// receives nullptr — the caller must not install the move.
-  void StreamBytes(SegmentId seg, NodeId src, NodeId dst, size_t bytes,
-                   std::function<void(hw::Disk* dst_disk)> done);
-
-  void StartTasks(std::vector<MoveTask> tasks, std::function<void()> done);
+  void StartTasks(std::vector<cluster::SegmentMove> tasks,
+                  std::function<void()> done);
   void RunNextTask();
   void FinishAll();
 
@@ -148,10 +152,7 @@ class MigrationManagerBase : public cluster::Repartitioner {
   void StartDrainAttempt(NodeId victim, int attempt,
                          std::function<void()> done);
 
-  cluster::Cluster* cluster_;
-  MigrationConfig config_;
-  MigrationStats stats_;
-  std::deque<MoveTask> queue_;
+  std::deque<cluster::SegmentMove> queue_;
   std::function<void()> done_;
   /// Victim of the drain currently running (invalid outside a drain).
   /// OnNodeFailure uses it to tell a drain task orphaned by its
@@ -171,7 +172,7 @@ class MigrationManagerBase : public cluster::Repartitioner {
              std::hash<Key>()(k.range_lo);
     }
   };
-  std::unordered_map<DstKey, PartitionId, DstKeyHash> dst_partitions_;
+  std::unordered_map<DstKey, PartitionId, DstKeyHash> dst_cache_;
 };
 
 }  // namespace wattdb::partition

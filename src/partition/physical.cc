@@ -4,7 +4,7 @@
 
 namespace wattdb::partition {
 
-void PhysicalPartitioning::ExecuteTask(const MoveTask& task,
+void PhysicalPartitioning::ExecuteTask(const cluster::SegmentMove& task,
                                        std::function<void()> next) {
   storage::Segment* seg = cluster_->segments().Get(task.segment);
   if (seg == nullptr || seg->storage_node() == task.dst_node) {
@@ -19,8 +19,7 @@ void PhysicalPartitioning::ExecuteTask(const MoveTask& task,
                 if (dst_disk == nullptr) {
                   // An endpoint crashed mid-copy; the bytes stay where they
                   // were and the task is abandoned.
-                  ++stats_.tasks_failed;
-                  next();
+                  Abandon(task, "endpoint crashed mid-copy", next);
                   return;
                 }
                 storage::Segment* seg = cluster_->segments().Get(task.segment);

@@ -19,10 +19,11 @@ class PhysicalPartitioning : public MigrationManagerBase {
       : MigrationManagerBase(cluster, config) {}
 
   std::string name() const override { return "physical"; }
+  bool SupportsDrain() const override { return false; }
 
  protected:
-  void ExecuteTask(const MoveTask& task, std::function<void()> next) override;
-  bool TransfersOwnership() const override { return false; }
+  void ExecuteTask(const cluster::SegmentMove& task,
+                   std::function<void()> next) override;
 };
 
 }  // namespace wattdb::partition

@@ -23,7 +23,7 @@ SimTime PhysiologicalPartitioning::EstimateCopyUs(size_t bytes) const {
              cluster_->network().spec().message_latency_us;
 }
 
-void PhysiologicalPartitioning::ExecuteTask(const MoveTask& task,
+void PhysiologicalPartitioning::ExecuteTask(const cluster::SegmentMove& task,
                                             std::function<void()> next) {
   auto& cat = cluster_->catalog();
   catalog::Partition* src = cat.GetPartition(task.src_partition);
@@ -38,37 +38,12 @@ void PhysiologicalPartitioning::ExecuteTask(const MoveTask& task,
       !cluster_->node(task.dst_node)->IsActive()) {
     // An endpoint died between planning and execution: abandon before
     // registering anything with the master.
-    ++stats_.tasks_failed;
-    next();
+    Abandon(task, "endpoint down", next);
     return;
   }
-  if (!SourceOwnsRoute(task)) {
-    // The route moved on since planning (a standby was promoted over the
-    // source): installing this copy would resurrect pre-promotion state.
-    ++stats_.tasks_failed;
-    WATTDB_INFO("migration: move of segment "
-                << task.segment.value()
-                << " abandoned (source no longer owns the route)");
-    next();
-    return;
-  }
-  const PartitionId dst_id = DstPartitionFor(task.table, task.dst_node, task.range.lo);
-  catalog::Partition* dst = cat.GetPartition(dst_id);
-  WATTDB_CHECK(dst != nullptr);
-  if (!EvictStaleDstCopies(dst, task)) {
-    // The reused destination still serves part of the colliding range:
-    // nothing here can be dropped safely, so the move is abandoned.
-    ++stats_.tasks_failed;
-    WATTDB_INFO("migration: move of segment "
-                << task.segment.value()
-                << " abandoned (destination holds live colliding segments)");
-    next();
-    return;
-  }
-
   // (1) Master: two-pointer routing entry; source forwards stragglers.
-  WATTDB_CHECK(cat.BeginMove(task.table, task.range, dst_id).ok());
-  src->set_forward_to(dst_id);
+  const PartitionId dst_id = BeginOwnershipMove(task, src, next);
+  if (!dst_id.valid()) return;
 
   // (2) Read lock on the source partition: waits for in-flight writers to
   // commit ("updating transactions need to commit before the lock is
@@ -122,11 +97,7 @@ void PhysiologicalPartitioning::ExecuteTask(const MoveTask& task,
                       src->set_forward_to(PartitionId::Invalid());
                       src->set_state(catalog::PartitionState::kNormal);
                     }
-                    ++stats_.tasks_failed;
-                    WATTDB_INFO("migration: move of segment "
-                                << task.segment.value()
-                                << " aborted (endpoint crashed)");
-                    next();
+                    Abandon(task, "endpoint crashed mid-copy", next);
                     return;
                   }
 

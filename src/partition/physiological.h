@@ -24,10 +24,11 @@ class PhysiologicalPartitioning : public MigrationManagerBase {
       : MigrationManagerBase(cluster, config) {}
 
   std::string name() const override { return "physiological"; }
+  bool SupportsDrain() const override { return true; }
 
  protected:
-  void ExecuteTask(const MoveTask& task, std::function<void()> next) override;
-  bool TransfersOwnership() const override { return true; }
+  void ExecuteTask(const cluster::SegmentMove& task,
+                   std::function<void()> next) override;
 
  private:
   /// Idle-resource estimate of how long copying `bytes` (unscaled) takes;

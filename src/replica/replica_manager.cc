@@ -107,6 +107,26 @@ void ReplicaManager::ValidateReplicas(SimTime now) {
 
 // ----------------------------------------------------------------- catch-up
 
+std::vector<tx::LogRecord> ReplicaManager::CutTail(
+    const ReplicaInfo& rep, const tx::LogManager& owner_log, size_t* bytes) {
+  std::vector<tx::LogRecord> tail;
+  for (tx::LogRecord& rec : owner_log.Tail(rep.applied_lsn)) {
+    if (rec.partition != rep.src_partition) continue;
+    if (rec.type != tx::LogRecordType::kInsert &&
+        rec.type != tx::LogRecordType::kUpdate &&
+        rec.type != tx::LogRecordType::kDelete) {
+      continue;
+    }
+    if (!rep.range.Contains(rec.key)) continue;
+    *bytes += rec.Bytes();
+    // RedoInto applies only records naming the partition it fills —
+    // retarget the copy at the replica partition.
+    rec.partition = rep.replica_partition;
+    tail.push_back(std::move(rec));
+  }
+  return tail;
+}
+
 int64_t ReplicaManager::CatchUp(const std::shared_ptr<ReplicaInfo>& rep,
                                 SimTime now) {
   cluster::Node* src = cluster_->node(rep->src_node);
@@ -115,24 +135,8 @@ int64_t ReplicaManager::CatchUp(const std::shared_ptr<ReplicaInfo>& rep,
       !host->IsActive()) {
     return rep->lag_records;  // Stalled; promotion or validation decides.
   }
-  // The owner's shipped tail: only this partition's data records within
-  // the replicated range matter.
-  std::vector<tx::LogRecord> tail;
   size_t bytes = 0;
-  for (tx::LogRecord& rec : src->log().Tail(rep->applied_lsn)) {
-    if (rec.partition != rep->src_partition) continue;
-    if (rec.type != tx::LogRecordType::kInsert &&
-        rec.type != tx::LogRecordType::kUpdate &&
-        rec.type != tx::LogRecordType::kDelete) {
-      continue;
-    }
-    if (!rep->range.Contains(rec.key)) continue;
-    bytes += rec.Bytes();
-    // RedoInto applies only records naming the partition it fills —
-    // retarget the copy at the replica partition.
-    rec.partition = rep->replica_partition;
-    tail.push_back(std::move(rec));
-  }
+  const std::vector<tx::LogRecord> tail = CutTail(*rep, src->log(), &bytes);
   const int64_t lag = static_cast<int64_t>(tail.size());
   // Everything up to the owner's current tip has now been scanned;
   // records of other partitions need not be re-filtered next round.
@@ -443,20 +447,8 @@ int ReplicaManager::PromoteReplicasOf(NodeId dead) {
     // finishes redo before the flip fires.
     const uint64_t fence = cluster_->catalog().FenceRange(
         rep->table, rep->range, rep->src_partition);
-    std::vector<tx::LogRecord> tail;
     size_t bytes = 0;
-    for (tx::LogRecord& rec : src->log().Tail(rep->applied_lsn)) {
-      if (rec.partition != rep->src_partition) continue;
-      if (rec.type != tx::LogRecordType::kInsert &&
-          rec.type != tx::LogRecordType::kUpdate &&
-          rec.type != tx::LogRecordType::kDelete) {
-        continue;
-      }
-      if (!rep->range.Contains(rec.key)) continue;
-      bytes += rec.Bytes();
-      rec.partition = rep->replica_partition;
-      tail.push_back(std::move(rec));
-    }
+    const std::vector<tx::LogRecord> tail = CutTail(*rep, src->log(), &bytes);
     SimTime done = now;
     if (!tail.empty()) {
       const SimTime read_done = src->log().ChargeReplayRead(now, bytes);

@@ -1,10 +1,10 @@
-// Tests for the wattdb::Db facade: construction per registered scheme,
-// option validation, the unknown-scheme error path, registry extensibility,
-// the RAII Session/TxnHandle commit/abort semantics (including moved-from
-// guards), the async/batched data plane — futures resolving in sim-time
-// order, owner-grouped MultiGet/MultiPut hop charging, batches landing
-// mid-migration that return every key exactly once via the §4.3 two-pointer
-// retry — and the WorkloadDriver attachment interface.
+// Tests for the wattdb::Db facade: construction per scheme, option
+// validation, the unknown-scheme error path, the RAII Session/TxnHandle
+// commit/abort semantics (including moved-from guards), the async/batched
+// data plane — futures resolving in sim-time order, owner-grouped
+// MultiGet/MultiPut hop charging, batches landing mid-migration that return
+// every key exactly once via the §4.3 two-pointer retry — and the
+// WorkloadDriver attachment interface.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "api/db.h"
-#include "api/scheme_registry.h"
 #include "workload/kv.h"
 #include "workload/tpcc_schema.h"
 
@@ -30,29 +29,6 @@ DbOptions SmallOptions() {
       .WithWarehouses(2)
       .WithFill(0.05)
       .WithHomeNodes({NodeId(0), NodeId(1)});
-}
-
-TEST(SchemeRegistry, BuiltinsAreRegistered) {
-  auto& reg = SchemeRegistry::Global();
-  EXPECT_TRUE(reg.Contains("physical"));
-  EXPECT_TRUE(reg.Contains("logical"));
-  EXPECT_TRUE(reg.Contains("physiological"));
-  EXPECT_FALSE(reg.Contains("hyper-graph"));
-  EXPECT_GE(reg.Names().size(), 3u);
-}
-
-TEST(SchemeRegistry, RejectsDuplicatesAndNulls) {
-  auto& reg = SchemeRegistry::Global();
-  EXPECT_TRUE(reg.Register("physiological", nullptr).IsInvalidArgument());
-  const Status dup = reg.Register(
-      "physiological",
-      [](cluster::Cluster* c, const partition::MigrationConfig& mc)
-          -> std::unique_ptr<cluster::Repartitioner> {
-        (void)c;
-        (void)mc;
-        return nullptr;
-      });
-  EXPECT_TRUE(dup.IsAlreadyExists());
 }
 
 TEST(Db, OpensWithEachBuiltinScheme) {
@@ -72,59 +48,6 @@ TEST(Db, UnknownSchemeFailsWithRegisteredNames) {
   // The error teaches the caller what would have worked.
   EXPECT_NE(db.status().message().find("hash-ring"), std::string::npos);
   EXPECT_NE(db.status().message().find("physiological"), std::string::npos);
-}
-
-/// A scheme added from *outside* src/api, exactly as downstream code would:
-/// subclass the abstract Repartitioner and register a factory.
-class NoopScheme : public cluster::Repartitioner {
- public:
-  std::string name() const override { return "noop"; }
-  const cluster::RebalanceStats& stats() const override { return stats_; }
-  Status StartRebalance(const std::vector<NodeId>& targets, double fraction,
-                        std::function<void()> done) override {
-    (void)targets;
-    (void)fraction;
-    ++starts_;
-    if (done) done();
-    return Status::OK();
-  }
-  Status Drain(NodeId victim, std::function<void()> done) override {
-    (void)victim;
-    if (done) done();
-    return Status::OK();
-  }
-  bool InProgress() const override { return false; }
-
-  int starts_ = 0;
-
- private:
-  cluster::RebalanceStats stats_;
-};
-
-TEST(Db, CustomSchemeViaRegistry) {
-  static NoopScheme* last_created = nullptr;
-  const Status reg = SchemeRegistry::Global().Register(
-      "noop", [](cluster::Cluster* c, const partition::MigrationConfig& mc)
-                  -> std::unique_ptr<cluster::Repartitioner> {
-        (void)c;
-        (void)mc;
-        auto scheme = std::make_unique<NoopScheme>();
-        last_created = scheme.get();
-        return scheme;
-      });
-  // A second test-process-wide registration attempt is AlreadyExists; the
-  // first must succeed.
-  ASSERT_TRUE(reg.ok() || reg.IsAlreadyExists());
-
-  auto db = Db::Open(SmallOptions().WithScheme("noop"));
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  EXPECT_EQ((*db)->scheme().name(), "noop");
-  ASSERT_NE(last_created, nullptr);
-  bool done = false;
-  EXPECT_TRUE(
-      (*db)->TriggerRebalance({NodeId(1)}, 0.5, [&]() { done = true; }).ok());
-  EXPECT_TRUE(done);
-  EXPECT_EQ(last_created->starts_, 1);
 }
 
 TEST(Session, CommitMakesWritesVisible) {

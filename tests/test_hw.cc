@@ -47,15 +47,6 @@ TEST(Disk, QueueingAccumulates) {
   EXPECT_GT(second, first);
 }
 
-TEST(Disk, PowerInterpolatesWithUtilization) {
-  Disk d(DiskId(0), NodeId(0), DiskSpec::Hdd(), "hdd");
-  EXPECT_DOUBLE_EQ(d.PowerIn(0, 1000), DiskSpec::Hdd().idle_watts);
-  d.AccessSequential(0, 100'000'000);  // Busy ~1s.
-  const double watts = d.PowerIn(0, kUsPerSec);
-  EXPECT_GT(watts, DiskSpec::Hdd().idle_watts);
-  EXPECT_LE(watts, DiskSpec::Hdd().active_watts + 1e-9);
-}
-
 TEST(Network, LocalTransferIsFree) {
   Network net;
   net.AddNode(NodeId(0));
