@@ -64,16 +64,22 @@ SchemeOutcome RunScheme(const RebalanceSetup& setup,
           ? ToSeconds(db.scheme().stats().finished_at -
                       db.scheme().stats().started_at)
           : -1.0;
+  // An unfinished move has no end time: say so instead of printing
+  // finished_at = 0 as a time before the start.
+  char end[32] = "unfinished";
+  if (out.migration_secs >= 0) {
+    std::snprintf(end, sizeof(end), "%.0fs",
+                  ToSeconds(db.scheme().stats().finished_at - Warmup()));
+  }
   std::fprintf(stderr,
                "[%s] completed=%lld aborted=%lld segs=%lld recs=%lld "
-               "migration=[%.0fs..%.0fs]\n",
+               "migration=[%.0fs..%s]\n",
                scheme_name.c_str(),
                static_cast<long long>(out.completed),
                static_cast<long long>(out.aborted),
                static_cast<long long>(db.scheme().stats().segments_moved),
                static_cast<long long>(db.scheme().stats().records_moved),
-               ToSeconds(db.scheme().stats().started_at - Warmup()),
-               ToSeconds(db.scheme().stats().finished_at - Warmup()));
+               ToSeconds(db.scheme().stats().started_at - Warmup()), end);
   return out;
 }
 

@@ -174,8 +174,8 @@ class Db {
   const std::vector<cluster::ControlEvent>& control_events() const {
     return master_->control_events();
   }
-  /// Subscribe to control events as they are emitted (benches use this to
-  /// annotate throughput timelines with detection/recovery marks).
+  /// Subscribe to control events as they are emitted (the benchmark report
+  /// folds each finished heat-rebalance round's move totals through it).
   void SetControlEventListener(
       std::function<void(const cluster::ControlEvent&)> listener) {
     master_->set_control_event_listener(std::move(listener));

@@ -110,27 +110,39 @@ void GlobalPartitionTable::SplitAt(RangeMap* rm, Key boundary) {
   }
 }
 
-Status GlobalPartitionTable::AssignRange(TableId table, const KeyRange& range,
-                                         PartitionId partition) {
-  if (range.Empty()) return Status::InvalidArgument("empty range");
+template <typename Edit>
+Status GlobalPartitionTable::EditRange(TableId table, const KeyRange& range,
+                                       Edit edit) {
   auto rit = routes_.find(table);
   if (rit == routes_.end()) return Status::NotFound("unknown table");
-  if (partitions_.count(partition) == 0) {
-    return Status::NotFound("unknown partition");
-  }
   RangeMap& rm = rit->second;
   SplitAt(&rm, range.lo);
   SplitAt(&rm, range.hi);
-  // Remove fully covered entries.
   auto it = rm.lower_bound(range.lo);
   while (it != rm.end() && it->second.range.lo < range.hi) {
-    UnrefEntry(it->second);
-    it = rm.erase(it);
+    if (edit(it->second)) {
+      UnrefEntry(it->second);
+      it = rm.erase(it);
+    } else {
+      ++it;
+    }
   }
+  return Status::OK();
+}
+
+Status GlobalPartitionTable::AssignRange(TableId table, const KeyRange& range,
+                                         PartitionId partition) {
+  if (range.Empty()) return Status::InvalidArgument("empty range");
+  if (partitions_.count(partition) == 0) {
+    return Status::NotFound("unknown partition");
+  }
+  // Remove fully covered entries.
+  WATTDB_RETURN_IF_ERROR(
+      EditRange(table, range, [](RouteEntry&) { return true; }));
   Ref(partition);
   RouteEntry entry{range, partition, PartitionId::Invalid()};
   StampEpoch(&entry);
-  rm.emplace(range.lo, entry);
+  routes_.at(table).emplace(range.lo, entry);
   return Status::OK();
 }
 
@@ -142,69 +154,41 @@ void GlobalPartitionTable::StampEpoch(RouteEntry* entry) {
 
 Status GlobalPartitionTable::UnassignRange(TableId table,
                                            const KeyRange& range) {
-  auto rit = routes_.find(table);
-  if (rit == routes_.end()) return Status::NotFound("unknown table");
-  RangeMap& rm = rit->second;
-  SplitAt(&rm, range.lo);
-  SplitAt(&rm, range.hi);
-  auto it = rm.lower_bound(range.lo);
-  while (it != rm.end() && it->second.range.lo < range.hi) {
-    UnrefEntry(it->second);
-    it = rm.erase(it);
-  }
-  return Status::OK();
+  return EditRange(table, range, [](RouteEntry&) { return true; });
 }
 
 Status GlobalPartitionTable::BeginMove(TableId table, const KeyRange& range,
                                        PartitionId to) {
-  auto rit = routes_.find(table);
-  if (rit == routes_.end()) return Status::NotFound("unknown table");
-  RangeMap& rm = rit->second;
-  SplitAt(&rm, range.lo);
-  SplitAt(&rm, range.hi);
-  for (auto it = rm.lower_bound(range.lo);
-       it != rm.end() && it->second.range.lo < range.hi; ++it) {
-    Unref(it->second.secondary);  // Overwriting a stale move's pointer.
-    it->second.secondary = to;
+  return EditRange(table, range, [&](RouteEntry& e) {
+    Unref(e.secondary);  // Overwriting a stale move's pointer.
+    e.secondary = to;
     Ref(to);
-  }
-  return Status::OK();
+    return false;
+  });
 }
 
 Status GlobalPartitionTable::CompleteMove(TableId table, const KeyRange& range,
                                           PartitionId to) {
-  auto rit = routes_.find(table);
-  if (rit == routes_.end()) return Status::NotFound("unknown table");
-  RangeMap& rm = rit->second;
-  SplitAt(&rm, range.lo);
-  SplitAt(&rm, range.hi);
-  for (auto it = rm.lower_bound(range.lo);
-       it != rm.end() && it->second.range.lo < range.hi; ++it) {
-    Unref(it->second.primary);
-    it->second.primary = to;
+  return EditRange(table, range, [&](RouteEntry& e) {
+    Unref(e.primary);
+    e.primary = to;
     Ref(to);
-    Unref(it->second.secondary);
-    it->second.secondary = PartitionId::Invalid();
-    StampEpoch(&it->second);
-  }
-  return Status::OK();
+    Unref(e.secondary);
+    e.secondary = PartitionId::Invalid();
+    StampEpoch(&e);
+    return false;
+  });
 }
 
 Status GlobalPartitionTable::AbortMove(TableId table, const KeyRange& range,
                                        PartitionId to) {
-  auto rit = routes_.find(table);
-  if (rit == routes_.end()) return Status::NotFound("unknown table");
-  RangeMap& rm = rit->second;
-  SplitAt(&rm, range.lo);
-  SplitAt(&rm, range.hi);
-  for (auto it = rm.lower_bound(range.lo);
-       it != rm.end() && it->second.range.lo < range.hi; ++it) {
-    if (it->second.secondary == to) {
-      Unref(it->second.secondary);
-      it->second.secondary = PartitionId::Invalid();
+  return EditRange(table, range, [&](RouteEntry& e) {
+    if (e.secondary == to) {
+      Unref(e.secondary);
+      e.secondary = PartitionId::Invalid();
     }
-  }
-  return Status::OK();
+    return false;
+  });
 }
 
 std::optional<RouteEntry> GlobalPartitionTable::Route(TableId table,
@@ -305,8 +289,6 @@ Status GlobalPartitionTable::PromoteReplica(TableId table,
   if (pit->second->table() != table) {
     return Status::InvalidArgument("partition belongs to another table");
   }
-  auto rit = routes_.find(table);
-  if (rit == routes_.end()) return Status::NotFound("unknown table");
   // A move in flight over the range would leave the mover holding a
   // secondary pointer at a partition that no longer owns anything; the
   // caller must wait for the move to settle (or abort it) first. Entries
@@ -333,17 +315,14 @@ Status GlobalPartitionTable::PromoteReplica(TableId table,
     return Status::FailedPrecondition(
         "deposed partition owns nothing in the promoted range");
   }
-  RangeMap& rm = rit->second;
-  SplitAt(&rm, range.lo);
-  SplitAt(&rm, range.hi);
-  for (auto it = rm.lower_bound(range.lo);
-       it != rm.end() && it->second.range.lo < range.hi; ++it) {
-    if (deposed.valid() && it->second.primary != deposed) continue;
-    Unref(it->second.primary);
-    it->second.primary = replica;
+  WATTDB_RETURN_IF_ERROR(EditRange(table, range, [&](RouteEntry& e) {
+    if (deposed.valid() && e.primary != deposed) return false;
+    Unref(e.primary);
+    e.primary = replica;
     Ref(replica);
-    StampEpoch(&it->second);
-  }
+    StampEpoch(&e);
+    return false;
+  }));
   // The standby is now the owner: its replica route is consumed and it
   // stops being invisible to the heat/drain planners.
   (void)RemoveReplicaRoute(table, replica);
@@ -353,23 +332,34 @@ Status GlobalPartitionTable::PromoteReplica(TableId table,
 
 uint64_t GlobalPartitionTable::FenceRange(TableId table, const KeyRange& range,
                                           PartitionId only_primary) {
-  auto rit = routes_.find(table);
-  if (rit == routes_.end() || range.Empty()) return 0;
-  RangeMap& rm = rit->second;
-  SplitAt(&rm, range.lo);
-  SplitAt(&rm, range.hi);
+  if (range.Empty()) return 0;
   uint64_t fence = 0;
-  for (auto it = rm.lower_bound(range.lo);
-       it != rm.end() && it->second.range.lo < range.hi; ++it) {
-    if (only_primary.valid() && it->second.primary != only_primary) continue;
+  (void)EditRange(table, range, [&](RouteEntry& e) {
+    if (only_primary.valid() && e.primary != only_primary) return false;
     // Bump the entry's epoch but deliberately do NOT mirror it into the
     // primary's route_epoch: the owner's claim token is now behind the
     // entry, which is exactly the "fenced" condition the routing layer
     // and ReclaimRange test for.
-    it->second.epoch = ++next_epoch_;
-    fence = it->second.epoch;
-  }
+    e.epoch = ++next_epoch_;
+    fence = e.epoch;
+    return false;
+  });
   return fence;
+}
+
+int GlobalPartitionTable::HealOrphanedFences(const Partition& owner,
+                                             const KeyRange& range,
+                                             uint64_t claim_token) {
+  int healed = 0;
+  for (const RouteEntry& e : RoutesInRange(owner.table(), range)) {
+    if (e.primary != owner.id() || e.epoch <= claim_token) continue;
+    const Status heal =
+        ReclaimRange(owner.table(), e.range, owner.id(), claim_token);
+    WATTDB_CHECK_MSG(heal.ok(), "orphaned-fence heal failed: "
+                                    << heal.ToString());
+    ++healed;
+  }
+  return healed;
 }
 
 uint64_t GlobalPartitionTable::EpochOf(TableId table, Key key) const {

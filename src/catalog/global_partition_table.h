@@ -176,6 +176,15 @@ class GlobalPartitionTable {
   Status ReclaimRange(TableId table, const KeyRange& range,
                       PartitionId claimant, uint64_t claim_epoch);
 
+  /// Heal the orphaned fences over `range` of `owner`'s table: every entry
+  /// still naming `owner` as primary whose epoch a promotion fenced past
+  /// `claim_token` (the sealed range never flipped — the standby died
+  /// first) is reclaimed under the token, which restamps it. Per covering
+  /// entry, since a split range may be part-promoted (a reclaim of the
+  /// whole would be refused). Returns the number of entries healed.
+  int HealOrphanedFences(const Partition& owner, const KeyRange& range,
+                         uint64_t claim_token);
+
   /// All routing entries intersecting `range`, in key order.
   std::vector<RouteEntry> RoutesInRange(TableId table,
                                         const KeyRange& range) const;
@@ -197,14 +206,21 @@ class GlobalPartitionTable {
  private:
   using RangeMap = std::map<Key, RouteEntry>;  // Keyed by range.lo.
 
-  /// Carve out `range` so that no entry straddles its boundaries.
+  /// Split the entry straddling `boundary` (if any) in two at it.
   void SplitAt(RangeMap* rm, Key boundary);
+
+  /// The one split-and-walk of every range edit: split `table`'s entries
+  /// at both bounds of `range`, then call `edit(entry)` on each entry
+  /// inside it, in key order. An entry for which `edit` returns true is
+  /// unreferenced and erased. NotFound (nothing edited) for an unknown
+  /// table.
+  template <typename Edit>
+  Status EditRange(TableId table, const KeyRange& range, Edit edit);
 
   /// Reference counting of partitions by routing entries: every entry's
   /// primary and (valid) secondary holds one reference. Kept in sync by
-  /// Assign/Unassign/BeginMove/CompleteMove/AbortMove and SplitAt so
-  /// DropPartition's still-routed guard is O(1) instead of a scan over
-  /// every range of every table.
+  /// the range edits and SplitAt so DropPartition's still-routed guard is
+  /// O(1) instead of a scan over every range of every table.
   void Ref(PartitionId id) {
     if (id.valid()) ++route_refs_[id];
   }

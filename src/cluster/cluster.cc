@@ -219,15 +219,7 @@ Status Cluster::HealPartition(NodeId id) {
         // Still the owner. Heal any orphaned fence (promotion sealed the
         // range but the flip never landed — the standby died first): the
         // live owner lost nothing, so restamp it authoritative again.
-        // Per covering sub-entry, since a split range may be part-promoted.
-        for (const auto& sub :
-             catalog_.RoutesInRange(p->table(), entry.range)) {
-          if (sub.primary != p->id() || sub.epoch <= token) continue;
-          const Status heal =
-              catalog_.ReclaimRange(p->table(), sub.range, p->id(), token);
-          WATTDB_CHECK_MSG(heal.ok(),
-                           "fence heal failed: " << heal.ToString());
-        }
+        (void)catalog_.HealOrphanedFences(*p, entry.range, token);
         continue;
       }
       if (route.has_value() && route->secondary == p->id()) continue;
@@ -235,9 +227,7 @@ Status Cluster::HealPartition(NodeId id) {
       // catalog's owner has been taking writes — this copy is stale and
       // must be dropped, never reclaimed (reclaiming would doubly-serve
       // every write the new owner committed).
-      (void)p->DetachSegment(entry.segment);
-      n->buffer().InvalidateSegment(entry.segment);
-      (void)segments_.Drop(entry.segment);
+      (void)n->DiscardSegment(p, entry.segment);
       WATTDB_INFO("net: node " << id.value() << " heal: stale copy of ["
                                << entry.range.lo << "," << entry.range.hi
                                << ") dropped");

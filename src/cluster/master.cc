@@ -258,33 +258,26 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
 }
 
 void Master::HandleHelperFailure(NodeId helper) {
-  auto it = helper_assignments_.find(helper);
-  const std::vector<NodeId> orphaned =
-      it != helper_assignments_.end() ? it->second : std::vector<NodeId>{};
+  auto it = std::find_if(
+      helpers_.begin(), helpers_.end(),
+      [helper](const HelperAssignment& h) { return h.helper == helper; });
+  std::vector<NodeId> orphaned;
+  if (it != helpers_.end()) {
+    orphaned = std::move(it->assisted);
+    helpers_.erase(it);
+  }
   Emit(ControlEventType::kHelperLost, helper,
        "helper died mid-log-shipping; " + std::to_string(orphaned.size()) +
            " assisted node(s) orphaned");
   for (NodeId a : orphaned) {
-    Node* an = cluster_->node(a);
-    if (an == nullptr) continue;
     // The helper's disk died with the shipped tail's only durable copy;
-    // DetachHelperLost re-forces it from the assisted node's log buffer.
-    an->log().DetachHelperLost(cluster_->Now());
-    an->buffer().DetachRemoteTier();
+    // the lost detach re-forces it from the assisted node's log buffer.
+    cluster_->node(a)->DetachHelper(cluster_->Now(), HelperDetach::kLost);
     Emit(ControlEventType::kHelperFallback, a,
          "fell back to local logging (shipped tail re-forced locally; "
          "nothing committed is lost)");
   }
-  helper_assignments_.erase(helper);
   cluster_->SetHelper(helper, false);
-  active_helpers_.erase(
-      std::remove(active_helpers_.begin(), active_helpers_.end(), helper),
-      active_helpers_.end());
-  assisted_nodes_.clear();
-  for (const auto& [h, assisted] : helper_assignments_) {
-    assisted_nodes_.insert(assisted_nodes_.end(), assisted.begin(),
-                           assisted.end());
-  }
 
   if (!policy_.recovery.auto_heal || orphaned.empty()) return;
   // Recruit a standby replacement and wire it exactly as AttachHelpers
@@ -294,10 +287,10 @@ void Master::HandleHelperFailure(NodeId helper) {
     const NodeId candidate(i);
     if (!cluster_->EligibleFor(candidate, Role::kRecruit)) continue;
     if (cluster_->node_state(candidate).helper) continue;
-    if (std::find(assisted_nodes_.begin(), assisted_nodes_.end(), candidate) !=
-        assisted_nodes_.end()) {
-      continue;
-    }
+    auto assists = [candidate](const HelperAssignment& h) {
+      return std::count(h.assisted.begin(), h.assisted.end(), candidate) > 0;
+    };
+    if (std::any_of(helpers_.begin(), helpers_.end(), assists)) continue;
     replacement = candidate;
     break;
   }
@@ -306,23 +299,15 @@ void Master::HandleHelperFailure(NodeId helper) {
                 << helper.value() << "; assisted nodes stay on local logging");
     return;
   }
-  active_helpers_.push_back(replacement);
-  helper_assignments_[replacement] = orphaned;
+  helpers_.push_back({replacement, orphaned});
   cluster_->SetHelper(replacement, true);
-  assisted_nodes_.insert(assisted_nodes_.end(), orphaned.begin(),
-                         orphaned.end());
   Emit(ControlEventType::kHelperRecruited, replacement,
        "standby booting as replacement helper for " +
            std::to_string(orphaned.size()) + " node(s)");
   const size_t pages = remote_buffer_pages_;
   (void)cluster_->PowerOn(replacement, [this, replacement, orphaned, pages]() {
     Node* h = cluster_->node(replacement);
-    for (NodeId a : orphaned) {
-      Node* an = cluster_->node(a);
-      if (an == nullptr) continue;
-      an->log().AttachHelper(h->id(), h->hardware().disk(0));
-      an->buffer().AttachRemoteTier(h->id(), pages);
-    }
+    for (NodeId a : orphaned) cluster_->node(a)->AttachHelper(*h, pages);
     WATTDB_INFO("master: replacement helper " << replacement.value()
                                               << " wired");
   });
@@ -798,7 +783,7 @@ Status Master::TriggerRebalance(const std::vector<NodeId>& targets,
 Status Master::AttachHelpers(const std::vector<NodeId>& helpers,
                              const std::vector<NodeId>& assisted,
                              size_t remote_buffer_pages) {
-  if (!active_helpers_.empty()) {
+  if (!helpers_.empty()) {
     // Silently rewiring would strand the first helper set's shipped log
     // tail; the caller must DetachHelpers (which re-localizes it) first.
     return Status::FailedPrecondition(
@@ -834,23 +819,25 @@ Status Master::AttachHelpers(const std::vector<NodeId>& helpers,
                               std::to_string(id.value()));
     }
   }
-  active_helpers_ = helpers;
-  assisted_nodes_ = assisted;
+  // Round-robin helpers across assisted nodes: each assisted node ships
+  // its log to one helper and uses its memory as an rDMA buffer tier. The
+  // assignment is remembered so a helper failure knows exactly which nodes
+  // to fall back and re-wire.
+  for (NodeId h : helpers) helpers_.push_back({h, {}});
+  for (size_t i = 0; i < assisted.size(); ++i) {
+    helpers_[i % helpers_.size()].assisted.push_back(assisted[i]);
+  }
   remote_buffer_pages_ = remote_buffer_pages;
-  ClearHelperAssignments();
   auto pending = std::make_shared<int>(static_cast<int>(helpers.size()));
   auto wire = [this, remote_buffer_pages]() {
-    // Round-robin helpers across assisted nodes: each assisted node ships
-    // its log to one helper and uses its memory as an rDMA buffer tier.
-    // The assignment is remembered so a helper failure knows exactly which
-    // nodes to fall back and re-wire.
-    for (size_t i = 0; i < assisted_nodes_.size(); ++i) {
-      Node* a = cluster_->node(assisted_nodes_[i]);
-      Node* h = cluster_->node(active_helpers_[i % active_helpers_.size()]);
-      a->log().AttachHelper(h->id(), h->hardware().disk(0));
-      a->buffer().AttachRemoteTier(h->id(), remote_buffer_pages);
-      helper_assignments_[h->id()].push_back(a->id());
-      cluster_->SetHelper(h->id(), true);
+    // Wires what is attached when the last helper is up: nothing, when
+    // DetachHelpers ran while they booted.
+    for (const HelperAssignment& h : helpers_) {
+      Node* helper = cluster_->node(h.helper);
+      for (NodeId a : h.assisted) {
+        cluster_->node(a)->AttachHelper(*helper, remote_buffer_pages);
+      }
+      if (!h.assisted.empty()) cluster_->SetHelper(h.helper, true);
     }
     WATTDB_INFO("helpers wired for log shipping + remote buffering");
   };
@@ -863,31 +850,22 @@ Status Master::AttachHelpers(const std::vector<NodeId>& helpers,
 }
 
 Status Master::DetachHelpers() {
-  if (active_helpers_.empty()) return Status::OK();
-  for (NodeId a : assisted_nodes_) {
-    // Graceful detach: the shipped tail is read back from the (still
-    // alive) helper and re-localized before the helper powers off.
-    cluster_->node(a)->log().DetachHelper(cluster_->Now());
-    cluster_->node(a)->buffer().DetachRemoteTier();
+  for (const HelperAssignment& h : helpers_) {
+    for (NodeId a : h.assisted) {
+      // Graceful detach: the shipped tail is read back from the (still
+      // alive) helper and re-localized before the helper powers off.
+      cluster_->node(a)->DetachHelper(cluster_->Now(),
+                                      HelperDetach::kGraceful);
+    }
+    if (cluster_->PowerOff(h.helper).ok()) cluster_->StopWatching(h.helper);
+    cluster_->SetHelper(h.helper, false);
   }
-  for (NodeId h : active_helpers_) {
-    if (cluster_->PowerOff(h).ok()) cluster_->StopWatching(h);
-  }
-  active_helpers_.clear();
-  assisted_nodes_.clear();
-  ClearHelperAssignments();
+  helpers_.clear();
   return Status::OK();
 }
 
 void Master::DropReplicasOn(NodeId node) {
   if (replicas_ != nullptr) replicas_->DropReplicasOn(node);
-}
-
-void Master::ClearHelperAssignments() {
-  for (const auto& entry : helper_assignments_) {
-    cluster_->SetHelper(entry.first, false);
-  }
-  helper_assignments_.clear();
 }
 
 }  // namespace wattdb::cluster

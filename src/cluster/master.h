@@ -377,8 +377,6 @@ class Master {
   void IssueRestart(NodeId node, bool drain_after, int attempt);
   void StartDrainAndExclude(NodeId node, int attempt);
   void HandleHelperFailure(NodeId helper);
-  /// Forget every helper -> assisted-nodes assignment.
-  void ClearHelperAssignments();
   /// Drop the standbys hosted on `node`, when a replica manager is wired.
   void DropReplicasOn(NodeId node);
 
@@ -392,12 +390,15 @@ class Master {
   int over_count_ = 0;
   int under_count_ = 0;
 
-  std::vector<NodeId> active_helpers_;
-  std::vector<NodeId> assisted_nodes_;
+  /// One attached helper and the assisted nodes shipping their log to it.
+  struct HelperAssignment {
+    NodeId helper;
+    std::vector<NodeId> assisted;
+  };
+  /// Attached helpers in attach order, a replacement last. Those wired to
+  /// an assisted node carry the lifecycle record's helper flag.
+  std::vector<HelperAssignment> helpers_;
   size_t remote_buffer_pages_ = 0;
-  /// helper -> the assisted nodes shipping their log to it. Its keys are
-  /// the nodes whose lifecycle record carries the helper flag.
-  std::unordered_map<NodeId, std::vector<NodeId>> helper_assignments_;
 
   std::function<void(const ControlEvent&)> event_listener_;
   std::vector<ControlEvent> control_events_;

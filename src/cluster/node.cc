@@ -473,4 +473,39 @@ Status Node::RedoInto(catalog::Partition* part,
   return Status::OK();
 }
 
+StatusOr<SimTime> Node::ReplayTail(catalog::Partition* part,
+                                   const std::vector<tx::LogRecord>& tail,
+                                   SimTime at) {
+  SimTime data_records = 0;
+  for (const tx::LogRecord& rec : tail) {
+    if (tx::IsDataRecord(rec.type)) ++data_records;
+  }
+  if (data_records > 0) {
+    at = hw_.cpu().Acquire(at, data_records * costs_.cpu_record_write_us);
+  }
+  WATTDB_RETURN_IF_ERROR(RedoInto(part, tail));
+  return at;
+}
+
+void Node::AttachHelper(Node& helper, size_t remote_buffer_pages) {
+  log_->AttachHelper(helper.id(), helper.hardware().disk(0));
+  buffer_.AttachRemoteTier(helper.id(), remote_buffer_pages);
+}
+
+void Node::DetachHelper(SimTime now, HelperDetach how) {
+  if (how == HelperDetach::kGraceful) {
+    log_->DetachHelper(now);
+  } else {
+    log_->DetachHelperLost(now);
+  }
+  buffer_.DetachRemoteTier();
+}
+
+Status Node::DiscardSegment(catalog::Partition* part, SegmentId seg) {
+  const Status detached = part->DetachSegment(seg);
+  buffer_.InvalidateSegment(seg);
+  const Status dropped = segments_->Drop(seg);
+  return detached.ok() ? dropped : detached;
+}
+
 }  // namespace wattdb::cluster

@@ -19,6 +19,12 @@
 
 namespace wattdb::cluster {
 
+/// How an assisted node lets go of its log-shipping helper (Fig. 8).
+enum class HelperDetach {
+  kGraceful,  ///< Helper alive: the tail it holds is shipped home first.
+  kLost,      ///< Helper crashed: the tail is re-forced from the log buffer.
+};
+
 /// CPU service-time constants for kernel operations. These are the
 /// calibration points of the simulation; defaults approximate an Atom-class
 /// core (the paper's local table scan sustains ~40k records/s, §3.3 Fig. 1).
@@ -107,10 +113,28 @@ class Node {
       const std::vector<tx::VersionStore::UndoEntry>& undo,
       const std::function<catalog::Partition*(TableId, Key)>& resolve);
 
-  /// Redo-recover partition contents from a log tail (used by recovery
-  /// tests; §4.3: the log reconstructs partitions).
+  /// Redo-recover partition contents from a log tail (§4.3: the log
+  /// reconstructs partitions), charging nothing.
   Status RedoInto(catalog::Partition* part,
                   const std::vector<tx::LogRecord>& tail);
+
+  /// The tail replay of crash recovery, replica catch-up and promotion:
+  /// per-data-record write CPU on the core pool from `at`, then RedoInto.
+  /// Returns when the CPU work completes, or the RedoInto error.
+  StatusOr<SimTime> ReplayTail(catalog::Partition* part,
+                               const std::vector<tx::LogRecord>& tail,
+                               SimTime at);
+
+  /// Fig. 8 helper wiring: ship this node's log to `helper`'s first disk
+  /// and use its memory as a remote buffer tier of that many pages.
+  void AttachHelper(Node& helper, size_t remote_buffer_pages);
+  /// Undo AttachHelper at `now`: local logging, no remote buffer tier.
+  void DetachHelper(SimTime now, HelperDetach how);
+
+  /// Discard this node's copy of `seg` from `part`: detach it from the top
+  /// index, drop its buffered pages and free the segment. Runs every step
+  /// and returns the first error.
+  Status DiscardSegment(catalog::Partition* part, SegmentId seg);
 
   // --- Segment plumbing used by migration -------------------------------
 

@@ -156,26 +156,15 @@ RecoveryReport RecoveryManager::Redo(NodeId node) {
     int64_t applied = 0;
     for (const tx::LogRecord& rec : tail) {
       tail_bytes += rec.Bytes();
-      switch (rec.type) {
-        case tx::LogRecordType::kInsert:
-        case tx::LogRecordType::kUpdate:
-        case tx::LogRecordType::kDelete:
-          ++applied;
-          break;
-        default:
-          break;
-      }
+      if (tx::IsDataRecord(rec.type)) ++applied;
     }
     // Scan the tail off the log disk, then re-apply it (per-record CPU).
     t = n->log().ChargeReplayRead(t, tail_bytes);
-    const Status redone = n->RedoInto(p, tail);
+    const StatusOr<SimTime> redone = n->ReplayTail(p, tail, t);
     WATTDB_CHECK_MSG(redone.ok(), "redo of partition "
-                                      << p->id().value()
-                                      << " failed: " << redone.ToString());
-    if (applied > 0) {
-      t = n->hardware().cpu().Acquire(
-          t, static_cast<SimTime>(applied) * n->costs().cpu_record_write_us);
-    }
+                                      << p->id().value() << " failed: "
+                                      << redone.status().ToString());
+    t = *redone;
 
     // Re-register with the master: every key range this partition holds
     // must be reachable again. Ranges the routing tree still points at
@@ -197,17 +186,8 @@ RecoveryReport RecoveryManager::Redo(NodeId node) {
         // range and never flipped (the standby died first). The full WAL
         // was just replayed, so this copy is authoritative: reclaim to
         // restamp, or the orphaned fence refuses the range forever.
-        // Per covering sub-entry: a split range may be part-promoted (the
-        // reclaim would refuse the whole), while the sub-entries still
-        // naming this partition heal unconditionally.
-        for (const auto& sub : catalog.RoutesInRange(p->table(), entry.range)) {
-          if (sub.primary != p->id() || sub.epoch <= claim_token) continue;
-          const Status heal = catalog.ReclaimRange(p->table(), sub.range,
-                                                   p->id(), claim_token);
-          WATTDB_CHECK_MSG(heal.ok(),
-                           "orphaned-fence heal failed: " << heal.ToString());
-          ++report.routes_restored;
-        }
+        report.routes_restored +=
+            catalog.HealOrphanedFences(*p, entry.range, claim_token);
         continue;
       }
       const Status claim = catalog.ReclaimRange(p->table(), entry.range,
@@ -216,9 +196,7 @@ RecoveryReport RecoveryManager::Redo(NodeId node) {
         // Superseded: a warm replica of this range was promoted during the
         // outage. The local copy is stale — drop it rather than carry two
         // divergent versions of the range.
-        (void)p->DetachSegment(entry.segment);
-        n->buffer().InvalidateSegment(entry.segment);
-        (void)cluster_->segments().Drop(entry.segment);
+        (void)n->DiscardSegment(p, entry.segment);
         ++report.routes_superseded;
         WATTDB_INFO("recovery: node "
                     << node.value() << " range [" << entry.range.lo << ","

@@ -152,9 +152,9 @@ void LogicalPartitioning::FinalizeRange(const cluster::SegmentMove& task,
   if (seg != nullptr && src != nullptr &&
       !src->top_index().RangeOf(task.segment).Empty()) {
     if (seg->record_count() == 0) {
-      WATTDB_CHECK(src->DetachSegment(task.segment).ok());
-      cluster_->node(task.src_node)->buffer().InvalidateSegment(task.segment);
-      WATTDB_CHECK(cluster_->segments().Drop(task.segment).ok());
+      WATTDB_CHECK(cluster_->node(task.src_node)
+                       ->DiscardSegment(src, task.segment)
+                       .ok());
     }
   }
   if (src != nullptr) {

@@ -279,9 +279,8 @@ bool MigrationManagerBase::EvictStaleDstCopies(
     }
   }
   for (const auto& entry : stale) {
-    WATTDB_CHECK(dst->DetachSegment(entry.segment).ok());
-    cluster_->node(task.dst_node)->buffer().InvalidateSegment(entry.segment);
-    WATTDB_CHECK(cluster_->segments().Drop(entry.segment).ok());
+    WATTDB_CHECK(
+        cluster_->node(task.dst_node)->DiscardSegment(dst, entry.segment).ok());
     WATTDB_INFO("migration: dropped stale segment "
                 << entry.segment.value() << " from deposed partition "
                 << dst->id().value() << " before reuse");

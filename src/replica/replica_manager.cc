@@ -112,11 +112,7 @@ std::vector<tx::LogRecord> ReplicaManager::CutTail(
   std::vector<tx::LogRecord> tail;
   for (tx::LogRecord& rec : owner_log.Tail(rep.applied_lsn)) {
     if (rec.partition != rep.src_partition) continue;
-    if (rec.type != tx::LogRecordType::kInsert &&
-        rec.type != tx::LogRecordType::kUpdate &&
-        rec.type != tx::LogRecordType::kDelete) {
-      continue;
-    }
+    if (!tx::IsDataRecord(rec.type)) continue;
     if (!rep.range.Contains(rec.key)) continue;
     *bytes += rec.Bytes();
     // RedoInto applies only records naming the partition it fills —
@@ -151,13 +147,10 @@ int64_t ReplicaManager::CatchUp(const std::shared_ptr<ReplicaInfo>& rep,
   if (part == nullptr) return lag;
   const SimTime arrived =
       cluster_->network().Transfer(now, rep->src_node, rep->host, bytes);
-  host->hardware().cpu().Acquire(
-      arrived, static_cast<SimTime>(tail.size()) *
-                   host->costs().cpu_record_write_us);
-  const Status applied = host->RedoInto(part, tail);
+  const StatusOr<SimTime> applied = host->ReplayTail(part, tail, arrived);
   if (!applied.ok()) {
-    WATTDB_WARN("replica: apply failed for " << Describe(*rep) << ": "
-                                             << applied.ToString());
+    WATTDB_WARN("replica: apply failed for "
+                << Describe(*rep) << ": " << applied.status().ToString());
     return lag;
   }
   rep->records_applied += static_cast<int64_t>(tail.size());
@@ -454,15 +447,14 @@ int ReplicaManager::PromoteReplicasOf(NodeId dead) {
       const SimTime read_done = src->log().ChargeReplayRead(now, bytes);
       const SimTime arrived =
           cluster_->network().Transfer(read_done, dead, rep->host, bytes);
-      done = host->hardware().cpu().Acquire(
-          arrived, static_cast<SimTime>(tail.size()) *
-                       host->costs().cpu_record_write_us);
-      const Status applied = host->RedoInto(part, tail);
+      const StatusOr<SimTime> applied = host->ReplayTail(part, tail, arrived);
       if (!applied.ok()) {
         WATTDB_WARN("replica: final catch-up failed for "
-                    << Describe(*rep) << ": " << applied.ToString());
+                    << Describe(*rep) << ": "
+                    << applied.status().ToString());
         continue;
       }
+      done = *applied;
       rep->records_applied += static_cast<int64_t>(tail.size());
       rep->bytes_shipped += static_cast<int64_t>(bytes);
       replication_bytes_ += static_cast<int64_t>(bytes);
@@ -521,11 +513,9 @@ void ReplicaManager::DropReplica(const std::shared_ptr<ReplicaInfo>& rep,
                                                rep->replica_partition);
   catalog::Partition* part =
       cluster_->catalog().GetPartition(rep->replica_partition);
-  if (part != nullptr && rep->replica_segment.valid()) {
-    (void)part->DetachSegment(rep->replica_segment);
-    cluster::Node* host = cluster_->node(rep->host);
-    if (host != nullptr) host->buffer().InvalidateSegment(rep->replica_segment);
-    (void)cluster_->segments().Drop(rep->replica_segment);
+  cluster::Node* host = cluster_->node(rep->host);
+  if (part != nullptr && host != nullptr && rep->replica_segment.valid()) {
+    (void)host->DiscardSegment(part, rep->replica_segment);
   }
   const Status drop = cluster_->catalog().DropPartition(rep->replica_partition);
   if (!drop.ok()) {

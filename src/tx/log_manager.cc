@@ -14,52 +14,40 @@ LogManager::LogManager(NodeId node, hw::Disk* log_disk, hw::Network* network)
 SimTime LogManager::Append(SimTime now, LogRecord record) {
   record.lsn = next_lsn_++;
   const size_t bytes = record.Bytes();
-  bytes_written_ += static_cast<int64_t>(bytes);
   records_.push_back(std::move(record));
-
-  if (helper_node_.valid()) {
-    // Log shipping: the record travels to the helper and is persisted on
-    // the helper's disk; the local log disk stays idle (Fig. 8 setup).
-    helper_held_bytes_ += static_cast<int64_t>(bytes);
-    const SimTime arrived = network_->Transfer(now, node_, helper_node_, bytes);
-    if (helper_disk_ != nullptr) {
-      return helper_disk_->AccessAppend(arrived, bytes);
-    }
-    return arrived;
-  }
-  return log_disk_->AccessAppend(now, bytes);
+  return ChargeBytes(now, bytes);
 }
-
-SimTime LogManager::Flush(SimTime now) { return now; }
 
 SimTime LogManager::ChargeBytes(SimTime now, size_t bytes) {
   bytes_written_ += static_cast<int64_t>(bytes);
-  if (helper_node_.valid()) {
-    helper_held_bytes_ += static_cast<int64_t>(bytes);
-    const SimTime arrived =
-        network_->Transfer(now, node_, helper_node_, bytes);
-    if (helper_disk_ != nullptr) {
-      return helper_disk_->AccessAppend(arrived, bytes);
-    }
-    return arrived;
-  }
-  return log_disk_->AccessAppend(now, bytes);
+  if (!helper_node_.valid()) return log_disk_->AccessAppend(now, bytes);
+  // Log shipping: the bytes travel to the helper and are persisted on the
+  // helper's disk; the local log disk stays idle (Fig. 8 setup).
+  helper_held_bytes_ += static_cast<int64_t>(bytes);
+  const SimTime arrived = network_->Transfer(now, node_, helper_node_, bytes);
+  return helper_disk_->AccessAppend(arrived, bytes);
 }
 
 void LogManager::AttachHelper(NodeId helper, hw::Disk* helper_disk) {
+  WATTDB_CHECK(helper.valid() && helper_disk != nullptr);
   helper_node_ = helper;
   helper_disk_ = helper_disk;
   helper_held_bytes_ = 0;
 }
 
-SimTime LogManager::DetachHelper(SimTime now) {
+int64_t LogManager::ResetHelper() {
   const int64_t held = helper_held_bytes_;
-  hw::Disk* held_on = helper_disk_;
-  const NodeId held_at = helper_node_;
   helper_node_ = NodeId::Invalid();
   helper_disk_ = nullptr;
   helper_held_bytes_ = 0;
-  if (held <= 0 || held_on == nullptr) return now;
+  return held;
+}
+
+SimTime LogManager::DetachHelper(SimTime now) {
+  hw::Disk* held_on = helper_disk_;
+  const NodeId held_at = helper_node_;
+  const int64_t held = ResetHelper();
+  if (held <= 0) return now;
   // Everything shipped since attach is durable only at the helper; before
   // the helper is released (typically to be powered off), that tail must
   // come home: sequential read there, network hop back, local append.
@@ -70,10 +58,7 @@ SimTime LogManager::DetachHelper(SimTime now) {
 }
 
 SimTime LogManager::DetachHelperLost(SimTime now) {
-  const int64_t held = helper_held_bytes_;
-  helper_node_ = NodeId::Invalid();
-  helper_disk_ = nullptr;
-  helper_held_bytes_ = 0;
+  const int64_t held = ResetHelper();
   if (held <= 0) return now;
   // The helper's disk is gone and with it the shipped tail's only durable
   // copy. The records still sit in this node's in-memory log buffer
@@ -111,7 +96,7 @@ std::vector<LogRecord> LogManager::TailAfter(PartitionId partition) const {
 
 SimTime LogManager::ChargeReplayRead(SimTime now, size_t bytes) {
   if (bytes == 0) return now;
-  if (helper_node_.valid() && helper_disk_ != nullptr) {
+  if (helper_node_.valid()) {
     // The log lives at the helper: read it there and ship it back.
     const SimTime read_done = helper_disk_->AccessSequential(now, bytes);
     return network_->Transfer(read_done, helper_node_, node_, bytes);

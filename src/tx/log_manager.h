@@ -23,6 +23,12 @@ enum class LogRecordType : uint8_t {
   kCheckpoint,  ///< Written when a partition move completes (§4.3 Logging).
 };
 
+/// Insert, update or delete: the records redo re-applies.
+inline bool IsDataRecord(LogRecordType type) {
+  return type == LogRecordType::kInsert || type == LogRecordType::kUpdate ||
+         type == LogRecordType::kDelete;
+}
+
 /// A write-ahead log record. After-images are retained so node-local redo
 /// recovery can reconstruct partitions (§4.3: "the log file is needed to
 /// reconstruct partitions and to perform appropriate UNDO and REDO").
@@ -53,17 +59,15 @@ class LogManager {
   /// is durable (on disk or at the helper).
   SimTime Append(SimTime now, LogRecord record);
 
-  /// Force-write (group commit): returns durability time for everything
-  /// appended so far. With per-append durability this is a no-op that
-  /// returns `now`.
-  SimTime Flush(SimTime now);
-
   /// Charge log-volume I/O without materializing records (used by the
   /// migration cost scale-up: each materialized record stands for many
   /// paper-scale records whose log volume must still hit the disk/helper).
+  /// The one write path, Append's too: shipped to the helper's disk while
+  /// one is attached, else appended to the local log disk.
   SimTime ChargeBytes(SimTime now, size_t bytes);
 
-  /// Redirect appends to `helper` (log shipping via the network).
+  /// Redirect appends to `helper` (log shipping via the network), persisted
+  /// on `helper_disk`, which must not be null.
   void AttachHelper(NodeId helper, hw::Disk* helper_disk);
 
   /// Graceful detach (helper is alive, e.g. DetachHelpers powering it
@@ -118,6 +122,9 @@ class LogManager {
   int64_t bytes_written() const { return bytes_written_; }
 
  private:
+  /// Drop the helper redirect; returns the bytes it held.
+  int64_t ResetHelper();
+
   NodeId node_;
   hw::Disk* log_disk_;
   hw::Network* network_;
