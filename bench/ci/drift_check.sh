@@ -19,10 +19,12 @@
 # stdout and stderr are diffed apart, since merged they can interleave
 # differently from run to run.
 #
-# Every difference is printed. Exit status: 0 when there is none, 1 on any
-# drift, 2 on bad arguments. Outputs go to <build>/drift/. Both builds run
-# side by side, two processes each; ~6 minutes on 4 vCPUs, most of it
-# elastic_scaleout.
+# Every difference is printed. The summary also lists each build's wall
+# seconds per step, so a host-speed change can read its gain off the same
+# run (steps 1, 3 and 4 run in sequence, step 2 beside them). Exit status: 0
+# when there is no drift, 1 on any drift, 2 on bad arguments. Outputs go to
+# <build>/drift/. Both builds run side by side, two processes each;
+# ~6 minutes on 4 vCPUs, most of it elastic_scaleout.
 
 set -u
 
@@ -39,30 +41,48 @@ anchor_seeds=(317 419)
 
 norm() { sed -e 's/wall=[^ )]*//' -e 's/\(\.cc\):[0-9]*\]/\1]/'; }
 
+# lap OUT_DIR STEP START: append "STEP<TAB>seconds since START" to
+# OUT_DIR/wall.tsv; START is an $EPOCHREALTIME reading.
+lap() {
+  awk -v step="$2" -v t0="$3" -v t1="$EPOCHREALTIME" \
+    'BEGIN { printf "%s\t%.1f\n", step, t1 - t0 }' >> "$1/wall.tsv"
+}
+
 # Smoke benches, then the soaks and anchor seeds, of one build.
 run_benches_and_soaks() {
-  local b=$1 out=$1/drift x m s
+  local b=$1 out=$1/drift x m s t0
   rm -rf "$out/json" && mkdir -p "$out/json"
+  t0=$EPOCHREALTIME
   for x in "$b"/bench_*; do
     [ -f "$x" ] && [ -x "$x" ] || continue
     WATTDB_BENCH_SMOKE=1 WATTDB_BENCH_JSON_DIR="$out/json" "$x" > /dev/null 2>&1
   done
+  lap "$out" "1. smoke benches" "$t0"
+  t0=$EPOCHREALTIME
   for m in "${soak_modes[@]}"; do
     [ "$m" = plain ] && m=""
     # shellcheck disable=SC2086  # $m holds zero or more flags.
     "$b/chaos_soak" --seeds 200 $m 2> "$out/soak${m// /}.err" |
       norm > "$out/soak${m// /}.out"
   done
+  lap "$out" "3. chaos_soak" "$t0"
+  t0=$EPOCHREALTIME
   for s in "${anchor_seeds[@]}"; do
     "$b/chaos_soak" --seed "$s" --no-fencing --history \
       2> "$out/anchor$s.err" | norm > "$out/anchor$s.out"
   done
+  lap "$out" "4. anchor seeds" "$t0"
 }
 
 run_build() {
   local b=$1
   mkdir -p "$b/drift"
-  "$b/elastic_scaleout" > "$b/drift/elastic.out" 2> "$b/drift/elastic.err" &
+  rm -f "$b/drift/wall.tsv"
+  {
+    local t0=$EPOCHREALTIME
+    "$b/elastic_scaleout" > "$b/drift/elastic.out" 2> "$b/drift/elastic.err"
+    lap "$b/drift" "2. elastic_scaleout" "$t0"
+  } &
   run_benches_and_soaks "$b"
   wait
 }
@@ -121,6 +141,10 @@ for seed in "${anchor_seeds[@]}"; do
       <(norm < "$change/drift/anchor$seed.$s")
   done
 done
+
+echo "wall seconds per step (parent / change):"
+join -t $'\t' <(sort "$parent/drift/wall.tsv") <(sort "$change/drift/wall.tsv") |
+  awk -F '\t' '{ printf "  %-20s %7s / %7s\n", $1, $2, $3 }'
 
 if [ $drift -eq 0 ]; then
   echo "drift check: no modeled drift"

@@ -68,9 +68,18 @@ Status Cluster::PowerOn(NodeId id, std::function<void()> on_ready) {
     return Status::Busy("already booting");
   }
   n->hardware().set_power_state(hw::PowerState::kBooting);
+  const int boot = ++node_states_.at(id.value()).boots;
   events_.ScheduleAfter(config_.node_hw.boot_time_us,
-                        [this, id, cb = std::move(on_ready)]() {
-                          node(id)->hardware().set_power_state(
+                        [this, id, boot, cb = std::move(on_ready)]() {
+                          // A PowerOff during the boot cancels it, callback
+                          // and all; a later PowerOn runs a boot of its own.
+                          Node* booted = node(id);
+                          if (node_states_[id.value()].boots != boot ||
+                              booted->hardware().power_state() !=
+                                  hw::PowerState::kBooting) {
+                            return;
+                          }
+                          booted->hardware().set_power_state(
                               hw::PowerState::kActive);
                           WATTDB_INFO("node " << id.value() << " active");
                           if (cb) cb();

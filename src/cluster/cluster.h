@@ -40,6 +40,8 @@ struct NodeState {
   int crashes = 0;         ///< Crashes so far.
   /// Control link to the master cut: heartbeats dropped, data path alive.
   bool partitioned = false;
+  /// Boots begun by PowerOn; only the latest one may complete.
+  int boots = 0;
 
   // The master's view, kept by its heartbeat detector.
   /// Seen active and not deliberately taken down: expected to report.

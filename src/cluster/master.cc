@@ -306,6 +306,17 @@ void Master::HandleHelperFailure(NodeId helper) {
            std::to_string(orphaned.size()) + " node(s)");
   const size_t pages = remote_buffer_pages_;
   (void)cluster_->PowerOn(replacement, [this, replacement, orphaned, pages]() {
+    // DetachHelpers may have run while it booted: then nothing is left to
+    // wire, and the replacement goes back to standby.
+    const bool still_helper = std::any_of(
+        helpers_.begin(), helpers_.end(),
+        [replacement](const HelperAssignment& h) {
+          return h.helper == replacement;
+        });
+    if (!still_helper) {
+      (void)cluster_->PowerOff(replacement);
+      return;
+    }
     Node* h = cluster_->node(replacement);
     for (NodeId a : orphaned) cluster_->node(a)->AttachHelper(*h, pages);
     WATTDB_INFO("master: replacement helper " << replacement.value()

@@ -340,10 +340,9 @@ Status Node::ScanRange(tx::Txn* txn, catalog::Partition* part,
     uint16_t last_page = UINT16_MAX;
     seg->ScanRange(std::max(range.lo, entry.range.lo),
                    std::min(range.hi, entry.range.hi),
-                   [&](const storage::Record& rec) {
-                     auto pos = seg->Locate(rec.key);
-                     if (pos.ok() && pos.value().page != last_page) {
-                       last_page = pos.value().page;
+                   [&](const storage::Record& rec, storage::RecordPos pos) {
+                     if (pos.page != last_page) {
+                       last_page = pos.page;
                        FetchPage(txn, seg->id(), last_page, false);
                      }
                      ChargeCpu(txn, costs_.cpu_scan_record_us, seg);

@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t* x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
@@ -24,18 +22,6 @@ void Rng::Seed(uint64_t seed) {
   c_255_ = Next() % 256;
   c_1023_ = Next() % 1024;
   c_8191_ = Next() % 8192;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {

@@ -14,7 +14,17 @@ class Rng {
 
   void Seed(uint64_t seed);
 
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [lo, hi] (inclusive bounds, TPC-C convention).
   int64_t UniformInt(int64_t lo, int64_t hi);
@@ -33,6 +43,8 @@ class Rng {
   uint64_t Zipf(uint64_t n, double theta);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
   uint64_t c_255_ = 0;   ///< NURand C constant for A=255.
   uint64_t c_1023_ = 0;  ///< NURand C constant for A=1023.

@@ -32,11 +32,10 @@ StatusOr<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
   }
   // Reuse a tombstone slot if available to bound directory growth.
   uint16_t slot = static_cast<uint16_t>(slots_.size());
-  for (uint16_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].offset == kTombstone) {
-      slot = s;
-      break;
-    }
+  if (tombstones_ > 0) {
+    slot = 0;
+    while (slots_[slot].offset != kTombstone) ++slot;
+    --tombstones_;
   }
   free_ptr_ -= size;
   std::memcpy(frame_.data() + free_ptr_, data, size);
@@ -99,6 +98,7 @@ Status Page::Delete(uint16_t slot) {
   slots_[slot].offset = kTombstone;
   slots_[slot].length = 0;
   --record_count_;
+  ++tombstones_;
   return Status::OK();
 }
 
@@ -134,6 +134,7 @@ bool Page::CheckInvariants() const {
     ++count;
   }
   if (live != live_bytes_ || count != record_count_) return false;
+  if (count + tombstones_ != slots_.size()) return false;
   const size_t dir_end = kPageHeaderSize + slots_.size() * kSlotSize;
   return free_ptr_ >= dir_end;
 }

@@ -77,6 +77,7 @@ class Page {
   size_t free_ptr_;           // Start of the packed record area.
   size_t live_bytes_ = 0;     // Total bytes of live record bodies.
   uint16_t record_count_ = 0;
+  uint16_t tombstones_ = 0;   // Dead slots, reused by Insert lowest first.
 };
 
 }  // namespace wattdb::storage

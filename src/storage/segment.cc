@@ -17,19 +17,20 @@ Segment::Segment(SegmentId id, NodeId storage_node, DiskId disk,
 }
 
 Page* Segment::PageWithRoom(size_t record_size, uint16_t* out_idx) {
-  for (size_t i = insert_cursor_; i < pages_.size(); ++i) {
-    if (pages_[i]->HasRoomFor(record_size)) {
-      *out_idx = static_cast<uint16_t>(i);
-      return pages_[i].get();
-    }
-    // Only advance the cursor past pages that cannot fit even small
-    // records, so mixed-size workloads do not strand space.
-    if (pages_[i]->FreeSpace() < 64 && i == insert_cursor_) {
-      ++insert_cursor_;
-    }
+  const size_t found =
+      free_space_.FirstAtLeast(insert_cursor_, record_size + kSlotSize);
+  // Only advance the cursor past pages that cannot fit even small
+  // records, so mixed-size workloads do not strand space; and never past
+  // the page this insert takes.
+  const size_t roomy = free_space_.FirstAtLeast(insert_cursor_, 64);
+  insert_cursor_ = std::min({found, roomy, pages_.size()});
+  if (found != FreeSpaceTree::kNone) {
+    *out_idx = static_cast<uint16_t>(found);
+    return pages_[found].get();
   }
   if (pages_.size() >= kPagesPerSegment) return nullptr;
   pages_.push_back(std::make_unique<Page>());
+  free_space_.Append(pages_.back()->FreeSpace());
   *out_idx = static_cast<uint16_t>(pages_.size() - 1);
   return pages_.back().get();
 }
@@ -47,6 +48,7 @@ StatusOr<RecordPos> Segment::Insert(Key key,
   }
   auto slot = page->Insert(body.data(), body.size());
   if (!slot.ok()) return slot.status();
+  RefreshFreeSpace(page_idx);
   const RecordPos pos{page_idx, slot.value()};
   pk_index_->Insert(key, pos);
   ++writes_;
@@ -83,17 +85,20 @@ Status Segment::UpdateAt(RecordPos pos, Key key,
   const std::vector<uint8_t> body = EncodeRecord(key, payload);
   Status s = pages_[pos.page]->Update(pos.slot, body.data(), body.size());
   if (s.ok()) {
+    RefreshFreeSpace(pos.page);
     ++writes_;
     return s;
   }
   if (!s.IsResourceExhausted()) return s;
   // The record grew past its page: relocate within the segment.
   WATTDB_RETURN_IF_ERROR(pages_[pos.page]->Delete(pos.slot));
+  RefreshFreeSpace(pos.page);
   uint16_t page_idx = 0;
   Page* page = PageWithRoom(body.size(), &page_idx);
   if (page == nullptr) return Status::ResourceExhausted("segment full");
   auto slot = page->Insert(body.data(), body.size());
   if (!slot.ok()) return slot.status();
+  RefreshFreeSpace(page_idx);
   pk_index_->Insert(key, RecordPos{page_idx, slot.value()});
   ++writes_;
   return Status::OK();
@@ -106,18 +111,26 @@ Status Segment::Delete(Key key) {
 
 Status Segment::DeleteAt(RecordPos pos, Key key) {
   WATTDB_RETURN_IF_ERROR(pages_[pos.page]->Delete(pos.slot));
+  RefreshFreeSpace(pos.page);
   pk_index_->Erase(key);
   ++writes_;
   return Status::OK();
 }
 
-size_t Segment::ScanRange(Key lo, Key hi,
-                          const std::function<bool(const Record&)>& fn) const {
+size_t Segment::ScanRange(
+    Key lo, Key hi,
+    const std::function<bool(const Record&, RecordPos)>& fn) const {
   return pk_index_->Scan(lo, hi, [&](Key key, const RecordPos& pos) {
     auto rec = ReadAt(pos);
     WATTDB_CHECK_MSG(rec.ok(), "index points at missing record, key=" << key);
-    return fn(rec.value());
+    return fn(rec.value(), pos);
   });
+}
+
+size_t Segment::ScanRange(Key lo, Key hi,
+                          const std::function<bool(const Record&)>& fn) const {
+  return ScanRange(lo, hi,
+                   [&](const Record& rec, RecordPos) { return fn(rec); });
 }
 
 size_t Segment::ScanAll(const std::function<bool(const Record&)>& fn) const {

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "index/record_index.h"
+#include "storage/free_space_tree.h"
 #include "storage/page.h"
 #include "storage/record.h"
 
@@ -81,6 +82,10 @@ class Segment {
   /// stop. Returns number visited.
   size_t ScanRange(Key lo, Key hi,
                    const std::function<bool(const Record&)>& fn) const;
+  /// As above, with each record's position as the index scan found it.
+  size_t ScanRange(
+      Key lo, Key hi,
+      const std::function<bool(const Record&, RecordPos)>& fn) const;
 
   /// Visit every record in key order.
   size_t ScanAll(const std::function<bool(const Record&)>& fn) const;
@@ -88,9 +93,6 @@ class Segment {
   size_t record_count() const { return pk_index_->size(); }
   /// Number of materialized pages.
   size_t page_count() const { return pages_.size(); }
-  /// Index of the page holding `pos` for buffer-manager addressing.
-  const Page* page(size_t idx) const { return pages_[idx].get(); }
-  Page* page(size_t idx) { return pages_[idx].get(); }
 
   /// Bytes of live record bodies across all pages.
   size_t LiveBytes() const;
@@ -127,14 +129,21 @@ class Segment {
 
  private:
   Page* PageWithRoom(size_t record_size, uint16_t* out_idx);
+  /// Bring page `idx`'s leaf in free_space_ up to date after it changed.
+  void RefreshFreeSpace(size_t idx) {
+    free_space_.Set(idx, pages_[idx]->FreeSpace());
+  }
 
   SegmentId id_;
   NodeId storage_node_;
   DiskId disk_;
   int lane_ = kLaneUnassigned;
   std::vector<std::unique_ptr<Page>> pages_;
+  /// Every page's FreeSpace(), kept current by each page mutation.
+  FreeSpaceTree free_space_;
   std::unique_ptr<index::RecordIndex> pk_index_;
-  /// First page that might have room, to keep inserts O(1) amortized.
+  /// Inserts look for room at or after this page. It moves only past
+  /// leading pages with too little space for even a small record.
   size_t insert_cursor_ = 0;
   mutable int64_t reads_ = 0;
   int64_t writes_ = 0;

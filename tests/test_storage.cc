@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "hw/network.h"
@@ -66,6 +68,20 @@ TEST(Page, DeleteTombstonesAndReusesSlot) {
   auto s2 = p.Insert(body.data(), body.size());
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ(s2.value(), s0.value());
+  EXPECT_TRUE(p.CheckInvariants());
+}
+
+TEST(Page, InsertReusesLowestTombstoneFirst) {
+  Page p;
+  const auto body = Bytes(64);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(p.Insert(body.data(), 64).ok());
+  ASSERT_TRUE(p.Delete(3).ok());
+  ASSERT_TRUE(p.Delete(1).ok());
+  EXPECT_EQ(p.Insert(body.data(), 64).value(), 1);
+  EXPECT_EQ(p.Insert(body.data(), 64).value(), 3);
+  EXPECT_EQ(p.Insert(body.data(), 64).value(), 5);  // No tombstone left.
+  ASSERT_TRUE(p.Delete(0).ok());
+  EXPECT_EQ(p.Insert(body.data(), 64).value(), 0);
   EXPECT_TRUE(p.CheckInvariants());
 }
 
@@ -243,6 +259,123 @@ TEST(Segment, UpdateAtRelocatesWhenGrownPastItsPage) {
   ASSERT_TRUE(seg.UpdateAt(small.value(), 6, Bytes(100, 3)).ok());
   EXPECT_EQ(seg.Locate(6).value().page, small.value().page);
   EXPECT_EQ(seg.Read(6).value().payload[0], 3);
+}
+
+// The linear first-fit page search that the segment's free-space tree
+// replaced, kept as the reference: from the cursor, take the first page with
+// room; move the cursor only past leading pages with under 64 free bytes.
+class LinearFirstFit {
+ public:
+  StatusOr<RecordPos> Insert(const std::vector<uint8_t>& body) {
+    uint16_t idx = 0;
+    Page* page = PageWithRoom(body.size(), &idx);
+    if (page == nullptr) return Status::ResourceExhausted("segment full");
+    auto slot = page->Insert(body.data(), body.size());
+    if (!slot.ok()) return slot.status();
+    return RecordPos{idx, slot.value()};
+  }
+
+  /// Where the record at `pos` is after growing or shrinking to `body`.
+  StatusOr<RecordPos> Update(RecordPos pos, const std::vector<uint8_t>& body) {
+    const Status s =
+        pages_[pos.page]->Update(pos.slot, body.data(), body.size());
+    if (s.ok()) return pos;
+    if (!s.IsResourceExhausted()) return s;
+    WATTDB_RETURN_IF_ERROR(pages_[pos.page]->Delete(pos.slot));
+    return Insert(body);
+  }
+
+  Status Delete(RecordPos pos) { return pages_[pos.page]->Delete(pos.slot); }
+
+  size_t page_count() const { return pages_.size(); }
+
+ private:
+  Page* PageWithRoom(size_t record_size, uint16_t* out_idx) {
+    for (size_t i = cursor_; i < pages_.size(); ++i) {
+      if (pages_[i]->HasRoomFor(record_size)) {
+        *out_idx = static_cast<uint16_t>(i);
+        return pages_[i].get();
+      }
+      if (pages_[i]->FreeSpace() < 64 && i == cursor_) ++cursor_;
+    }
+    if (pages_.size() >= kPagesPerSegment) return nullptr;
+    pages_.push_back(std::make_unique<Page>());
+    *out_idx = static_cast<uint16_t>(pages_.size() - 1);
+    return pages_.back().get();
+  }
+
+  std::vector<std::unique_ptr<Page>> pages_;
+  size_t cursor_ = 0;
+};
+
+// Mixed-size inserts, updates that shrink or grow (growing past the page
+// relocates the row) and deletes, until the segment is full: every record
+// must land where linear first-fit puts it, and both fill at the same op.
+TEST(Segment, PagePlacementMatchesLinearFirstFit) {
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    auto payload = [&rng]() {
+      const int64_t kind = rng.UniformInt(0, 9);
+      const int64_t size = kind < 4   ? rng.UniformInt(1, 60)
+                           : kind < 8 ? rng.UniformInt(100, 500)
+                                      : rng.UniformInt(1000, 3000);
+      return Bytes(static_cast<size_t>(size));
+    };
+    Segment seg(SegmentId(1), NodeId(0), DiskId(0));
+    LinearFirstFit ref;
+    std::vector<Key> live;
+    std::unordered_map<Key, RecordPos> ref_pos;
+    Key next_key = 0;
+    int op = 0;
+    bool full = false;
+    for (; !full; ++op) {
+      ASSERT_LT(op, 1000000) << "segment never filled";
+      const int64_t dice = rng.UniformInt(0, 99);
+      if (dice < 60 || live.empty()) {
+        const Key key = next_key++;
+        const auto body = payload();
+        auto got = seg.Insert(key, body);
+        auto want = ref.Insert(EncodeRecord(key, body));
+        ASSERT_EQ(got.ok(), want.ok()) << "op " << op;
+        if (!got.ok()) {
+          ASSERT_TRUE(got.status().IsResourceExhausted());
+          full = true;
+          continue;
+        }
+        ASSERT_EQ(got.value(), want.value()) << "op " << op;
+        live.push_back(key);
+        ref_pos[key] = want.value();
+        continue;
+      }
+      const size_t victim = rng.UniformInt(0, live.size() - 1);
+      const Key key = live[victim];
+      const RecordPos pos = seg.Locate(key).value();
+      ASSERT_EQ(pos, ref_pos[key]) << "op " << op;
+      if (dice < 85) {
+        const auto body = payload();
+        const Status got = seg.UpdateAt(pos, key, body);
+        auto want = ref.Update(pos, EncodeRecord(key, body));
+        ASSERT_EQ(got.ok(), want.ok()) << "op " << op;
+        if (!got.ok()) {
+          ASSERT_TRUE(got.IsResourceExhausted());
+          full = true;
+          continue;
+        }
+        ASSERT_EQ(seg.Locate(key).value(), want.value()) << "op " << op;
+        ref_pos[key] = want.value();
+      } else {
+        ASSERT_TRUE(seg.DeleteAt(pos, key).ok());
+        ASSERT_TRUE(ref.Delete(pos).ok());
+        live[victim] = live.back();
+        live.pop_back();
+        ref_pos.erase(key);
+      }
+    }
+    EXPECT_EQ(seg.page_count(), ref.page_count());
+    EXPECT_EQ(seg.page_count(), kPagesPerSegment);
+    EXPECT_GT(op, 10000);
+  }
 }
 
 TEST(Segment, DeleteAtRemovesRecordAndIndexEntry) {

@@ -161,6 +161,49 @@ TEST(WalPath, HelperFailoverUnderLoadIsPinned) {
   EXPECT_EQ(LatencySum((*kv)->latencies()), 17726555);
 }
 
+// A DetachHelpers while the replacement helper boots leaves nothing to wire:
+// once the boot is over, no assisted node ships its log to the replacement,
+// and the replacement is not left running.
+TEST(WalPath, DetachDuringReplacementBootWiresNothing) {
+  auto opened = Db::Open(DbOptions()
+                             .WithNodes(7)
+                             .WithActiveNodes(3)
+                             .WithSeed(3)
+                             .WithoutTpccLoad()
+                             .WithMasterLoop(HealingPolicy()));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Db& db = **opened;
+  auto kv = db.AddKvWorkload(WriteHeavyKv(3));
+  ASSERT_TRUE(kv.ok()) << kv.status().ToString();
+  (*kv)->Start();
+  db.RunFor(kUsPerSec);
+  const std::vector<NodeId> assisted = {NodeId(0), NodeId(1), NodeId(2)};
+  ASSERT_TRUE(db.AttachHelpers({NodeId(3), NodeId(4)}, assisted,
+                               /*remote_buffer_pages=*/128)
+                  .ok());
+  db.RunFor(7 * kUsPerSec);
+
+  // Helper 3 dies; standby 5 is recruited and starts its 5 s boot.
+  ASSERT_TRUE(db.CrashNode(NodeId(3)).ok());
+  const SimTime crashed_at = db.Now();
+  while (!db.cluster().node_state(NodeId(5)).helper &&
+         db.Now() < crashed_at + 30 * kUsPerSec) {
+    db.RunFor(kUsPerSec / 5);
+  }
+  ASSERT_TRUE(db.cluster().node_state(NodeId(5)).helper);
+  ASSERT_EQ(db.cluster().node(NodeId(5))->hardware().power_state(),
+            hw::PowerState::kBooting);
+  ASSERT_TRUE(db.DetachHelpers().ok());
+  db.RunFor(8 * kUsPerSec);  // Past the replacement's boot.
+  (*kv)->Stop();
+
+  for (NodeId a : assisted) {
+    EXPECT_FALSE(db.cluster().node(a)->log().HasHelper()) << a.value();
+  }
+  EXPECT_FALSE(db.cluster().node(NodeId(5))->IsActive());
+  EXPECT_FALSE(db.cluster().node_state(NodeId(5)).helper);
+}
+
 TEST(WalPath, CrashRestartRedoUnderLoadIsPinned) {
   auto opened = Db::Open(DbOptions()
                              .WithNodes(4)
