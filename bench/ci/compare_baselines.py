@@ -42,7 +42,10 @@ With --soak-report the script instead summarizes a chaos_soak JSON report:
 per-seed wall-clock (real time, not simulated — the one number in the soak
 that IS machine-dependent) as a step-summary table of the slowest seeds plus
 totals, so a soak-job reviewer can spot pathological seeds whose checking
-blew up without downloading the artifact. Informational only: never gates.
+blew up without downloading the artifact. A history-mode report also
+carries each seed's history-check time (`check_ms`); the summary prints
+its total and its share of the soak's wall time. Informational only: never
+gates.
 """
 
 import argparse
@@ -187,11 +190,20 @@ def soak_wall_clock_summary(report_path: Path, top: int = 15) -> int:
     print(f"soak wall-clock: {len(entries)} seed(s), total {total_ms} ms, "
           f"mean {total_ms / len(entries):.0f} ms, "
           f"max {slowest[0]['ms']} ms (seed {slowest[0]['seed']})")
+    checked = [e["check_ms"] for e in entries if "check_ms" in e]
+    check_summary = []
+    if checked:
+        check_ms = sum(checked)
+        share = check_ms / total_ms if total_ms > 0 else 0.0
+        print(f"history check: total {check_ms:.1f} ms over {len(checked)} "
+              f"seed(s), {share:.1%} of soak wall time")
+        check_summary = [f"History check: {check_ms / 1000.0:.2f} s in "
+                         f"total, {share:.1%} of soak wall time.", ""]
 
     mode = "".join(m for m, on in
                    [("history", report.get("history")),
                     ("elasticity", report.get("elasticity"))] if on)
-    lines = ["## Soak wall-clock per seed", "",
+    lines = ["## Soak wall-clock per seed", "", *check_summary,
              f"{len(entries)} seed(s)"
              + (f" ({mode} mode)" if mode else "")
              + f", total {total_ms / 1000.0:.1f} s, mean "

@@ -108,6 +108,10 @@ struct ScenarioResult {
   int history_keys_checked = 0;
   int history_keys_over_budget = 0;
   std::vector<HistoryViolation> history_violations;
+  /// Host milliseconds CheckHistory took. Host time, not a function of the
+  /// seed: kept out of ToJson(ScenarioResult) so replays compare its JSON
+  /// byte for byte; chaos_soak reports it beside the seed's wall time.
+  double history_check_ms = 0.0;
 };
 
 /// Build a cluster, arm a seeded fault schedule (simultaneous crashes,

@@ -25,13 +25,36 @@
 // the verdict: in any linearization no read sits between it and the next
 // write, so omitting it leaves every read valid; and a linearization of
 // the pruned history is one of the full history that omits it.
+//
+// Invocation-order window: the search relabels the pruned ops in
+// invocation order, so a state expands only a window of the key's history,
+// not all of it. An op may go next iff it was invoked no later than the
+// frontier, the earliest response among unsettled ops. Walk the unsettled
+// ops from the first one, keeping the least response seen so far, and stop
+// at the first op invoked after it. That op and every later one were
+// invoked after an unsettled op responded, so none can go next; and as no
+// op responds before it is invoked, none can lower the frontier either.
+// Every op before the stop was invoked no later than the final frontier
+// (an op further on that responded earlier would have been invoked
+// earlier), so the window holds exactly the ops a scan of every op admits,
+// and one walk finds both the frontier and the successors. The search
+// explores the same states either way, so verdicts, anomaly names and
+// minimal failing sub-histories do not depend on it; a state costs its
+// window (the ops overlapping the first unsettled one), so a key costs
+// O(ops x overlap) instead of O(ops^2). Nearly every state of a healthy
+// history has a single successor, so such a state is stepped through in
+// place, and only a branching state is memoized and stacked.
+//
+// The per-key split is one counting sort of the history into flat per-key
+// slices; a slice's lookups (rolled-back values, write invocation times)
+// are sorted vectors read by binary search.
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "chaos/history.h"
@@ -42,22 +65,16 @@ namespace {
 
 constexpr SimTime kInfTime = std::numeric_limits<SimTime>::max();
 
-/// One op prepared for the search: response lifted to infinity for
-/// indeterminate outcomes, plus whether the search may omit it.
+/// One op prepared for the search: its register effect copied out of the
+/// HistoryOp so the search touches no HistoryOp, its response lifted to
+/// infinity for indeterminate outcomes, plus whether the search may omit it.
 struct SearchOp {
   const HistoryOp* op = nullptr;
   SimTime inv = 0;
   SimTime resp = kInfTime;
-  bool optional = false;  ///< kIndeterminate: may never have taken effect.
-};
-
-/// A search op flattened so expanding a state touches no HistoryOp.
-struct RegisterOp {
-  SimTime inv = 0;
-  SimTime resp = kInfTime;
   uint64_t seq = 0;
   OpKind kind = OpKind::kRead;
-  bool optional = false;
+  bool optional = false;  ///< kIndeterminate: may never have taken effect.
 };
 
 /// Arenas the search reuses across keys and truncation cuts, so a search
@@ -66,14 +83,16 @@ struct RegisterOp {
 /// they produced. Two interleavings reaching the same pair are equivalent
 /// for everything that follows, so the pair is the memo key.
 struct SearchArena {
-  /// The ops left after pruning.
-  std::vector<RegisterOp> ops;
+  /// The ops left after pruning, in invocation order.
+  std::vector<SearchOp> ops;
   /// Values strict reads observe, sorted (the pruning test).
   std::vector<uint64_t> observed;
-  /// LIFO stack of (mask words, value, settled) records.
+  /// LIFO stack of (mask words, value, first unsettled op) records.
   std::vector<uint64_t> stack;
   /// The popped record being expanded.
   std::vector<uint64_t> cur;
+  /// The expanded state's successors: (op settled, register value after).
+  std::vector<std::pair<size_t, uint64_t>> successors;
   /// Memo: (mask words, value) records, their hashes, and an open-addressed
   /// table of record index + 1 (0 = empty slot).
   std::vector<uint64_t> memo_keys;
@@ -127,38 +146,88 @@ bool MemoInsert(SearchArena* a, const uint64_t* rec, size_t len) {
   return true;
 }
 
+/// Stable insertion sort by `less`: O(n + inversions). The inputs here
+/// are nearly sorted (a key's ops are recorded as their transactions
+/// finish, and seqs are drawn as writes are invoked), so each element moves
+/// past only the few that overlap it.
+template <typename T, typename Less>
+void SortNearlySorted(std::vector<T>* v, Less less) {
+  for (size_t i = 1; i < v->size(); ++i) {
+    if (!less((*v)[i], (*v)[i - 1])) continue;
+    T x = (*v)[i];
+    size_t j = i;
+    for (; j > 0 && less(x, (*v)[j - 1]); --j) (*v)[j] = (*v)[j - 1];
+    (*v)[j] = x;
+  }
+}
+
 /// Iterative-deepening-free DFS over linearization orders with state
 /// memoization, run on `ops` minus its unobserved indeterminate writes and
 /// deletes (the pruning rule in the file comment: the verdict is the same
-/// with or without them). Returns true when a valid linearization exists;
-/// sets `over_budget` (and returns true, i.e. no violation claimed) when
-/// the state budget is exhausted first.
+/// with or without them), relabelled in invocation order so each state
+/// scans only its window (the file comment). A state with one successor
+/// steps into it in place; only a branching state is memoized and pushes
+/// the rest of its successors, since a chain of single-successor states
+/// reached twice ends in the same branching state, where the memo stops
+/// the second walk. Returns true when a valid linearization exists; sets
+/// `over_budget` (and returns true, i.e. no violation claimed) when the
+/// state budget is exhausted first. Relies on every op responding no
+/// earlier than it was invoked.
 bool Linearizable(const std::vector<SearchOp>& ops, uint64_t initial,
                   int64_t* budget, bool* over_budget, SearchArena* a) {
-  a->observed.clear();
-  for (const SearchOp& s : ops) {
-    if (s.op->kind == OpKind::kRead) a->observed.push_back(s.op->seq);
-  }
-  std::sort(a->observed.begin(), a->observed.end());
-  a->ops.clear();
-  for (const SearchOp& s : ops) {
-    const uint64_t effect = s.op->kind == OpKind::kWrite ? s.op->seq : 0;
-    if (s.optional && s.op->kind != OpKind::kRead &&
-        !std::binary_search(a->observed.begin(), a->observed.end(), effect)) {
-      continue;  // Unobserved and may be omitted: the verdict is unchanged.
+  const auto by_inv = [](const SearchOp& x, const SearchOp& y) {
+    return x.inv < y.inv;
+  };
+  const bool may_prune =
+      std::any_of(ops.begin(), ops.end(), [](const SearchOp& s) {
+        return s.optional && s.kind != OpKind::kRead;
+      });
+  // The search runs on `ops` itself when nothing can be pruned and it is
+  // already in invocation order (the chaos histories' common case), else
+  // on a pruned, relabelled copy.
+  const std::vector<SearchOp>* searched = &ops;
+  if (may_prune || !std::is_sorted(ops.begin(), ops.end(), by_inv)) {
+    a->observed.clear();
+    for (const SearchOp& s : ops) {
+      if (s.kind == OpKind::kRead) a->observed.push_back(s.seq);
     }
-    a->ops.push_back({s.inv, s.resp, s.op->seq, s.op->kind, s.optional});
+    std::sort(a->observed.begin(), a->observed.end());
+    a->ops.clear();
+    for (const SearchOp& s : ops) {
+      const uint64_t effect = s.kind == OpKind::kWrite ? s.seq : 0;
+      if (s.optional && s.kind != OpKind::kRead &&
+          !std::binary_search(a->observed.begin(), a->observed.end(),
+                              effect)) {
+        continue;  // Unobserved and may be omitted: the verdict is unchanged.
+      }
+      a->ops.push_back(s);
+    }
+    SortNearlySorted(&a->ops, by_inv);
+    searched = &a->ops;
   }
+  const std::vector<SearchOp>& sops = *searched;
 
-  const size_t n = a->ops.size();
+  const size_t n = sops.size();
   if (n == 0) return true;
   const size_t words = (n + 63) / 64;
   const size_t key_len = words + 1;  // Mask words, then the value.
-  const size_t rec_len = words + 2;  // Key, then the settled count.
+  const size_t rec_len = words + 2;  // Key, then the first unsettled op.
   const uint64_t last_word_bits =
       n % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (n % 64)) - 1;
   const auto unsettled = [&](const uint64_t* mask, size_t w) {
     return ~mask[w] & (w + 1 == words ? last_word_bits : ~uint64_t{0});
+  };
+  // Settle op `i` in record `rec`, leaving the register at `value`.
+  const auto settle = [&](uint64_t* rec, size_t i, uint64_t value) {
+    rec[i / 64] |= uint64_t{1} << (i % 64);
+    rec[words] = value;
+    size_t first = rec[words + 1];
+    if (i != first) return;
+    // The first unsettled op moves on to the next one left (n if none).
+    size_t w = first / 64;
+    uint64_t open = unsettled(rec, w);
+    while (open == 0 && ++w < words) open = unsettled(rec, w);
+    rec[words + 1] = open == 0 ? n : 64 * w + __builtin_ctzll(open);
   };
 
   a->memo_keys.clear();
@@ -170,55 +239,59 @@ bool Linearizable(const std::vector<SearchOp>& ops, uint64_t initial,
   uint64_t* cur = a->cur.data();
 
   while (!a->stack.empty()) {
-    if (--(*budget) <= 0) {
-      *over_budget = true;
-      return true;
-    }
     std::copy(a->stack.end() - rec_len, a->stack.end(), cur);
     a->stack.resize(a->stack.size() - rec_len);
-    const uint64_t value = cur[words];
-    const uint64_t settled = cur[words + 1];
-    if (settled == n) return true;
-    if (!MemoInsert(a, cur, key_len)) continue;
+    for (;;) {
+      if (--(*budget) <= 0) {
+        *over_budget = true;
+        return true;
+      }
+      const size_t first = cur[words + 1];
+      if (first == n) return true;
+      const uint64_t value = cur[words];
 
-    // Earliest response among unsettled ops: any op invoked after it
-    // strictly follows an unsettled op in real time and cannot go next.
-    SimTime frontier = kInfTime;
-    for (size_t w = 0; w < words; ++w) {
-      for (uint64_t open = unsettled(cur, w); open != 0; open &= open - 1) {
-        const RegisterOp& op = a->ops[64 * w + __builtin_ctzll(open)];
-        frontier = std::min(frontier, op.resp);
-      }
-    }
-    // Successors in ascending op order, each op's effect before its skip.
-    for (size_t w = 0; w < words; ++w) {
-      for (uint64_t open = unsettled(cur, w); open != 0; open &= open - 1) {
-        const unsigned bit = __builtin_ctzll(open);
-        const RegisterOp& op = a->ops[64 * w + bit];
-        if (op.inv > frontier) continue;  // Some unsettled op precedes it.
-        const auto push = [&](uint64_t next_value) {
-          a->stack.insert(a->stack.end(), cur, cur + rec_len);
-          uint64_t* next = a->stack.data() + a->stack.size() - rec_len;
-          next[w] |= uint64_t{1} << bit;
-          next[words] = next_value;
-          next[words + 1] = settled + 1;
-        };
-        switch (op.kind) {
-          case OpKind::kRead:
-            if (op.seq == value) push(value);
-            break;
-          case OpKind::kWrite:
-            push(op.seq);
-            break;
-          case OpKind::kDelete:
-            push(0);
-            break;
-          case OpKind::kTxn:
-            break;  // Never part of a register history.
+      // Successors in invocation order, each op's effect before its skip,
+      // over the window: unsettled ops from the first one up to the first
+      // invoked after the earliest response among those before it. Ops
+      // past it strictly follow an unsettled op in real time.
+      a->successors.clear();
+      SimTime frontier = kInfTime;
+      for (size_t w = first / 64; w < words; ++w) {
+        uint64_t open = unsettled(cur, w);
+        for (; open != 0; open &= open - 1) {
+          const size_t i = 64 * w + __builtin_ctzll(open);
+          const SearchOp& op = sops[i];
+          if (op.inv > frontier) break;
+          frontier = std::min(frontier, op.resp);
+          switch (op.kind) {
+            case OpKind::kRead:
+              if (op.seq == value) a->successors.emplace_back(i, value);
+              break;
+            case OpKind::kWrite:
+              a->successors.emplace_back(i, op.seq);
+              break;
+            case OpKind::kDelete:
+              a->successors.emplace_back(i, 0);
+              break;
+            case OpKind::kTxn:
+              break;  // Never part of a register history.
+          }
+          // The indeterminate op never took effect: settle it with no
+          // change.
+          if (op.optional) a->successors.emplace_back(i, value);
         }
-        // The indeterminate op never took effect: settle it with no change.
-        if (op.optional) push(value);
+        if (open != 0) break;  // The window ended inside this word.
       }
+      if (a->successors.empty()) break;  // Dead end.
+      if (a->successors.size() > 1 && !MemoInsert(a, cur, key_len)) break;
+      // Push all but the last successor; the last is explored next, as a
+      // LIFO stack would pop it first.
+      for (size_t k = 0; k + 1 < a->successors.size(); ++k) {
+        a->stack.insert(a->stack.end(), cur, cur + rec_len);
+        settle(a->stack.data() + a->stack.size() - rec_len,
+               a->successors[k].first, a->successors[k].second);
+      }
+      settle(cur, a->successors.back().first, a->successors.back().second);
     }
   }
   return false;
@@ -278,37 +351,112 @@ std::string NameAnomaly(const std::vector<SearchOp>& ops,
          ", which no linearization of the concurrent writes can produce";
 }
 
-/// Everything the checker knows about one key.
+/// Everything the checker knows about one key. One slice is refilled for
+/// each key in turn, so its vectors are allocated once per history.
 struct KeySlice {
   std::vector<SearchOp> strict;          ///< Owner reads + effectful writes.
   std::vector<const HistoryOp*> replica_reads;
-  std::set<uint64_t> failed_seqs;        ///< Values that must never surface.
-  std::set<uint64_t> written_seqs;       ///< ok/indeterminate write values.
-  std::map<uint64_t, SimTime> write_invoked;  ///< seq -> invocation time.
+  std::vector<uint64_t> failed_seqs;     ///< Values that must never surface.
+  /// (seq, invocation time) of every ok/indeterminate write, sorted by seq;
+  /// among writes of one seq the last recorded counts.
+  std::vector<std::pair<uint64_t, SimTime>> write_invoked;
   SimTime first_delete_inv = kInfTime;
   bool has_initial = false;
   uint64_t initial = 0;
+
+  void Clear() {
+    strict.clear();
+    replica_reads.clear();
+    failed_seqs.clear();
+    write_invoked.clear();
+    first_delete_inv = kInfTime;
+    has_initial = false;
+    initial = 0;
+  }
+
+  /// File one recorded op (never kTxn).
+  void Add(const HistoryOp& op) {
+    switch (op.kind) {
+      case OpKind::kWrite:
+      case OpKind::kDelete: {
+        if (op.outcome == OpOutcome::kFailed) {
+          failed_seqs.push_back(op.seq);
+          break;
+        }
+        if (op.kind == OpKind::kWrite) {
+          write_invoked.emplace_back(op.seq, op.invoked_at);
+        } else {
+          first_delete_inv = std::min(first_delete_inv, op.invoked_at);
+        }
+        const bool indeterminate = op.outcome == OpOutcome::kIndeterminate;
+        strict.push_back({&op, op.invoked_at,
+                          indeterminate ? kInfTime : op.responded_at, op.seq,
+                          op.kind, indeterminate});
+        break;
+      }
+      case OpKind::kRead: {
+        if (op.outcome != OpOutcome::kOk) break;  // Observed nothing usable.
+        if (op.from_replica) {
+          replica_reads.push_back(&op);
+          break;
+        }
+        strict.push_back(
+            {&op, op.invoked_at, op.responded_at, op.seq, op.kind, false});
+        break;
+      }
+      case OpKind::kTxn:
+        break;
+    }
+  }
+
+  /// Sort the lookup vectors once every op of the key is filed.
+  void Seal() {
+    std::sort(failed_seqs.begin(), failed_seqs.end());
+    SortNearlySorted(&write_invoked, [](const auto& x, const auto& y) {
+      return x.first < y.first;
+    });
+  }
+
+  bool Failed(uint64_t seq) const {
+    return std::binary_search(failed_seqs.begin(), failed_seqs.end(), seq);
+  }
+
+  /// Invocation time of the write of `seq`, or nullptr when none wrote it.
+  const SimTime* WriteInvoked(uint64_t seq) const {
+    if (write_invoked.empty()) return nullptr;
+    // Branch-free binary search for the last entry with a seq <= `seq`:
+    // every strict read takes this lookup.
+    const std::pair<uint64_t, SimTime>* base = write_invoked.data();
+    for (size_t len = write_invoked.size(); len > 1;) {
+      const size_t half = len / 2;
+      base = base[half].first <= seq ? base + half : base;
+      len -= half;
+    }
+    return base->first == seq ? &base->second : nullptr;
+  }
 };
 
 /// Definite-anomaly screen applied to *every* committed read (owner and
-/// replica): values that never existed or were definitely rolled back, and
-/// values from the future, are violations no staleness bound can excuse.
-std::string CheckObservedValue(const KeySlice& ks, const HistoryOp& read) {
-  if (read.seq == 0) return "";
-  if (ks.has_initial && read.seq == ks.initial) return "";
-  if (ks.failed_seqs.count(read.seq) > 0) {
-    return "read observed seq " + std::to_string(read.seq) +
-           " of a refused/rolled-back write on key " +
-           std::to_string(read.key) + " (definitely never committed)";
+/// replica) of `key` that observed `seq` and responded at `responded_at`:
+/// values that never existed or were definitely rolled back, and values
+/// from the future, are violations no staleness bound can excuse.
+std::string CheckObservedValue(const KeySlice& ks, Key key, uint64_t seq,
+                               SimTime responded_at) {
+  if (seq == 0) return "";
+  if (ks.has_initial && seq == ks.initial) return "";
+  if (ks.Failed(seq)) {
+    return "read observed seq " + std::to_string(seq) +
+           " of a refused/rolled-back write on key " + std::to_string(key) +
+           " (definitely never committed)";
   }
-  auto it = ks.write_invoked.find(read.seq);
-  if (it == ks.write_invoked.end()) {
-    return "read observed seq " + std::to_string(read.seq) + " on key " +
-           std::to_string(read.key) + " that no recorded write ever wrote";
+  const SimTime* invoked = ks.WriteInvoked(seq);
+  if (invoked == nullptr) {
+    return "read observed seq " + std::to_string(seq) + " on key " +
+           std::to_string(key) + " that no recorded write ever wrote";
   }
-  if (it->second > read.responded_at) {
-    return "read on key " + std::to_string(read.key) + " observed seq " +
-           std::to_string(read.seq) +
+  if (*invoked > responded_at) {
+    return "read on key " + std::to_string(key) + " observed seq " +
+           std::to_string(seq) +
            " before the write of that value was even invoked";
   }
   return "";
@@ -320,7 +468,8 @@ std::string CheckObservedValue(const KeySlice& ks, const HistoryOp& read) {
 /// never deleted) can never legitimately read as absent — but observing
 /// any *older committed* value is within the staleness bound's license.
 std::string CheckReplicaRead(const KeySlice& ks, const HistoryOp& read) {
-  const std::string bad = CheckObservedValue(ks, read);
+  const std::string bad =
+      CheckObservedValue(ks, read.key, read.seq, read.responded_at);
   if (!bad.empty()) return "replica " + bad;
   if (read.seq == 0 && ks.has_initial &&
       ks.first_delete_inv > read.responded_at) {
@@ -373,120 +522,125 @@ Truncation MinimalFailingTruncation(const std::vector<SearchOp>& full,
   return Truncation{full, kInfTime, nullptr};
 }
 
+/// Check one key's slice; appends its violations to `result`.
+void CheckKey(Key key, const KeySlice& ks, SearchArena* arena,
+              HistoryCheckResult* result) {
+  ++result->keys_checked;
+
+  // Definite-anomaly screens first: they are cheap, they cover replica
+  // reads the strict search never sees, and they produce the sharpest
+  // anomaly names.
+  bool screened = false;
+  for (const SearchOp& s : ks.strict) {
+    if (s.kind != OpKind::kRead) continue;
+    // A strict read's search response is its recorded response.
+    const std::string bad = CheckObservedValue(ks, key, s.seq, s.resp);
+    if (!bad.empty()) {
+      HistoryViolation v;
+      v.anomaly = bad;
+      v.key = key;
+      for (const SearchOp& o : ks.strict) v.sub_history.push_back(*o.op);
+      result->violations.push_back(std::move(v));
+      screened = true;
+      break;
+    }
+  }
+  for (const HistoryOp* r : ks.replica_reads) {
+    const std::string bad = CheckReplicaRead(ks, *r);
+    if (!bad.empty()) {
+      HistoryViolation v;
+      v.anomaly = bad;
+      v.key = key;
+      v.sub_history.push_back(*r);
+      for (const SearchOp& o : ks.strict) v.sub_history.push_back(*o.op);
+      result->violations.push_back(std::move(v));
+      break;
+    }
+  }
+  if (screened) return;
+
+  // Strict Wing–Gong search over the owner-served committed ops.
+  constexpr int64_t kBudgetPerKey = 400000;
+  int64_t budget = kBudgetPerKey;
+  bool over_budget = false;
+  const uint64_t initial = ks.has_initial ? ks.initial : 0;
+  if (Linearizable(ks.strict, initial, &budget, &over_budget, arena)) {
+    if (over_budget) ++result->keys_over_budget;
+    return;
+  }
+  Truncation min_fail = MinimalFailingTruncation(ks.strict, initial, &budget,
+                                                 &over_budget, arena);
+  HistoryViolation v;
+  v.anomaly = NameAnomaly(min_fail.ops, min_fail.offender, key);
+  v.key = key;
+  std::vector<const HistoryOp*> subset;
+  for (const SearchOp& s : min_fail.ops) subset.push_back(s.op);
+  std::sort(subset.begin(), subset.end(),
+            [](const HistoryOp* a, const HistoryOp* b) {
+              return a->id < b->id;
+            });
+  for (const HistoryOp* o : subset) v.sub_history.push_back(*o);
+  result->violations.push_back(std::move(v));
+}
+
 }  // namespace
 
 HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
   HistoryCheckResult result;
 
   // --- Per-key independence decomposition --------------------------------
-  std::map<Key, KeySlice> keys;
+  // Loaded keys take the first slots, then a counting sort files every
+  // register op under its key in record order: one pass numbers the keys
+  // as they first appear and counts their ops, a second lays the op
+  // indices out in `by_key`, key k's at [begin[k], begin[k + 1]).
+  std::unordered_map<Key, uint32_t> slot_of;
+  std::vector<Key> keys;          // By slot.
+  std::vector<uint64_t> initial;  // Loaded value, by slot.
   for (const auto& [key, seq] : recorder.initial()) {
-    KeySlice& ks = keys[key];
-    ks.has_initial = true;
-    ks.initial = seq;
+    slot_of.emplace(key, static_cast<uint32_t>(keys.size()));
+    keys.push_back(key);
+    initial.push_back(seq);
   }
-  for (const HistoryOp& op : recorder.ops()) {
-    if (op.kind == OpKind::kTxn) continue;  // Whole-txn markers: no register.
-    KeySlice& ks = keys[op.key];
-    ++result.ops_checked;
-    switch (op.kind) {
-      case OpKind::kWrite:
-      case OpKind::kDelete: {
-        if (op.outcome == OpOutcome::kFailed) {
-          ks.failed_seqs.insert(op.seq);
-          break;
-        }
-        if (op.kind == OpKind::kWrite) {
-          ks.written_seqs.insert(op.seq);
-          ks.write_invoked[op.seq] = op.invoked_at;
-        } else {
-          ks.first_delete_inv = std::min(ks.first_delete_inv, op.invoked_at);
-        }
-        SearchOp s;
-        s.op = &op;
-        s.inv = op.invoked_at;
-        s.resp = op.outcome == OpOutcome::kIndeterminate ? kInfTime
-                                                         : op.responded_at;
-        s.optional = op.outcome == OpOutcome::kIndeterminate;
-        ks.strict.push_back(s);
-        break;
-      }
-      case OpKind::kRead: {
-        if (op.outcome != OpOutcome::kOk) break;  // Observed nothing usable.
-        if (op.from_replica) {
-          ks.replica_reads.push_back(&op);
-          break;
-        }
-        SearchOp s;
-        s.op = &op;
-        s.inv = op.invoked_at;
-        s.resp = op.responded_at;
-        ks.strict.push_back(s);
-        break;
-      }
-      case OpKind::kTxn:
-        break;
+  const std::vector<HistoryOp>& ops = recorder.ops();
+  std::vector<size_t> count(keys.size(), 0);
+  std::vector<uint32_t> op_slot(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == OpKind::kTxn) continue;  // Whole-txn markers.
+    const auto [it, fresh] = slot_of.try_emplace(
+        ops[i].key, static_cast<uint32_t>(keys.size()));
+    if (fresh) {
+      keys.push_back(ops[i].key);
+      count.push_back(0);
     }
+    op_slot[i] = it->second;
+    ++count[it->second];
   }
+  std::vector<size_t> begin(count.size() + 1, 0);
+  for (size_t k = 0; k < count.size(); ++k) begin[k + 1] = begin[k] + count[k];
+  std::vector<size_t> next(begin.begin(), begin.end() - 1);
+  std::vector<size_t> by_key(begin.back());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind != OpKind::kTxn) by_key[next[op_slot[i]]++] = i;
+  }
+  result.ops_checked = static_cast<int64_t>(by_key.size());
 
-  // --- Check every key ---------------------------------------------------
-  constexpr int64_t kBudgetPerKey = 400000;
+  // --- Check every key, loaded or touched, in key order ------------------
+  std::vector<uint32_t> order(count.size());
+  for (uint32_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return keys[x] < keys[y];
+  });
+  KeySlice ks;
   SearchArena arena;
-  for (auto& [key, ks] : keys) {
-    ++result.keys_checked;
-
-    // Definite-anomaly screens first: they are cheap, they cover replica
-    // reads the strict search never sees, and they produce the sharpest
-    // anomaly names.
-    bool screened = false;
-    for (const SearchOp& s : ks.strict) {
-      if (s.op->kind != OpKind::kRead) continue;
-      const std::string bad = CheckObservedValue(ks, *s.op);
-      if (!bad.empty()) {
-        HistoryViolation v;
-        v.anomaly = bad;
-        v.key = key;
-        for (const SearchOp& o : ks.strict) v.sub_history.push_back(*o.op);
-        result.violations.push_back(std::move(v));
-        screened = true;
-        break;
-      }
+  for (const uint32_t k : order) {
+    ks.Clear();
+    if (k < initial.size()) {
+      ks.has_initial = true;
+      ks.initial = initial[k];
     }
-    for (const HistoryOp* r : ks.replica_reads) {
-      const std::string bad = CheckReplicaRead(ks, *r);
-      if (!bad.empty()) {
-        HistoryViolation v;
-        v.anomaly = bad;
-        v.key = key;
-        v.sub_history.push_back(*r);
-        for (const SearchOp& o : ks.strict) v.sub_history.push_back(*o.op);
-        result.violations.push_back(std::move(v));
-        break;
-      }
-    }
-    if (screened) continue;
-
-    // Strict Wing–Gong search over the owner-served committed ops.
-    int64_t budget = kBudgetPerKey;
-    bool over_budget = false;
-    const uint64_t initial = ks.has_initial ? ks.initial : 0;
-    if (Linearizable(ks.strict, initial, &budget, &over_budget, &arena)) {
-      if (over_budget) ++result.keys_over_budget;
-      continue;
-    }
-    Truncation min_fail = MinimalFailingTruncation(ks.strict, initial, &budget,
-                                                   &over_budget, &arena);
-    HistoryViolation v;
-    v.anomaly = NameAnomaly(min_fail.ops, min_fail.offender, key);
-    v.key = key;
-    std::vector<const HistoryOp*> subset;
-    for (const SearchOp& s : min_fail.ops) subset.push_back(s.op);
-    std::sort(subset.begin(), subset.end(),
-              [](const HistoryOp* a, const HistoryOp* b) {
-                return a->id < b->id;
-              });
-    for (const HistoryOp* o : subset) v.sub_history.push_back(*o);
-    result.violations.push_back(std::move(v));
+    for (size_t j = begin[k]; j < begin[k + 1]; ++j) ks.Add(ops[by_key[j]]);
+    ks.Seal();
+    CheckKey(keys[k], ks, &arena, &result);
   }
   return result;
 }

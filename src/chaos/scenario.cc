@@ -9,6 +9,7 @@
 // until epoch fencing cuts it off.
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -667,7 +668,12 @@ ScenarioResult RunScenario(const ChaosConfig& config) {
 
   // --- History check -----------------------------------------------------
   if (config.record_history) {
+    const auto check_t0 = std::chrono::steady_clock::now();
     HistoryCheckResult hc = CheckHistory(recorder);
+    result.history_check_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - check_t0)
+            .count();
     result.history_ops = static_cast<int64_t>(recorder.size());
     result.history_keys_checked = hc.keys_checked;
     result.history_keys_over_budget = hc.keys_over_budget;

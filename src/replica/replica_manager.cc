@@ -110,15 +110,17 @@ void ReplicaManager::ValidateReplicas(SimTime now) {
 std::vector<tx::LogRecord> ReplicaManager::CutTail(
     const ReplicaInfo& rep, const tx::LogManager& owner_log, size_t* bytes) {
   std::vector<tx::LogRecord> tail;
-  for (tx::LogRecord& rec : owner_log.Tail(rep.applied_lsn)) {
+  const std::vector<tx::LogRecord>& log = owner_log.records();
+  for (size_t i = owner_log.TailBegin(rep.applied_lsn); i < log.size(); ++i) {
+    const tx::LogRecord& rec = log[i];
     if (rec.partition != rep.src_partition) continue;
     if (!tx::IsDataRecord(rec.type)) continue;
     if (!rep.range.Contains(rec.key)) continue;
     *bytes += rec.Bytes();
     // RedoInto applies only records naming the partition it fills —
     // retarget the copy at the replica partition.
-    rec.partition = rep.replica_partition;
-    tail.push_back(std::move(rec));
+    tail.push_back(rec);
+    tail.back().partition = rep.replica_partition;
   }
   return tail;
 }

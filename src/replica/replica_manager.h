@@ -100,6 +100,15 @@ class ReplicaManager {
   /// the log tail, 1.0 once caught up; 0.0 with no replicas yet.
   double progress() const;
 
+  /// The part of the owner's log tail past rep.applied_lsn that `rep`
+  /// applies: its source partition's data records within its range,
+  /// retargeted at the replica partition, in log order. Adds their size to
+  /// `*bytes`. Reads only the records past rep.applied_lsn and copies only
+  /// those it keeps.
+  static std::vector<tx::LogRecord> CutTail(const ReplicaInfo& rep,
+                                            const tx::LogManager& owner_log,
+                                            size_t* bytes);
+
  private:
   const cluster::ReplicaPolicy& policy() const {
     return master_->policy().replica;
@@ -110,13 +119,6 @@ class ReplicaManager {
   void StartBootstrap(const std::shared_ptr<ReplicaInfo>& rep);
   void StreamChunk(const std::weak_ptr<ReplicaInfo>& weak, SimTime at);
   void FinishBootstrap(const std::shared_ptr<ReplicaInfo>& rep, SimTime now);
-  /// The part of the owner's log tail past rep.applied_lsn that `rep`
-  /// applies: its source partition's data records within its range,
-  /// retargeted at the replica partition, in log order. Adds their size to
-  /// `*bytes`.
-  static std::vector<tx::LogRecord> CutTail(const ReplicaInfo& rep,
-                                            const tx::LogManager& owner_log,
-                                            size_t* bytes);
   /// Apply the source-log records for `rep`'s range beyond applied_lsn to
   /// the replica partition, charging network + host CPU. Returns how many
   /// records were pending before the apply (the lag).

@@ -90,7 +90,19 @@ Status Segment::UpdateAt(RecordPos pos, Key key,
     return s;
   }
   if (!s.IsResourceExhausted()) return s;
-  // The record grew past its page: relocate within the segment.
+  // The record grew past its page: relocate within the segment. Make sure
+  // it has somewhere to go before dropping the old row, so a full segment
+  // fails with the record intact. The old page is never that place: it
+  // lacks room for the growth, so even with the row gone it lacks room
+  // for the whole body; and the rest of the segment does not change.
+  if (body.size() + kSlotSize > kPageSize - kPageHeaderSize) {
+    return Status::InvalidArgument("record size unsupported");
+  }
+  if (free_space_.FirstAtLeast(insert_cursor_, body.size() + kSlotSize) ==
+          FreeSpaceTree::kNone &&
+      pages_.size() >= kPagesPerSegment) {
+    return Status::ResourceExhausted("segment full");
+  }
   WATTDB_RETURN_IF_ERROR(pages_[pos.page]->Delete(pos.slot));
   RefreshFreeSpace(pos.page);
   uint16_t page_idx = 0;

@@ -68,11 +68,16 @@ SimTime LogManager::DetachHelperLost(SimTime now) {
 }
 
 std::vector<LogRecord> LogManager::Tail(uint64_t from_lsn) const {
-  std::vector<LogRecord> out;
-  for (const LogRecord& r : records_) {
-    if (r.lsn > from_lsn) out.push_back(r);
-  }
-  return out;
+  return std::vector<LogRecord>(records_.begin() + TailBegin(from_lsn),
+                                records_.end());
+}
+
+size_t LogManager::TailBegin(uint64_t from_lsn) const {
+  return std::upper_bound(records_.begin(), records_.end(), from_lsn,
+                          [](uint64_t lsn, const LogRecord& r) {
+                            return lsn < r.lsn;
+                          }) -
+         records_.begin();
 }
 
 uint64_t LogManager::LastCheckpointLsn(PartitionId partition) const {

@@ -96,6 +96,12 @@ class LogManager {
   /// Records with lsn > `from_lsn`, for recovery and tests.
   std::vector<LogRecord> Tail(uint64_t from_lsn) const;
 
+  /// Index into records() of the first record with lsn > `from_lsn`
+  /// (records().size() when there is none), found by binary search:
+  /// records stay in ascending lsn order, as Append stamps lsns in append
+  /// order and TruncateUpTo drops only a prefix.
+  size_t TailBegin(uint64_t from_lsn) const;
+
   /// The redo tail of one partition: its records with lsn greater than its
   /// last `kCheckpoint` record (a completed partition move acts as a
   /// checkpoint, §4.3 — everything before it is already durable in the

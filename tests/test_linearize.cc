@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "chaos/history.h"
 #include "common/rng.h"
+#include "linearize_reference.h"
 
 namespace wattdb::chaos {
 namespace {
@@ -391,6 +393,183 @@ TEST(Linearize, ObservedIndeterminateWriteIsKept) {
   EXPECT_TRUE(std::any_of(sub.begin(), sub.end(), [](const HistoryOp& op) {
     return op.seq == 9;
   })) << "the pruned write must stay in the reported sub-history";
+}
+
+// ------------------------------------- differential against the reference
+
+/// One key's op before it is recorded, with where it takes effect.
+struct PlannedOp {
+  HistoryOp op;
+  bool lands = false;  ///< Takes effect (ok, or indeterminate and landed).
+  SimTime point = 0;   ///< Linearization point, when it lands.
+  uint64_t tie = 0;    ///< Random order among equal times.
+  size_t held_before = 0;  ///< Values the key held up to a read's point.
+};
+
+/// A seeded random history of `keys` keys with 100-400 ops each, built by
+/// replaying a register along random linearization points, so most keys
+/// are linearizable, and then breaking some. Two to four clients per key
+/// run their ops back to back, which bounds the overlap; a 5 us clock makes
+/// one op's response and another's invocation coincide often. Ops are
+/// recorded in response order, out of invocation order. Indeterminate
+/// writes and deletes land or not (and may land after the client gave up),
+/// so some are observed and some never are; failed writes never land; a
+/// few reads are served by replicas. Half of the keys get one bad read:
+/// stale, lost, of a rolled-back write, or of a value nobody wrote.
+HistoryRecorder RandomLongHistory(Rng* rng, Key keys, uint64_t* next_seq) {
+  HistoryRecorder rec;
+  std::vector<PlannedOp> all;
+  for (Key key = 1; key <= keys; ++key) {
+    uint64_t value = 0;
+    if (rng->UniformInt(0, 1) == 1) {
+      value = (*next_seq)++;
+      rec.RecordInitial(key, value);
+    }
+    const int clients = static_cast<int>(rng->UniformInt(2, 4));
+    std::vector<SimTime> clock(static_cast<size_t>(clients), 0);
+    std::vector<PlannedOp> plan;
+    std::vector<uint64_t> failed;
+    const int64_t n = rng->UniformInt(100, 400);
+    for (int64_t i = 0; i < n; ++i) {
+      PlannedOp p;
+      p.op.key = key;
+      p.op.client = static_cast<int>(rng->UniformInt(0, clients - 1));
+      SimTime& clock_of_client = clock[static_cast<size_t>(p.op.client)];
+      p.op.invoked_at = clock_of_client + 5 * rng->UniformInt(0, 2);
+      p.op.responded_at = p.op.invoked_at + 5 * rng->UniformInt(0, 4);
+      clock_of_client = p.op.responded_at;
+      const int64_t shape = rng->UniformInt(0, 19);
+      const int64_t fate = rng->UniformInt(0, 19);
+      SimTime latest = p.op.responded_at;
+      if (shape < 11) {
+        p.op.kind = shape < 9 ? OpKind::kWrite : OpKind::kDelete;
+        p.op.seq = p.op.kind == OpKind::kWrite ? (*next_seq)++ : 0;
+        p.op.outcome = fate < 17   ? OpOutcome::kOk
+                       : fate < 18 ? OpOutcome::kIndeterminate
+                                   : OpOutcome::kFailed;
+        p.lands = p.op.outcome == OpOutcome::kOk ||
+                  (p.op.outcome == OpOutcome::kIndeterminate &&
+                   rng->UniformInt(0, 1) == 1);
+        if (p.op.outcome == OpOutcome::kIndeterminate) latest += 20;
+        if (p.op.outcome == OpOutcome::kFailed && p.op.seq != 0) {
+          failed.push_back(p.op.seq);  // A rolled-back write's value.
+        }
+      } else {
+        p.op.kind = OpKind::kRead;
+        p.op.outcome = fate < 18 ? OpOutcome::kOk : OpOutcome::kFailed;
+        p.op.from_replica = shape == 19;
+        p.lands = true;
+      }
+      p.point = rng->UniformInt(p.op.invoked_at, latest);
+      p.tie = rng->Next();
+      plan.push_back(p);
+    }
+
+    // Replay the register along the linearization points: each read
+    // observes the value current at its point.
+    std::vector<PlannedOp*> order;
+    for (PlannedOp& p : plan) {
+      if (p.lands) order.push_back(&p);
+    }
+    std::sort(order.begin(), order.end(),
+              [](const PlannedOp* a, const PlannedOp* b) {
+                return a->point != b->point ? a->point < b->point
+                                            : a->tie < b->tie;
+              });
+    std::vector<uint64_t> held = {value};
+    for (PlannedOp* p : order) {
+      if (p->op.kind == OpKind::kRead) {
+        p->op.seq = value;
+        p->held_before = held.size();
+      } else {
+        value = p->op.kind == OpKind::kWrite ? p->op.seq : 0;
+        held.push_back(value);
+      }
+    }
+
+    if (rng->UniformInt(0, 1) == 0) {
+      std::vector<PlannedOp*> reads;
+      for (PlannedOp& p : plan) {
+        if (p.op.kind == OpKind::kRead && p.op.outcome == OpOutcome::kOk) {
+          reads.push_back(&p);
+        }
+      }
+      PlannedOp* read = reads[static_cast<size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(reads.size()) - 1))];
+      HistoryOp& bad = read->op;
+      const int64_t how = rng->UniformInt(0, 9);
+      if (how < 6) {  // A value the key held before the read.
+        bad.seq = held[static_cast<size_t>(rng->UniformInt(
+            0, static_cast<int64_t>(read->held_before) - 1))];
+      } else if (how < 7) {
+        bad.seq = 0;
+      } else if (how < 8 && !failed.empty()) {
+        bad.seq = failed[static_cast<size_t>(rng->UniformInt(
+            0, static_cast<int64_t>(failed.size()) - 1))];
+      } else {
+        bad.seq = (*next_seq)++;
+      }
+    }
+    all.insert(all.end(), plan.begin(), plan.end());
+  }
+  std::sort(all.begin(), all.end(),
+            [](const PlannedOp& a, const PlannedOp& b) {
+              return a.op.responded_at != b.op.responded_at
+                         ? a.op.responded_at < b.op.responded_at
+                         : a.tie < b.tie;
+            });
+  for (const PlannedOp& p : all) rec.Record(p.op);
+  return rec;
+}
+
+TEST(Linearize, MatchesReferenceOnLongRandomHistories) {
+  // The checker against its pre-window self (linearize_reference.h) on
+  // seeded random long histories: the same violations, with the same
+  // anomaly text and the same minimal failing sub-history, and no key
+  // over budget on either side.
+  Rng rng(20260418);
+  uint64_t next_seq = 1;
+  int searched_broken = 0, healthy = 0, long_keys = 0, out_of_order = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    const HistoryRecorder rec = RandomLongHistory(&rng, 4, &next_seq);
+    const HistoryCheckResult got = CheckHistory(rec);
+    const HistoryCheckResult want = reference::CheckHistory(rec);
+    ASSERT_EQ(want.keys_over_budget, 0) << "trial " << trial;
+    ASSERT_EQ(got.keys_over_budget, 0) << "trial " << trial;
+    EXPECT_EQ(got.keys_checked, want.keys_checked);
+    EXPECT_EQ(got.ops_checked, want.ops_checked);
+    ASSERT_EQ(got.violations.size(), want.violations.size())
+        << "trial " << trial;
+    for (size_t v = 0; v < want.violations.size(); ++v) {
+      const HistoryViolation& g = got.violations[v];
+      const HistoryViolation& w = want.violations[v];
+      EXPECT_EQ(g.key, w.key) << "trial " << trial;
+      EXPECT_EQ(g.anomaly, w.anomaly) << "trial " << trial;
+      std::vector<uint64_t> got_ids, want_ids;
+      for (const HistoryOp& op : g.sub_history) got_ids.push_back(op.id);
+      for (const HistoryOp& op : w.sub_history) want_ids.push_back(op.id);
+      EXPECT_EQ(got_ids, want_ids) << "trial " << trial << " key " << w.key;
+      for (const char* named : {"stale read", "lost read", "non-lin"}) {
+        if (w.anomaly.rfind(named, 0) == 0) ++searched_broken;
+      }
+    }
+    healthy += want.keys_checked - static_cast<int>(want.violations.size());
+
+    std::map<Key, std::vector<const HistoryOp*>> by_key;
+    for (const HistoryOp& op : rec.ops()) by_key[op.key].push_back(&op);
+    for (const auto& [key, ops] : by_key) {
+      if (ops.size() > 64) ++long_keys;
+      for (size_t i = 1; i < ops.size(); ++i) {
+        if (ops[i]->invoked_at < ops[i - 1]->invoked_at) ++out_of_order;
+      }
+    }
+  }
+  // Not vacuous: keys the search must reject and keys it must pass, masks
+  // past one word, and ops the search has to relabel.
+  EXPECT_GT(searched_broken, 40);
+  EXPECT_GT(healthy, 150);
+  EXPECT_EQ(long_keys, 400);
+  EXPECT_GT(out_of_order, 10000);
 }
 
 }  // namespace

@@ -13,8 +13,11 @@
 
 #include "api/db.h"
 #include "catalog/global_partition_table.h"
+#include "hw/disk.h"
+#include "hw/network.h"
 #include "replica/replica_manager.h"
 #include "storage/segment.h"
+#include "tx/log_manager.h"
 
 namespace wattdb {
 namespace {
@@ -110,6 +113,81 @@ NodeId OwnerOf(Db& db, TableId table, Key key) {
   if (!e.has_value()) return NodeId::Invalid();
   catalog::Partition* p = db.cluster().catalog().GetPartition(e->primary);
   return p == nullptr ? NodeId::Invalid() : p->owner();
+}
+
+// ------------------------------------------------------------ log cutting
+
+TEST(Replica, CutTailKeepsOnlyItsPartitionsDataRecordsInRange) {
+  // A mixed log: two partitions, every record type, keys inside and
+  // outside the replica's range, after-images of different sizes, and a
+  // truncated prefix. CutTail must return exactly the source partition's
+  // data records past applied_lsn with keys in range, in log order, byte
+  // for byte, retargeted at the replica partition, and add up their sizes.
+  hw::Network network;
+  network.AddNode(NodeId(0));
+  hw::Disk disk(DiskId(0), NodeId(0), hw::DiskSpec::Ssd(), "wal");
+  tx::LogManager log(NodeId(0), &disk, &network);
+  const tx::LogRecordType kTypes[] = {
+      tx::LogRecordType::kBegin,  tx::LogRecordType::kInsert,
+      tx::LogRecordType::kUpdate, tx::LogRecordType::kDelete,
+      tx::LogRecordType::kCommit, tx::LogRecordType::kAbort,
+      tx::LogRecordType::kCheckpoint};
+  for (int i = 0; i < 140; ++i) {
+    tx::LogRecord r;
+    r.type = kTypes[i % 7];
+    r.txn = TxnId(static_cast<uint64_t>(i / 7));
+    r.table = TableId(1);
+    r.partition = PartitionId(i % 3 == 0 ? 2 : 1);
+    r.key = static_cast<Key>((i * 37) % 100);
+    r.after_image.assign(static_cast<size_t>(i % 5),
+                         static_cast<uint8_t>(i));
+    log.Append(i, std::move(r));
+  }
+  log.TruncateUpTo(20);
+
+  replica::ReplicaInfo rep;
+  rep.src_partition = PartitionId(1);
+  rep.replica_partition = PartitionId(9);
+  rep.range = KeyRange{25, 75};
+  rep.applied_lsn = 50;
+  size_t bytes = 0;
+  const std::vector<tx::LogRecord> tail =
+      replica::ReplicaManager::CutTail(rep, log, &bytes);
+
+  std::vector<const tx::LogRecord*> want;
+  size_t want_bytes = 0;
+  for (const tx::LogRecord& r : log.records()) {
+    if (r.lsn > 50 && r.partition == PartitionId(1) &&
+        tx::IsDataRecord(r.type) && r.key >= 25 && r.key < 75) {
+      want.push_back(&r);
+      want_bytes += r.Bytes();
+    }
+  }
+  ASSERT_GT(want.size(), 5u);
+  ASSERT_EQ(tail.size(), want.size());
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(tail[i].lsn, want[i]->lsn);
+    EXPECT_EQ(tail[i].type, want[i]->type);
+    EXPECT_EQ(tail[i].txn, want[i]->txn);
+    EXPECT_EQ(tail[i].key, want[i]->key);
+    EXPECT_EQ(tail[i].after_image, want[i]->after_image);
+    EXPECT_EQ(tail[i].partition, PartitionId(9));
+  }
+  EXPECT_EQ(bytes, want_bytes);
+
+  // Nothing past the tip; and an applied_lsn below the truncated prefix
+  // starts at the first surviving record.
+  rep.applied_lsn = log.next_lsn() - 1;
+  size_t none = 0;
+  EXPECT_TRUE(replica::ReplicaManager::CutTail(rep, log, &none).empty());
+  EXPECT_EQ(none, 0u);
+  rep.applied_lsn = 0;
+  size_t all_bytes = 0;
+  const std::vector<tx::LogRecord> from_start =
+      replica::ReplicaManager::CutTail(rep, log, &all_bytes);
+  ASSERT_FALSE(from_start.empty());
+  EXPECT_GT(from_start.front().lsn, 20u);
+  EXPECT_GT(from_start.size(), tail.size());
 }
 
 // ------------------------------------------------------- lifecycle + reads

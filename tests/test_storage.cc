@@ -378,6 +378,37 @@ TEST(Segment, PagePlacementMatchesLinearFirstFit) {
   }
 }
 
+TEST(Segment, FailedRelocationInAFullSegmentKeepsTheRecord) {
+  // Fill a segment with 100-byte records, then grow one past its page:
+  // no page has room and no page can be added, so the update must fail
+  // and leave the old record where it was, readable, with the index and
+  // every page consistent. A later grow that fits in place still works.
+  Segment seg(SegmentId(1), NodeId(0), DiskId(0));
+  Key next = 0;
+  while (seg.Insert(next, Bytes(100, 1)).ok()) ++next;
+  ASSERT_EQ(next, 286720u);
+  ASSERT_EQ(seg.page_count(), kPagesPerSegment);
+  const RecordPos before = seg.Locate(5).value();
+
+  const Status grown = seg.Update(5, Bytes(4000, 9));
+  EXPECT_TRUE(grown.IsResourceExhausted()) << grown.ToString();
+  auto rec = seg.Read(5);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec.value().payload, Bytes(100, 1));
+  EXPECT_EQ(seg.Locate(5).value().page, before.page);
+  EXPECT_EQ(seg.Locate(5).value().slot, before.slot);
+  EXPECT_EQ(seg.record_count(), 286720u);
+  EXPECT_TRUE(seg.CheckInvariants());
+
+  // A body no page could ever hold is refused with the record kept too.
+  EXPECT_TRUE(seg.Update(5, Bytes(kPageSize, 9)).IsInvalidArgument());
+  EXPECT_EQ(seg.Read(5).value().payload, Bytes(100, 1));
+
+  ASSERT_TRUE(seg.Update(5, Bytes(90, 4)).ok());
+  EXPECT_EQ(seg.Read(5).value().payload, Bytes(90, 4));
+  EXPECT_TRUE(seg.CheckInvariants());
+}
+
 TEST(Segment, DeleteAtRemovesRecordAndIndexEntry) {
   Segment seg(SegmentId(1), NodeId(0), DiskId(0));
   for (Key k = 0; k < 10; ++k) ASSERT_TRUE(seg.Insert(k, Bytes(100)).ok());

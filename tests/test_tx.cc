@@ -708,6 +708,40 @@ TEST(LogManager, TailAndTruncate) {
   EXPECT_EQ(rig.log.Tail(0).size(), 2u);
 }
 
+TEST(LogManager, TailAfterTruncateStartsPastTheCut) {
+  // Tail finds its first record by lsn, so after TruncateUpTo drops a
+  // prefix it must still start exactly past `from_lsn`, whether that lies
+  // before the surviving records, inside them or past the last one.
+  LogRig rig;
+  for (int i = 0; i < 10; ++i) {
+    rig.log.Append(i, MakeRecord(LogRecordType::kInsert, i));  // lsn i + 1
+  }
+  rig.log.TruncateUpTo(4);
+  ASSERT_EQ(rig.log.records().size(), 6u);
+  const auto lsns = [&](uint64_t from_lsn) {
+    std::vector<uint64_t> out;
+    for (const LogRecord& r : rig.log.Tail(from_lsn)) out.push_back(r.lsn);
+    return out;
+  };
+  EXPECT_EQ(lsns(0), (std::vector<uint64_t>{5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(lsns(4), (std::vector<uint64_t>{5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(lsns(7), (std::vector<uint64_t>{8, 9, 10}));
+  EXPECT_TRUE(lsns(10).empty());
+  EXPECT_TRUE(lsns(99).empty());
+  EXPECT_EQ(rig.log.TailBegin(0), 0u);
+  EXPECT_EQ(rig.log.TailBegin(7), 3u);
+  EXPECT_EQ(rig.log.TailBegin(10), 6u);
+  // Records keep their after-images, and appends continue the lsn order.
+  EXPECT_EQ(rig.log.Tail(8).front().key, 8u);
+  EXPECT_EQ(rig.log.Tail(8).front().after_image,
+            (std::vector<uint8_t>{1, 2, 3}));
+  rig.log.Append(20, MakeRecord(LogRecordType::kCommit));
+  EXPECT_EQ(lsns(9), (std::vector<uint64_t>{10, 11}));
+  rig.log.TruncateUpTo(11);
+  EXPECT_TRUE(rig.log.records().empty());
+  EXPECT_TRUE(lsns(0).empty());
+}
+
 TEST(LogManager, TailAfterHonorsLastCheckpoint) {
   LogRig rig;
   rig.log.Append(0, MakeRecord(LogRecordType::kInsert, 1));   // lsn 1
