@@ -96,6 +96,9 @@ struct HistoryCheckResult {
   /// unobserved indeterminate writes keeps every key within budget.
   int keys_over_budget = 0;
   int64_t ops_checked = 0;
+  /// Search states visited over all keys, each key's spend against its
+  /// state budget (a repeat visit counts, as it costs budget).
+  int64_t search_states = 0;
 };
 
 /// Check `recorder`'s history for per-key register linearizability

@@ -41,13 +41,21 @@
 // explores the same states either way, so verdicts, anomaly names and
 // minimal failing sub-histories do not depend on it; a state costs its
 // window (the ops overlapping the first unsettled one), so a key costs
-// O(ops x overlap) instead of O(ops^2). Nearly every state of a healthy
-// history has a single successor, so such a state is stepped through in
-// place, and only a branching state is memoized and stacked.
+// O(ops x overlap) instead of O(ops^2).
 //
-// The per-key split is one counting sort of the history into flat per-key
-// slices; a slice's lookups (rolled-back values, write invocation times)
-// are sorted vectors read by binary search.
+// Search order: no state is expanded twice, and a state's successors are
+// tried latest-recorded op first, as a LIFO stack filled in record order
+// pops them (the last one is stepped into in place rather than pushed and
+// popped). The relabelling thus changes what a state costs, never which
+// states are visited or in what order: each key spends exactly the search
+// states, and so the state budget, that a full record-order scan would.
+// The memo starts at the first state with more than one successor: up to
+// there the search has walked a single path, one state per settled count,
+// and everything after lies deeper, so no earlier state can recur.
+//
+// The per-key split is one pass filing each op into its key's flat slice;
+// a slice's lookups (rolled-back values, write invocation times) are
+// sorted vectors read by binary search.
 
 #include <algorithm>
 #include <cstdint>
@@ -75,6 +83,16 @@ struct SearchOp {
   uint64_t seq = 0;
   OpKind kind = OpKind::kRead;
   bool optional = false;  ///< kIndeterminate: may never have taken effect.
+  size_t rank = 0;  ///< Position among the searched ops in record order.
+};
+
+/// A state's successor: settle `op`, leaving the register at `value`.
+/// Successors are tried in descending `order`, by rank and, for one op,
+/// not taking effect before taking effect.
+struct Successor {
+  size_t order = 0;
+  size_t op = 0;
+  uint64_t value = 0;
 };
 
 /// Arenas the search reuses across keys and truncation cuts, so a search
@@ -91,8 +109,8 @@ struct SearchArena {
   std::vector<uint64_t> stack;
   /// The popped record being expanded.
   std::vector<uint64_t> cur;
-  /// The expanded state's successors: (op settled, register value after).
-  std::vector<std::pair<size_t, uint64_t>> successors;
+  /// The expanded state's successors.
+  std::vector<Successor> successors;
   /// Memo: (mask words, value) records, their hashes, and an open-addressed
   /// table of record index + 1 (0 = empty slot).
   std::vector<uint64_t> memo_keys;
@@ -146,66 +164,53 @@ bool MemoInsert(SearchArena* a, const uint64_t* rec, size_t len) {
   return true;
 }
 
-/// Stable insertion sort by `less`: O(n + inversions). The inputs here
-/// are nearly sorted (a key's ops are recorded as their transactions
-/// finish, and seqs are drawn as writes are invoked), so each element moves
-/// past only the few that overlap it.
-template <typename T, typename Less>
-void SortNearlySorted(std::vector<T>* v, Less less) {
-  for (size_t i = 1; i < v->size(); ++i) {
-    if (!less((*v)[i], (*v)[i - 1])) continue;
-    T x = (*v)[i];
-    size_t j = i;
-    for (; j > 0 && less(x, (*v)[j - 1]); --j) (*v)[j] = (*v)[j - 1];
-    (*v)[j] = x;
-  }
-}
-
 /// Iterative-deepening-free DFS over linearization orders with state
 /// memoization, run on `ops` minus its unobserved indeterminate writes and
 /// deletes (the pruning rule in the file comment: the verdict is the same
 /// with or without them), relabelled in invocation order so each state
-/// scans only its window (the file comment). A state with one successor
-/// steps into it in place; only a branching state is memoized and pushes
-/// the rest of its successors, since a chain of single-successor states
-/// reached twice ends in the same branching state, where the memo stops
-/// the second walk. Returns true when a valid linearization exists; sets
-/// `over_budget` (and returns true, i.e. no violation claimed) when the
-/// state budget is exhausted first. Relies on every op responding no
-/// earlier than it was invoked.
+/// scans only its window (the file comment). No state is expanded twice;
+/// a state's last successor is stepped into in place, the rest are pushed.
+/// Each state visited, a repeat included, costs one unit of `budget`.
+/// Returns true when a valid linearization exists; sets `over_budget` (and
+/// returns true, i.e. no violation claimed) when the state budget is
+/// exhausted first. Relies on every op responding no earlier than it was
+/// invoked.
 bool Linearizable(const std::vector<SearchOp>& ops, uint64_t initial,
                   int64_t* budget, bool* over_budget, SearchArena* a) {
-  const auto by_inv = [](const SearchOp& x, const SearchOp& y) {
-    return x.inv < y.inv;
-  };
-  const bool may_prune =
-      std::any_of(ops.begin(), ops.end(), [](const SearchOp& s) {
-        return s.optional && s.kind != OpKind::kRead;
-      });
-  // The search runs on `ops` itself when nothing can be pruned and it is
-  // already in invocation order (the chaos histories' common case), else
-  // on a pruned, relabelled copy.
-  const std::vector<SearchOp>* searched = &ops;
-  if (may_prune || !std::is_sorted(ops.begin(), ops.end(), by_inv)) {
-    a->observed.clear();
-    for (const SearchOp& s : ops) {
-      if (s.kind == OpKind::kRead) a->observed.push_back(s.seq);
-    }
-    std::sort(a->observed.begin(), a->observed.end());
-    a->ops.clear();
-    for (const SearchOp& s : ops) {
+  // The values strict reads observe, sorted; built when the first op that
+  // may be pruned needs them.
+  a->observed.clear();
+  bool observed_known = false;
+  a->ops.clear();
+  for (const SearchOp& s : ops) {
+    if (s.optional && s.kind != OpKind::kRead) {
+      if (!observed_known) {
+        for (const SearchOp& r : ops) {
+          if (r.kind == OpKind::kRead) a->observed.push_back(r.seq);
+        }
+        std::sort(a->observed.begin(), a->observed.end());
+        observed_known = true;
+      }
       const uint64_t effect = s.kind == OpKind::kWrite ? s.seq : 0;
-      if (s.optional && s.kind != OpKind::kRead &&
-          !std::binary_search(a->observed.begin(), a->observed.end(),
+      if (!std::binary_search(a->observed.begin(), a->observed.end(),
                               effect)) {
         continue;  // Unobserved and may be omitted: the verdict is unchanged.
       }
-      a->ops.push_back(s);
     }
-    SortNearlySorted(&a->ops, by_inv);
-    searched = &a->ops;
+    a->ops.push_back(s);
+    a->ops.back().rank = a->ops.size() - 1;
   }
-  const std::vector<SearchOp>& sops = *searched;
+  // Invocation order. Ties may fall either way: ops invoked at the same
+  // time join a window together, and successors are ordered by rank. A
+  // key's ops mostly arrive in this order already: a lock serializes
+  // them, so they respond in the order they were invoked.
+  const auto by_inv = [](const SearchOp& x, const SearchOp& y) {
+    return x.inv < y.inv;
+  };
+  if (!std::is_sorted(a->ops.begin(), a->ops.end(), by_inv)) {
+    std::sort(a->ops.begin(), a->ops.end(), by_inv);
+  }
+  const std::vector<SearchOp>& sops = a->ops;
 
   const size_t n = sops.size();
   if (n == 0) return true;
@@ -238,6 +243,10 @@ bool Linearizable(const std::vector<SearchOp>& ops, uint64_t initial,
   a->cur.resize(rec_len);
   uint64_t* cur = a->cur.data();
 
+  // Until the search first branches it walks one path, one state per
+  // depth (settled count), and every later state lies below that path's
+  // end: no state so far can be reached again, so none needs the memo.
+  bool branched = false;
   while (!a->stack.empty()) {
     std::copy(a->stack.end() - rec_len, a->stack.end(), cur);
     a->stack.resize(a->stack.size() - rec_len);
@@ -248,12 +257,12 @@ bool Linearizable(const std::vector<SearchOp>& ops, uint64_t initial,
       }
       const size_t first = cur[words + 1];
       if (first == n) return true;
+      if (branched && !MemoInsert(a, cur, key_len)) break;  // Seen before.
       const uint64_t value = cur[words];
 
-      // Successors in invocation order, each op's effect before its skip,
-      // over the window: unsettled ops from the first one up to the first
-      // invoked after the earliest response among those before it. Ops
-      // past it strictly follow an unsettled op in real time.
+      // Successors over the window: unsettled ops from the first one up to
+      // the first invoked after the earliest response among those before
+      // it. Ops past it strictly follow an unsettled op in real time.
       a->successors.clear();
       SimTime frontier = kInfTime;
       for (size_t w = first / 64; w < words; ++w) {
@@ -265,33 +274,43 @@ bool Linearizable(const std::vector<SearchOp>& ops, uint64_t initial,
           frontier = std::min(frontier, op.resp);
           switch (op.kind) {
             case OpKind::kRead:
-              if (op.seq == value) a->successors.emplace_back(i, value);
+              if (op.seq == value) {
+                a->successors.push_back({2 * op.rank, i, value});
+              }
               break;
             case OpKind::kWrite:
-              a->successors.emplace_back(i, op.seq);
+              a->successors.push_back({2 * op.rank, i, op.seq});
               break;
             case OpKind::kDelete:
-              a->successors.emplace_back(i, 0);
+              a->successors.push_back({2 * op.rank, i, 0});
               break;
             case OpKind::kTxn:
               break;  // Never part of a register history.
           }
           // The indeterminate op never took effect: settle it with no
           // change.
-          if (op.optional) a->successors.emplace_back(i, value);
+          if (op.optional) {
+            a->successors.push_back({2 * op.rank + 1, i, value});
+          }
         }
         if (open != 0) break;  // The window ended inside this word.
       }
       if (a->successors.empty()) break;  // Dead end.
-      if (a->successors.size() > 1 && !MemoInsert(a, cur, key_len)) break;
+      if (a->successors.size() > 1) {
+        branched = true;
+        std::sort(a->successors.begin(), a->successors.end(),
+                  [](const Successor& x, const Successor& y) {
+                    return x.order < y.order;
+                  });
+      }
       // Push all but the last successor; the last is explored next, as a
       // LIFO stack would pop it first.
       for (size_t k = 0; k + 1 < a->successors.size(); ++k) {
         a->stack.insert(a->stack.end(), cur, cur + rec_len);
         settle(a->stack.data() + a->stack.size() - rec_len,
-               a->successors[k].first, a->successors[k].second);
+               a->successors[k].op, a->successors[k].value);
       }
-      settle(cur, a->successors.back().first, a->successors.back().second);
+      settle(cur, a->successors.back().op, a->successors.back().value);
     }
   }
   return false;
@@ -351,8 +370,7 @@ std::string NameAnomaly(const std::vector<SearchOp>& ops,
          ", which no linearization of the concurrent writes can produce";
 }
 
-/// Everything the checker knows about one key. One slice is refilled for
-/// each key in turn, so its vectors are allocated once per history.
+/// Everything the checker knows about one key.
 struct KeySlice {
   std::vector<SearchOp> strict;          ///< Owner reads + effectful writes.
   std::vector<const HistoryOp*> replica_reads;
@@ -363,16 +381,6 @@ struct KeySlice {
   SimTime first_delete_inv = kInfTime;
   bool has_initial = false;
   uint64_t initial = 0;
-
-  void Clear() {
-    strict.clear();
-    replica_reads.clear();
-    failed_seqs.clear();
-    write_invoked.clear();
-    first_delete_inv = kInfTime;
-    has_initial = false;
-    initial = 0;
-  }
 
   /// File one recorded op (never kTxn).
   void Add(const HistoryOp& op) {
@@ -412,9 +420,10 @@ struct KeySlice {
   /// Sort the lookup vectors once every op of the key is filed.
   void Seal() {
     std::sort(failed_seqs.begin(), failed_seqs.end());
-    SortNearlySorted(&write_invoked, [](const auto& x, const auto& y) {
-      return x.first < y.first;
-    });
+    std::stable_sort(write_invoked.begin(), write_invoked.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first < y.first;
+                     });
   }
 
   bool Failed(uint64_t seq) const {
@@ -424,8 +433,10 @@ struct KeySlice {
   /// Invocation time of the write of `seq`, or nullptr when none wrote it.
   const SimTime* WriteInvoked(uint64_t seq) const {
     if (write_invoked.empty()) return nullptr;
-    // Branch-free binary search for the last entry with a seq <= `seq`:
-    // every strict read takes this lookup.
+    // The last entry with a seq <= `seq`, by a binary search whose step is
+    // a conditional move, not a branch: every strict read takes this
+    // lookup, and std::upper_bound's mispredicted branches cost a seventh
+    // of the whole check.
     const std::pair<uint64_t, SimTime>* base = write_invoked.data();
     for (size_t len = write_invoked.size(); len > 1;) {
       const size_t half = len / 2;
@@ -565,11 +576,13 @@ void CheckKey(Key key, const KeySlice& ks, SearchArena* arena,
   bool over_budget = false;
   const uint64_t initial = ks.has_initial ? ks.initial : 0;
   if (Linearizable(ks.strict, initial, &budget, &over_budget, arena)) {
+    result->search_states += kBudgetPerKey - budget;
     if (over_budget) ++result->keys_over_budget;
     return;
   }
   Truncation min_fail = MinimalFailingTruncation(ks.strict, initial, &budget,
                                                  &over_budget, arena);
+  result->search_states += kBudgetPerKey - budget;
   HistoryViolation v;
   v.anomaly = NameAnomaly(min_fail.ops, min_fail.offender, key);
   v.key = key;
@@ -589,58 +602,28 @@ HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
   HistoryCheckResult result;
 
   // --- Per-key independence decomposition --------------------------------
-  // Loaded keys take the first slots, then a counting sort files every
-  // register op under its key in record order: one pass numbers the keys
-  // as they first appear and counts their ops, a second lays the op
-  // indices out in `by_key`, key k's at [begin[k], begin[k + 1]).
-  std::unordered_map<Key, uint32_t> slot_of;
-  std::vector<Key> keys;          // By slot.
-  std::vector<uint64_t> initial;  // Loaded value, by slot.
+  // One pass files every register op under its key, in record order.
+  std::unordered_map<Key, KeySlice> slices;
   for (const auto& [key, seq] : recorder.initial()) {
-    slot_of.emplace(key, static_cast<uint32_t>(keys.size()));
-    keys.push_back(key);
-    initial.push_back(seq);
+    KeySlice& ks = slices[key];
+    ks.has_initial = true;
+    ks.initial = seq;
   }
-  const std::vector<HistoryOp>& ops = recorder.ops();
-  std::vector<size_t> count(keys.size(), 0);
-  std::vector<uint32_t> op_slot(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind == OpKind::kTxn) continue;  // Whole-txn markers.
-    const auto [it, fresh] = slot_of.try_emplace(
-        ops[i].key, static_cast<uint32_t>(keys.size()));
-    if (fresh) {
-      keys.push_back(ops[i].key);
-      count.push_back(0);
-    }
-    op_slot[i] = it->second;
-    ++count[it->second];
+  for (const HistoryOp& op : recorder.ops()) {
+    if (op.kind == OpKind::kTxn) continue;  // Whole-txn markers.
+    slices[op.key].Add(op);
+    ++result.ops_checked;
   }
-  std::vector<size_t> begin(count.size() + 1, 0);
-  for (size_t k = 0; k < count.size(); ++k) begin[k + 1] = begin[k] + count[k];
-  std::vector<size_t> next(begin.begin(), begin.end() - 1);
-  std::vector<size_t> by_key(begin.back());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind != OpKind::kTxn) by_key[next[op_slot[i]]++] = i;
-  }
-  result.ops_checked = static_cast<int64_t>(by_key.size());
 
   // --- Check every key, loaded or touched, in key order ------------------
-  std::vector<uint32_t> order(count.size());
-  for (uint32_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-    return keys[x] < keys[y];
-  });
-  KeySlice ks;
+  std::vector<std::pair<Key, KeySlice*>> order;
+  order.reserve(slices.size());
+  for (auto& [key, ks] : slices) order.emplace_back(key, &ks);
+  std::sort(order.begin(), order.end());
   SearchArena arena;
-  for (const uint32_t k : order) {
-    ks.Clear();
-    if (k < initial.size()) {
-      ks.has_initial = true;
-      ks.initial = initial[k];
-    }
-    for (size_t j = begin[k]; j < begin[k + 1]; ++j) ks.Add(ops[by_key[j]]);
-    ks.Seal();
-    CheckKey(keys[k], ks, &arena, &result);
+  for (const auto& [key, ks] : order) {
+    ks->Seal();
+    CheckKey(key, *ks, &arena, &result);
   }
   return result;
 }

@@ -21,7 +21,7 @@ size_t Page::FreeSpace() const {
 }
 
 StatusOr<uint16_t> Page::Insert(const uint8_t* data, size_t size) {
-  if (size == 0 || size > kFrameSize - kPageHeaderSize - kSlotSize) {
+  if (size == 0 || size > kMaxRecordSize) {
     return Status::InvalidArgument("record size unsupported");
   }
   if (!HasRoomFor(size)) {

@@ -26,6 +26,11 @@ class Page {
  public:
   Page();
 
+  /// Largest record body a page can hold: an empty frame less the header
+  /// and one slot entry.
+  static constexpr size_t kMaxRecordSize =
+      kPageSize - kPageHeaderSize - kSlotSize;
+
   /// Insert a record body. Returns the slot number, or ResourceExhausted if
   /// the page cannot fit `size` bytes plus a slot entry even after
   /// compaction.

@@ -16,23 +16,28 @@ Segment::Segment(SegmentId id, NodeId storage_node, DiskId disk,
                    "unknown IndexKind " << static_cast<int>(index_kind));
 }
 
-Page* Segment::PageWithRoom(size_t record_size, uint16_t* out_idx) {
+size_t Segment::PlaceFor(size_t record_size) const {
   const size_t found =
       free_space_.FirstAtLeast(insert_cursor_, record_size + kSlotSize);
+  if (found != FreeSpaceTree::kNone) return found;
+  return pages_.size() < kPagesPerSegment ? pages_.size()
+                                          : FreeSpaceTree::kNone;
+}
+
+Page* Segment::PageWithRoom(size_t record_size, uint16_t* out_idx) {
+  const size_t place = PlaceFor(record_size);
   // Only advance the cursor past pages that cannot fit even small
   // records, so mixed-size workloads do not strand space; and never past
   // the page this insert takes.
   const size_t roomy = free_space_.FirstAtLeast(insert_cursor_, 64);
-  insert_cursor_ = std::min({found, roomy, pages_.size()});
-  if (found != FreeSpaceTree::kNone) {
-    *out_idx = static_cast<uint16_t>(found);
-    return pages_[found].get();
+  insert_cursor_ = std::min({place, roomy, pages_.size()});
+  if (place == FreeSpaceTree::kNone) return nullptr;
+  if (place == pages_.size()) {
+    pages_.push_back(std::make_unique<Page>());
+    free_space_.Append(pages_.back()->FreeSpace());
   }
-  if (pages_.size() >= kPagesPerSegment) return nullptr;
-  pages_.push_back(std::make_unique<Page>());
-  free_space_.Append(pages_.back()->FreeSpace());
-  *out_idx = static_cast<uint16_t>(pages_.size() - 1);
-  return pages_.back().get();
+  *out_idx = static_cast<uint16_t>(place);
+  return pages_[place].get();
 }
 
 StatusOr<RecordPos> Segment::Insert(Key key,
@@ -95,12 +100,10 @@ Status Segment::UpdateAt(RecordPos pos, Key key,
   // fails with the record intact. The old page is never that place: it
   // lacks room for the growth, so even with the row gone it lacks room
   // for the whole body; and the rest of the segment does not change.
-  if (body.size() + kSlotSize > kPageSize - kPageHeaderSize) {
+  if (body.size() > Page::kMaxRecordSize) {
     return Status::InvalidArgument("record size unsupported");
   }
-  if (free_space_.FirstAtLeast(insert_cursor_, body.size() + kSlotSize) ==
-          FreeSpaceTree::kNone &&
-      pages_.size() >= kPagesPerSegment) {
+  if (!HasRoomFor(body.size())) {
     return Status::ResourceExhausted("segment full");
   }
   WATTDB_RETURN_IF_ERROR(pages_[pos.page]->Delete(pos.slot));

@@ -128,6 +128,15 @@ class Segment {
   bool CheckInvariants() const;
 
  private:
+  /// Where a record of `record_size` bytes goes: the first page at or
+  /// after the insert cursor with room, else pages_.size() (a page still to
+  /// add), else FreeSpaceTree::kNone (the segment is full).
+  size_t PlaceFor(size_t record_size) const;
+  bool HasRoomFor(size_t record_size) const {
+    return PlaceFor(record_size) != FreeSpaceTree::kNone;
+  }
+  /// The page PlaceFor picks, added if new (nullptr when full); advances
+  /// the insert cursor.
   Page* PageWithRoom(size_t record_size, uint16_t* out_idx);
   /// Bring page `idx`'s leaf in free_space_ up to date after it changed.
   void RefreshFreeSpace(size_t idx) {

@@ -3,7 +3,8 @@
 // state scans every unsettled op in record order for the frontier and again
 // for its successors, every state is memoized, and the per-key split is a
 // std::map of slices holding a std::set and a std::map each. Only the
-// comments are gone; the code is otherwise the old src/chaos/linearize.cc.
+// comments are gone and the count of search states each key spent is
+// added; the code is otherwise the old src/chaos/linearize.cc.
 
 #ifndef WATTDB_TESTS_LINEARIZE_REFERENCE_H_
 #define WATTDB_TESTS_LINEARIZE_REFERENCE_H_
@@ -393,11 +394,13 @@ HistoryCheckResult CheckHistory(const HistoryRecorder& recorder) {
     bool over_budget = false;
     const uint64_t initial = ks.has_initial ? ks.initial : 0;
     if (Linearizable(ks.strict, initial, &budget, &over_budget, &arena)) {
+      result.search_states += kBudgetPerKey - budget;
       if (over_budget) ++result.keys_over_budget;
       continue;
     }
     Truncation min_fail = MinimalFailingTruncation(ks.strict, initial, &budget,
                                                    &over_budget, &arena);
+    result.search_states += kBudgetPerKey - budget;
     HistoryViolation v;
     v.anomaly = NameAnomaly(min_fail.ops, min_fail.offender, key);
     v.key = key;

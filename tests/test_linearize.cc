@@ -536,6 +536,7 @@ TEST(Linearize, MatchesReferenceOnLongRandomHistories) {
     const HistoryCheckResult want = reference::CheckHistory(rec);
     ASSERT_EQ(want.keys_over_budget, 0) << "trial " << trial;
     ASSERT_EQ(got.keys_over_budget, 0) << "trial " << trial;
+    EXPECT_EQ(got.search_states, want.search_states) << "trial " << trial;
     EXPECT_EQ(got.keys_checked, want.keys_checked);
     EXPECT_EQ(got.ops_checked, want.ops_checked);
     ASSERT_EQ(got.violations.size(), want.violations.size())
@@ -570,6 +571,31 @@ TEST(Linearize, MatchesReferenceOnLongRandomHistories) {
   EXPECT_GT(healthy, 150);
   EXPECT_EQ(long_keys, 400);
   EXPECT_GT(out_of_order, 10000);
+}
+
+TEST(Linearize, SpendsTheReferenceSearchStatesPerKey) {
+  // The budget decides whether a key is reported at all: a key that runs
+  // out of search states is counted over budget, not failed. The checker
+  // visits the same states in the same order as its reference, so every
+  // key, a broken one searched exhaustively and cut down to its minimal
+  // failing sub-history included, spends exactly the reference's states.
+  // One key per history, so the counts are that key's.
+  Rng rng(20261018);
+  uint64_t next_seq = 1;
+  int broken = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const HistoryRecorder rec = RandomLongHistory(&rng, 1, &next_seq);
+    const HistoryCheckResult got = CheckHistory(rec);
+    const HistoryCheckResult want = reference::CheckHistory(rec);
+    EXPECT_EQ(got.search_states, want.search_states) << "trial " << trial;
+    ASSERT_EQ(got.violations.size(), want.violations.size());
+    for (const HistoryViolation& v : want.violations) {
+      for (const char* named : {"stale read", "lost read", "non-lin"}) {
+        if (v.anomaly.rfind(named, 0) == 0) ++broken;  // The search's names.
+      }
+    }
+  }
+  EXPECT_GT(broken, 40);
 }
 
 }  // namespace
