@@ -38,17 +38,14 @@ AblationResult RunWithChunk(size_t chunk_bytes, double cost_scale) {
   db.RunUntil(20 * kUsPerSec);
   pool.ResetStats();
 
-  const StatusOr<SimTime> window =
-      db.RebalanceAndWait({NodeId(2), NodeId(3)}, 0.5, 900 * kUsPerSec);
+  const SimTime window =
+      Must(db.RebalanceAndWait({NodeId(2), NodeId(3)}, 0.5, 900 * kUsPerSec),
+           "RebalanceAndWait");
   pool.Stop();
-  if (!window.ok()) {
-    std::fprintf(stderr, "rebalance: %s\n", window.status().ToString().c_str());
-    return {};
-  }
 
   AblationResult out;
-  out.migration_secs = ToSeconds(*window);
-  out.avg_qps_during = pool.committed() / ToSeconds(*window);
+  out.migration_secs = ToSeconds(window);
+  out.avg_qps_during = pool.committed() / ToSeconds(window);
   out.avg_ms_during = pool.latencies().mean() / kUsPerMs;
   return out;
 }

@@ -25,9 +25,8 @@ constexpr double kBatchQps = 200.0;
 
 struct PointResult {
   double offered = 0;
-  double committed_per_s = 0;
+  KvWindow w;                 ///< Latency class; p99 of admitted txns.
   double goodput_per_s = 0;   ///< Committed within the SLO, per second.
-  double p99_ms = 0;          ///< Latency of *committed* (admitted) txns.
   int64_t shed_latency = 0;   ///< Refusals, latency-sensitive class.
   int64_t shed_batch = 0;     ///< Refusals, batch class.
   int64_t retried = 0;
@@ -72,13 +71,6 @@ PointResult RunPoint(double offered_qps, bool shedding, SimTime warmup,
   // the sweep (same calibration trick as the heat-rebalance bench).
   options.cluster.costs.cpu_record_read_us = 300;
   options.cluster.costs.cpu_record_write_us = 600;
-  auto opened = Db::Open(options);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  Db& db = **opened;
 
   // Latency-sensitive stream: single point ops with an SLO, shed work
   // retried twice with jittered backoff before dropping. One op = one
@@ -96,9 +88,6 @@ PointResult RunPoint(double offered_qps, bool shedding, SimTime warmup,
   lat.shed_retries = 2;
   lat.retry_backoff = 10 * kUsPerMs;
   lat.seed = 29;
-  auto lat_kv = db.AddKvWorkload(lat);
-  if (!lat_kv.ok()) std::abort();
-  workload::KvWorkload& lat_driver = **lat_kv;
 
   // Batch-priority stream at a fixed modest rate: the cheap class the
   // shedder sacrifices first (its cap is kBatchShare x max_queue_ops).
@@ -111,9 +100,10 @@ PointResult RunPoint(double offered_qps, bool shedding, SimTime warmup,
   batch.value_bytes = 100;
   batch.batch_priority = true;
   batch.seed = 31;
-  auto batch_kv = db.AddKvWorkload(batch);
-  if (!batch_kv.ok()) std::abort();
-  workload::KvWorkload& batch_driver = **batch_kv;
+
+  KvArm arm(options, {lat, batch});
+  Db& db = arm.db();
+  workload::KvWorkload& lat_driver = arm.driver();
 
   // Settle the post-load state (the loaders run in zero sim time, so the
   // disks start with a deep flush backlog) before offering load: both arms
@@ -121,24 +111,19 @@ PointResult RunPoint(double offered_qps, bool shedding, SimTime warmup,
   // startup wave and the curves diverge for reasons that have nothing to
   // do with overload.
   db.RunFor(5 * kUsPerSec);
-  lat_driver.Start();
-  batch_driver.Start();
-  db.RunFor(warmup);
-  lat_driver.ResetStats();
+  arm.Start(warmup);
 
   const int64_t shed_lat_before =
       db.admission().shed(admission::OpClass::kLatencySensitive);
   const int64_t shed_batch_before =
       db.admission().shed(admission::OpClass::kBatch);
-  db.RunFor(window);
-  if (json != nullptr) ReportQueueDepths(json, &db, prefix);
-
   PointResult r;
   r.offered = offered_qps;
-  const double secs = ToSeconds(window);
-  r.committed_per_s = static_cast<double>(lat_driver.committed()) / secs;
-  r.goodput_per_s = static_cast<double>(lat_driver.slo_met()) / secs;
-  r.p99_ms = lat_driver.latencies().Percentile(99.0) / kUsPerMs;
+  r.w = arm.Measure(window);
+  if (json != nullptr) ReportQueueDepths(json, &db, prefix);
+
+  r.goodput_per_s =
+      static_cast<double>(lat_driver.slo_met()) / ToSeconds(window);
   r.shed_latency =
       db.admission().shed(admission::OpClass::kLatencySensitive) -
       shed_lat_before;
@@ -148,8 +133,6 @@ PointResult RunPoint(double offered_qps, bool shedding, SimTime warmup,
   r.dropped = lat_driver.dropped();
   r.overload_events =
       db.master().event_count(cluster::ControlEventType::kOverloadDetected);
-  lat_driver.Stop();
-  batch_driver.Stop();
   return r;
 }
 
@@ -194,8 +177,8 @@ void Run() {
     const PointResult& n = noshed.back();
     const PointResult& s = shed.back();
     std::printf("%-9.0f | %10.0f %10.1f | %10.0f %10.1f | %7lld %7lld\n",
-                sweep[i], n.goodput_per_s, n.p99_ms, s.goodput_per_s,
-                s.p99_ms, static_cast<long long>(s.shed_latency +
+                sweep[i], n.goodput_per_s, n.w.p99_ms, s.goodput_per_s,
+                s.w.p99_ms, static_cast<long long>(s.shed_latency +
                                                  s.shed_batch),
                 static_cast<long long>(s.retried));
     json.Metric("noshed_goodput_at_" + std::to_string((int)sweep[i]),
@@ -230,9 +213,10 @@ void Run() {
   // near zero — a gated ratio against it would swing wildly on tiny shifts.
   json.Metric("goodput_ratio_shed_vs_noshed_at_top", ratio_at_top, "ratio",
               JsonReporter::kInfo);
-  json.Metric("shed_admitted_p99_ms", s_top.p99_ms, "ms",
+  json.Metric("shed_admitted_p99_ms", s_top.w.p99_ms, "ms",
               JsonReporter::kLowerIsBetter);
-  json.Metric("noshed_p99_ms_at_top", n_top.p99_ms, "ms", JsonReporter::kInfo);
+  json.Metric("noshed_p99_ms_at_top", n_top.w.p99_ms, "ms",
+              JsonReporter::kInfo);
   json.Metric("shed_latency_class", static_cast<double>(s_top.shed_latency),
               "txns", JsonReporter::kInfo);
   json.Metric("shed_batch_class", static_cast<double>(s_top.shed_batch),
@@ -252,7 +236,7 @@ void Run() {
       "plateaus (ratio %.2f of its peak at top load) with admitted p99\n"
       "%.1f ms. Batch class shed %lld vs %lld latency-class refusals at\n"
       "top load; the master logged %d overload event(s).\n",
-      shed_peak, peak_at, plateau_ratio, s_top.p99_ms,
+      shed_peak, peak_at, plateau_ratio, s_top.w.p99_ms,
       static_cast<long long>(s_top.shed_batch),
       static_cast<long long>(s_top.shed_latency), s_top.overload_events);
 }

@@ -15,9 +15,7 @@ namespace wattdb::bench {
 namespace {
 
 struct ModeResult {
-  double key_ops_per_sec = 0;
-  double txn_per_sec = 0;
-  double mean_latency_ms = 0;
+  KvWindow w;
   int64_t messages = 0;
   int64_t round_trips = 0;
 };
@@ -26,21 +24,6 @@ constexpr SimTime kWarmup = 5 * kUsPerSec;
 inline SimTime Measure() { return (SmokeMode() ? 10 : 30) * kUsPerSec; }
 
 ModeResult RunMode(bool batched) {
-  // 4 nodes, master + one data-owning peer active: half of the key space is
-  // owner-local to the master, the other half pays the interconnect.
-  auto opened = Db::Open(DbOptions()
-                             .WithNodes(4)
-                             .WithActiveNodes(2)
-                             .WithBufferPages(4000)
-                             .WithSeed(7)
-                             .WithoutTpccLoad());
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  Db& db = **opened;
-
   workload::KvConfig cfg;
   cfg.num_clients = 32;
   cfg.think_time = 5 * kUsPerMs;
@@ -50,29 +33,23 @@ ModeResult RunMode(bool batched) {
   cfg.num_keys = 8192;
   cfg.value_bytes = 100;
   cfg.seed = 7;
+  // 4 nodes, master + one data-owning peer active: half of the key space is
+  // owner-local to the master, the other half pays the interconnect.
+  KvArm arm(DbOptions()
+                .WithNodes(4)
+                .WithActiveNodes(2)
+                .WithBufferPages(4000)
+                .WithSeed(7)
+                .WithoutTpccLoad(),
+            {cfg});
+  Db& db = arm.db();
 
-  auto kv = db.AddKvWorkload(cfg);
-  if (!kv.ok()) {
-    std::fprintf(stderr, "AddKvWorkload failed: %s\n",
-                 kv.status().ToString().c_str());
-    std::abort();
-  }
-  workload::KvWorkload& driver = **kv;
-
-  driver.Start();
-  db.RunFor(kWarmup);
-  driver.ResetStats();
+  arm.Start(kWarmup);
   const int64_t msgs0 = db.cluster().network().messages_sent();
-  db.RunFor(Measure());
-  driver.Stop();
-
   ModeResult r;
-  const double secs = ToSeconds(Measure());
-  r.key_ops_per_sec = static_cast<double>(driver.key_ops()) / secs;
-  r.txn_per_sec = static_cast<double>(driver.committed()) / secs;
-  r.mean_latency_ms = driver.latencies().mean() / kUsPerMs;
+  r.w = arm.Measure(Measure());
   r.messages = db.cluster().network().messages_sent() - msgs0;
-  r.round_trips = driver.owner_round_trips();
+  r.round_trips = arm.driver().owner_round_trips();
   return r;
 }
 
@@ -92,31 +69,31 @@ void Run() {
 
   const ModeResult per_op = RunMode(/*batched=*/false);
   std::printf("%-10s %14.0f %10.0f %14.3f %12lld\n", "per-op",
-              per_op.key_ops_per_sec, per_op.txn_per_sec,
-              per_op.mean_latency_ms, static_cast<long long>(per_op.messages));
+              per_op.w.key_ops_per_s, per_op.w.committed_per_s,
+              per_op.w.mean_ms, static_cast<long long>(per_op.messages));
 
   const ModeResult batch = RunMode(/*batched=*/true);
   std::printf("%-10s %14.0f %10.0f %14.3f %12lld\n", "batched",
-              batch.key_ops_per_sec, batch.txn_per_sec, batch.mean_latency_ms,
+              batch.w.key_ops_per_s, batch.w.committed_per_s, batch.w.mean_ms,
               static_cast<long long>(batch.messages));
 
-  const double speedup =
-      per_op.key_ops_per_sec > 0 ? batch.key_ops_per_sec / per_op.key_ops_per_sec
-                                 : 0;
+  const double speedup = per_op.w.key_ops_per_s > 0
+                             ? batch.w.key_ops_per_s / per_op.w.key_ops_per_s
+                             : 0;
   std::printf(
       "\nbatched/per-op committed throughput: %.2fx (%lld owner round trips "
       "for the batched run)\n",
       speedup, static_cast<long long>(batch.round_trips));
-  if (batch.key_ops_per_sec <= per_op.key_ops_per_sec) {
+  if (batch.w.key_ops_per_s <= per_op.w.key_ops_per_s) {
     std::printf("REGRESSION: batching did not beat the per-op loop\n");
   }
 
-  json.Metric("perop_keyops_per_s", per_op.key_ops_per_sec, "keyops/s",
+  json.Metric("perop_keyops_per_s", per_op.w.key_ops_per_s, "keyops/s",
               JsonReporter::kHigherIsBetter);
-  json.Metric("batched_keyops_per_s", batch.key_ops_per_sec, "keyops/s",
+  json.Metric("batched_keyops_per_s", batch.w.key_ops_per_s, "keyops/s",
               JsonReporter::kHigherIsBetter);
   json.Metric("batch_speedup", speedup, "x", JsonReporter::kHigherIsBetter);
-  json.Metric("batched_mean_latency_ms", batch.mean_latency_ms, "ms",
+  json.Metric("batched_mean_latency_ms", batch.w.mean_ms, "ms",
               JsonReporter::kLowerIsBetter);
   json.Metric("batched_net_msgs", static_cast<double>(batch.messages), "msgs",
               JsonReporter::kLowerIsBetter);

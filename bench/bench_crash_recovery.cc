@@ -14,7 +14,6 @@
 namespace wattdb::bench {
 namespace {
 
-constexpr SimTime kWarmup = 2 * kUsPerSec;
 constexpr SimTime kCooldown = 5 * kUsPerSec;
 constexpr double kOfferedQps = 400.0;
 
@@ -26,19 +25,6 @@ struct RunResult {
 };
 
 RunResult RunOnce(SimTime pre_crash_window, JsonReporter* json) {
-  auto opened = Db::Open(DbOptions()
-                             .WithNodes(4)
-                             .WithActiveNodes(2)
-                             .WithBufferPages(4000)
-                             .WithSeed(13)
-                             .WithoutTpccLoad());
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  Db& db = **opened;
-
   workload::KvConfig cfg;
   cfg.arrival_qps = kOfferedQps;  // Open loop: offered load is constant.
   cfg.read_ratio = 0.5;           // Writes grow the victim's WAL tail.
@@ -46,37 +32,28 @@ RunResult RunOnce(SimTime pre_crash_window, JsonReporter* json) {
   cfg.num_keys = 8192;
   cfg.value_bytes = 100;
   cfg.seed = 13;
-  auto kv = db.AddKvWorkload(cfg);
-  if (!kv.ok()) {
-    std::fprintf(stderr, "AddKvWorkload failed: %s\n",
-                 kv.status().ToString().c_str());
-    std::abort();
-  }
-  workload::KvWorkload& driver = **kv;
+  KvArm arm(DbOptions()
+                .WithNodes(4)
+                .WithActiveNodes(2)
+                .WithBufferPages(4000)
+                .WithSeed(13)
+                .WithoutTpccLoad(),
+            {cfg});
+  Db& db = arm.db();
+  workload::KvWorkload& driver = arm.driver();
 
-  driver.Start();
-  db.RunFor(kWarmup);
-  driver.ResetStats();
-
+  arm.Start(kKvWarmup);
   // Pre-crash window: the WAL tail on node 1 grows with every write.
-  db.RunFor(pre_crash_window);
   RunResult r;
-  r.before_rate =
-      static_cast<double>(driver.committed()) / ToSeconds(pre_crash_window);
+  r.before_rate = arm.Measure(pre_crash_window).committed_per_s;
   // Backlog at steady offered load, right before the crash.
   if (json != nullptr) ReportQueueDepths(json, &db, "precrash");
 
   const int64_t committed_at_crash = driver.committed();
   const SimTime crash_at = db.Now();
-  if (!db.CrashNode(NodeId(1)).ok()) std::abort();
-  const StatusOr<fault::RecoveryReport> report =
-      db.RestartNodeAndWait(NodeId(1), 120 * kUsPerSec);
-  if (!report.ok()) {
-    std::fprintf(stderr, "recovery failed: %s\n",
-                 report.status().ToString().c_str());
-    std::abort();
-  }
-  r.report = *report;
+  Must(db.CrashNode(NodeId(1)), "CrashNode");
+  r.report = Must(db.RestartNodeAndWait(NodeId(1), 120 * kUsPerSec),
+                  "RestartNodeAndWait");
   const double outage_secs = ToSeconds(db.Now() - crash_at);
   r.outage_rate =
       static_cast<double>(driver.committed() - committed_at_crash) /
@@ -87,7 +64,6 @@ RunResult RunOnce(SimTime pre_crash_window, JsonReporter* json) {
   r.after_rate =
       static_cast<double>(driver.committed() - committed_at_recovery) /
       ToSeconds(kCooldown);
-  driver.Stop();
   return r;
 }
 

@@ -38,9 +38,8 @@ MixResult RunOne(double update_ratio, tx::CcScheme cc) {
                           .WithLogicalBatchRecords(128)
                           .WithMigrateOnly(workload::TpccTable::kCustomer)
                           .WithAutoVacuum(cc == tx::CcScheme::kMglRx);
-  auto opened = Db::Open(options);
-  if (!opened.ok()) std::abort();
-  Db& db = **opened;
+  const std::unique_ptr<Db> opened = Must(Db::Open(options), "Db::Open");
+  Db& db = *opened;
   cluster::Cluster& c = db.cluster();
 
   // Storage baseline: the affected table's bytes (the paper plots the
@@ -66,9 +65,8 @@ MixResult RunOne(double update_ratio, tx::CcScheme cc) {
   // as in the paper's micro-benchmark — only the CUSTOMER table, see
   // WithMigrateOnly above) while the workload runs.
   bool done = false;
-  if (!db.TriggerRebalance({NodeId(1)}, 0.5, [&]() { done = true; }).ok()) {
-    std::abort();
-  }
+  Must(db.TriggerRebalance({NodeId(1)}, 0.5, [&]() { done = true; }),
+       "TriggerRebalance");
 
   size_t peak_overhead = 0;
   const SimTime t0 = db.Now();

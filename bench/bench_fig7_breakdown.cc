@@ -34,16 +34,13 @@ metrics::TimeBreakdown Measure(bool rebalancing, bool helpers) {
   if (rebalancing) {
     if (helpers) {
       // Fig. 8 improvement: two helper nodes assist the four data nodes.
-      if (!db.AttachHelpers({NodeId(4), NodeId(5)},
+      Must(db.AttachHelpers({NodeId(4), NodeId(5)},
                             {NodeId(0), NodeId(1), NodeId(2), NodeId(3)},
-                            /*remote_buffer_pages=*/1500)
-               .ok()) {
-        std::abort();
-      }
+                            /*remote_buffer_pages=*/1500),
+           "AttachHelpers");
     }
-    if (!db.TriggerRebalance({NodeId(2), NodeId(3)}, 0.5, nullptr).ok()) {
-      std::abort();
-    }
+    Must(db.TriggerRebalance({NodeId(2), NodeId(3)}, 0.5, nullptr),
+         "TriggerRebalance");
     // Boot + first copy streams under way.
     db.RunUntil((SmokeMode() ? 18 : 40) * kUsPerSec);
   }

@@ -26,8 +26,6 @@
 namespace wattdb::bench {
 namespace {
 
-constexpr SimTime kWarmup = 2 * kUsPerSec;
-
 struct HeatSetup {
   double offered_qps = 1400;  ///< Fixed offered load (txn/s), both arms.
   double zipf_theta = 0.99;
@@ -70,10 +68,7 @@ cluster::MasterPolicy Policy(bool balance) {
 }
 
 struct ArmResult {
-  double committed_ops_per_s = 0;
-  double committed_txn_per_s = 0;
-  double mean_ms = 0;
-  double p99_ms = 0;
+  KvWindow w;
   int heat_rebalances = 0;
   int moves_completed = 0;
   double time_to_rebalance_ms = 0;  ///< First trigger -> last round done.
@@ -92,39 +87,20 @@ ArmResult RunArm(const HeatSetup& s, bool balance, JsonReporter* json,
   // the whole cluster could comfortably serve — the skew story in one knob.
   options.cluster.costs.cpu_record_read_us = 300;
   options.cluster.costs.cpu_record_write_us = 600;
-  auto opened = Db::Open(options);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  Db& db = **opened;
-  auto kv = db.AddKvWorkload(KvCfg(s));
-  if (!kv.ok()) {
-    std::fprintf(stderr, "AddKvWorkload failed: %s\n",
-                 kv.status().ToString().c_str());
-    std::abort();
-  }
-  workload::KvWorkload& driver = **kv;
+  KvArm arm(options, {KvCfg(s)});
+  Db& db = arm.db();
 
-  driver.Start();
-  db.RunFor(kWarmup);
+  arm.Start(kKvWarmup);
   // Convergence phase: the heat arm detects the imbalance and moves the
   // hot segments; the static arm just builds queue at the hot node.
   db.RunFor(s.converge_window);
 
-  driver.ResetStats();
-  db.RunFor(s.measure_window);
+  ArmResult r;
+  r.w = arm.Measure(s.measure_window);
   // End-of-measurement backlog: the static arm's hot node shows the queue
   // the balancer exists to dissolve.
   if (json != nullptr) ReportQueueDepths(json, &db, prefix);
 
-  ArmResult r;
-  const double secs = ToSeconds(s.measure_window);
-  r.committed_ops_per_s = static_cast<double>(driver.key_ops()) / secs;
-  r.committed_txn_per_s = static_cast<double>(driver.committed()) / secs;
-  r.mean_ms = driver.latencies().mean() / kUsPerMs;
-  r.p99_ms = driver.latencies().Percentile(99.0) / kUsPerMs;
   r.heat_rebalances = db.master().heat_rebalances();
   r.moves_completed = db.master().heat_moves_completed();
   SimTime first_trigger = -1;
@@ -142,7 +118,6 @@ ArmResult RunArm(const HeatSetup& s, bool balance, JsonReporter* json,
     r.time_to_rebalance_ms =
         static_cast<double>(last_done - first_trigger) / kUsPerMs;
   }
-  driver.Stop();
   return r;
 }
 
@@ -180,31 +155,31 @@ void Run() {
   std::printf("%-8s | %12s %12s %9s %9s | %7s %6s %12s\n", "arm", "key-ops/s",
               "txn/s", "mean ms", "p99 ms", "rounds", "moves", "t-rebal ms");
   std::printf("%-8s | %12.0f %12.0f %9.2f %9.2f | %7d %6d %12s\n", "static",
-              stat.committed_ops_per_s, stat.committed_txn_per_s, stat.mean_ms,
-              stat.p99_ms, stat.heat_rebalances, stat.moves_completed, "-");
+              stat.w.key_ops_per_s, stat.w.committed_per_s, stat.w.mean_ms,
+              stat.w.p99_ms, stat.heat_rebalances, stat.moves_completed, "-");
   std::printf("%-8s | %12.0f %12.0f %9.2f %9.2f | %7d %6d %12.0f\n", "heat",
-              heat.committed_ops_per_s, heat.committed_txn_per_s, heat.mean_ms,
-              heat.p99_ms, heat.heat_rebalances, heat.moves_completed,
+              heat.w.key_ops_per_s, heat.w.committed_per_s, heat.w.mean_ms,
+              heat.w.p99_ms, heat.heat_rebalances, heat.moves_completed,
               heat.time_to_rebalance_ms);
 
-  const double ratio = stat.committed_ops_per_s > 0
-                           ? heat.committed_ops_per_s / stat.committed_ops_per_s
+  const double ratio = stat.w.key_ops_per_s > 0
+                           ? heat.w.key_ops_per_s / stat.w.key_ops_per_s
                            : 0;
   std::printf(
       "\nHeat balancing commits %.2fx the static arm's key-ops/s (p99 "
       "%.1f -> %.1f ms);\n%d segment move(s) across %d round(s), last round "
       "done %.0f ms after the first trigger.\n",
-      ratio, stat.p99_ms, heat.p99_ms, heat.moves_completed,
+      ratio, stat.w.p99_ms, heat.w.p99_ms, heat.moves_completed,
       heat.heat_rebalances, heat.time_to_rebalance_ms);
 
-  json.Metric("static_committed_ops_per_s", stat.committed_ops_per_s, "ops/s",
+  json.Metric("static_committed_ops_per_s", stat.w.key_ops_per_s, "ops/s",
               JsonReporter::kInfo);
-  json.Metric("heat_committed_ops_per_s", heat.committed_ops_per_s, "ops/s",
+  json.Metric("heat_committed_ops_per_s", heat.w.key_ops_per_s, "ops/s",
               JsonReporter::kHigherIsBetter);
   json.Metric("throughput_ratio", ratio, "ratio",
               JsonReporter::kHigherIsBetter);
-  json.Metric("static_p99_ms", stat.p99_ms, "ms", JsonReporter::kInfo);
-  json.Metric("heat_p99_ms", heat.p99_ms, "ms", JsonReporter::kLowerIsBetter);
+  json.Metric("static_p99_ms", stat.w.p99_ms, "ms", JsonReporter::kInfo);
+  json.Metric("heat_p99_ms", heat.w.p99_ms, "ms", JsonReporter::kLowerIsBetter);
   json.Metric("time_to_rebalance_ms", heat.time_to_rebalance_ms, "ms",
               JsonReporter::kLowerIsBetter);
   json.Metric("segments_moved", heat.moves_completed, "segments",

@@ -26,7 +26,7 @@ struct BatchResult {
 };
 
 BatchResult RunBatchSize(int batch_size) {
-  auto opened =
+  const std::unique_ptr<Db> opened = Must(
       Db::Open(DbOptions()
                    .WithNodes(4)
                    .WithActiveNodes(2)
@@ -38,13 +38,9 @@ BatchResult RunBatchSize(int batch_size) {
                    .WithLogicalBatchRecords(32)
                    .WithCostScale(8.0)  // Stretch the move; wider window.
                    .WithMigrateOnly(workload::TpccTable::kCustomer)
-                   .WithSeed(3));
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  Db& db = **opened;
+                   .WithSeed(3)),
+      "Db::Open");
+  Db& db = *opened;
   Session session = db.OpenSession();
   const TableId customer = db.table(workload::TpccTable::kCustomer);
   const int64_t per_district = db.tpcc()->customers_per_district();
@@ -60,10 +56,8 @@ BatchResult RunBatchSize(int batch_size) {
   }
 
   bool done = false;
-  if (!db.TriggerRebalance({NodeId(2), NodeId(3)}, 0.5, [&]() { done = true; })
-           .ok()) {
-    std::abort();
-  }
+  Must(db.TriggerRebalance({NodeId(2), NodeId(3)}, 0.5, [&]() { done = true; }),
+       "TriggerRebalance");
 
   BatchResult r;
   double latency_sum_ms = 0;
@@ -79,24 +73,24 @@ BatchResult RunBatchSize(int batch_size) {
       batch.push_back(
           keys[rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1)]);
     }
-    StatusOr<MultiGetResult> got = session.MultiGet(customer, batch);
-    if (!got.ok()) std::abort();
+    const MultiGetResult got =
+        Must(session.MultiGet(customer, batch), "MultiGet");
     r.key_ops += static_cast<int64_t>(batch.size());
-    r.owner_round_trips += got->stats.owner_round_trips;
-    r.straggler_retries += got->stats.straggler_retries;
-    latency_sum_ms += static_cast<double>(got->latency_us) / kUsPerMs;
+    r.owner_round_trips += got.stats.owner_round_trips;
+    r.straggler_retries += got.stats.straggler_retries;
+    latency_sum_ms += static_cast<double>(got.latency_us) / kUsPerMs;
     ++r.batches;
     if (r.batches % 4 == 0) {
       std::vector<KeyValue> kvs;
       for (Key k : batch) {
         kvs.push_back(KeyValue{k, std::vector<uint8_t>(64, 0x42)});
       }
-      StatusOr<MultiPutResult> put = session.MultiPut(customer, kvs);
-      if (!put.ok()) std::abort();
+      const MultiPutResult put =
+          Must(session.MultiPut(customer, kvs), "MultiPut");
       r.key_ops += static_cast<int64_t>(kvs.size());
-      r.owner_round_trips += put->stats.owner_round_trips;
-      r.straggler_retries += put->stats.straggler_retries;
-      latency_sum_ms += static_cast<double>(put->latency_us) / kUsPerMs;
+      r.owner_round_trips += put.stats.owner_round_trips;
+      r.straggler_retries += put.stats.straggler_retries;
+      latency_sum_ms += static_cast<double>(put.latency_us) / kUsPerMs;
       ++r.batches;
     }
   }

@@ -28,8 +28,6 @@
 namespace wattdb::bench {
 namespace {
 
-constexpr SimTime kWarmup = 2 * kUsPerSec;
-
 struct LaneSetup {
   double sweep_qps = 3000;  ///< Offered load (txn/s) of the lane sweep.
   double rebal_qps = 1400;  ///< Offered load of the reaction-time duel.
@@ -65,8 +63,7 @@ lanes::LanePolicy Lanes(int per_node, bool balance) {
   return lp;
 }
 
-DbOptions BaseOptions(const LaneSetup& s) {
-  (void)s;
+DbOptions BaseOptions() {
   DbOptions options = DbOptions()
                           .WithNodes(4)
                           .WithActiveNodes(4)
@@ -80,55 +77,19 @@ DbOptions BaseOptions(const LaneSetup& s) {
   return options;
 }
 
-Db& MustOpen(StatusOr<std::unique_ptr<Db>>& opened) {
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  return **opened;
-}
-
-workload::KvWorkload& MustAddKv(Db& db, const workload::KvConfig& cfg) {
-  auto kv = db.AddKvWorkload(cfg);
-  if (!kv.ok()) {
-    std::fprintf(stderr, "AddKvWorkload failed: %s\n",
-                 kv.status().ToString().c_str());
-    std::abort();
-  }
-  return **kv;
-}
-
-struct SweepResult {
-  double committed_ops_per_s = 0;
-  double p99_ms = 0;
-};
-
-SweepResult RunSweepArm(const LaneSetup& s, int lanes_per_node,
-                        index::IndexKind kind, JsonReporter* json,
-                        const std::string& prefix) {
-  DbOptions options = BaseOptions(s)
-                          .WithLanePolicy(Lanes(lanes_per_node,
-                                                /*balance=*/false))
-                          .WithIndexKind(kind);
-  auto opened = Db::Open(options);
-  Db& db = MustOpen(opened);
-  workload::KvWorkload& driver = MustAddKv(db, KvCfg(s, s.sweep_qps));
-
-  driver.Start();
-  db.RunFor(kWarmup);
-  driver.ResetStats();
-  db.RunFor(s.measure_window);
+KvWindow RunSweepArm(const LaneSetup& s, int lanes_per_node,
+                     index::IndexKind kind, JsonReporter* json,
+                     const std::string& prefix) {
+  KvArm arm(BaseOptions()
+                .WithLanePolicy(Lanes(lanes_per_node, /*balance=*/false))
+                .WithIndexKind(kind),
+            {KvCfg(s, s.sweep_qps)});
+  arm.Start(kKvWarmup);
+  const KvWindow w = arm.Measure(s.measure_window);
   // End-of-measurement per-lane backlog: with one lane, everything queues
   // on it; with enough lanes the backlog flattens out.
-  if (json != nullptr) ReportLaneBacklogs(json, &db, prefix);
-
-  SweepResult r;
-  r.committed_ops_per_s =
-      static_cast<double>(driver.key_ops()) / ToSeconds(s.measure_window);
-  r.p99_ms = driver.latencies().Percentile(99.0) / kUsPerMs;
-  driver.Stop();
-  return r;
+  if (json != nullptr) ReportLaneBacklogs(json, &arm.db(), prefix);
+  return w;
 }
 
 cluster::MasterPolicy RebalPolicy() {
@@ -156,15 +117,12 @@ struct RebalResult {
 
 RebalResult RunRebalArm(const LaneSetup& s, bool intra, JsonReporter* json,
                         const std::string& prefix) {
-  DbOptions options = BaseOptions(s)
-                          .WithLanePolicy(Lanes(4, /*balance=*/intra))
-                          .WithMasterLoop(RebalPolicy());
-  auto opened = Db::Open(options);
-  Db& db = MustOpen(opened);
-  workload::KvWorkload& driver = MustAddKv(db, KvCfg(s, s.rebal_qps));
-
-  driver.Start();
-  db.RunFor(kWarmup);
+  KvArm arm(BaseOptions()
+                .WithLanePolicy(Lanes(4, /*balance=*/intra))
+                .WithMasterLoop(RebalPolicy()),
+            {KvCfg(s, s.rebal_qps)});
+  Db& db = arm.db();
+  arm.Start(kKvWarmup);
 
   // Find the hot node by EWMA heat (the Zipf head's owner) and stack every
   // one of its segments onto lane 0 — the drift scenario both arms must
@@ -198,7 +156,6 @@ RebalResult RunRebalArm(const LaneSetup& s, bool intra, JsonReporter* json,
   r.segments_relaned =
       db.master().event_count(cluster::ControlEventType::kSegmentRelaned);
   r.heat_moves_completed = db.master().heat_moves_completed();
-  driver.Stop();
   return r;
 }
 
@@ -248,26 +205,26 @@ void Run() {
          {index::IndexKind::kBTree, index::IndexKind::kHash}) {
       const std::string prefix =
           "lanes" + std::to_string(lanes) + "_" + KindName(kind);
-      const SweepResult r = RunSweepArm(
+      const KvWindow r = RunSweepArm(
           s, lanes, kind,
           (lanes == 4 && kind == index::IndexKind::kBTree) ? &json : nullptr,
           prefix);
       std::printf("%-6d %-6s | %12.0f %9.2f\n", lanes, KindName(kind),
-                  r.committed_ops_per_s, r.p99_ms);
-      json.Metric(prefix + "_committed_ops_per_s", r.committed_ops_per_s,
+                  r.key_ops_per_s, r.p99_ms);
+      json.Metric(prefix + "_committed_ops_per_s", r.key_ops_per_s,
                   "ops/s",
                   (lanes == 4 && kind == index::IndexKind::kBTree)
                       ? JsonReporter::kHigherIsBetter
                       : JsonReporter::kInfo);
       json.Metric(prefix + "_p99_ms", r.p99_ms, "ms", JsonReporter::kInfo);
       if (lanes == 1 && kind == index::IndexKind::kBTree) {
-        ops_lanes1_btree = r.committed_ops_per_s;
+        ops_lanes1_btree = r.key_ops_per_s;
       }
       if (lanes == 4 && kind == index::IndexKind::kBTree) {
-        ops_lanes4_btree = r.committed_ops_per_s;
+        ops_lanes4_btree = r.key_ops_per_s;
       }
       if (lanes == 4 && kind == index::IndexKind::kHash) {
-        ops_lanes4_hash = r.committed_ops_per_s;
+        ops_lanes4_hash = r.key_ops_per_s;
       }
     }
   }

@@ -20,8 +20,6 @@
 namespace wattdb::bench {
 namespace {
 
-constexpr SimTime kWarmup = 2 * kUsPerSec;
-
 workload::KvConfig KvCfg(double qps) {
   workload::KvConfig cfg;
   cfg.arrival_qps = qps;  // Open loop: offered load independent of service.
@@ -46,18 +44,10 @@ cluster::MasterPolicy HealingPolicy(bool auto_heal) {
 
 enum class Arm { kHealthy, kCrashNoHealing, kCrashHealing };
 
-struct ArmResult {
-  double committed_per_s = 0;
-  double aborted_per_s = 0;
-  double mean_ms = 0;
-  double p99_ms = 0;
-  int declared_dead = 0;
-  int auto_restarts = 0;
-};
-
-ArmResult RunArm(double qps, Arm arm, SimTime window, SimTime crash_period,
-                 JsonReporter* json = nullptr,
-                 const std::string& prefix = "") {
+/// Node 1 (half the key space) dies every crash_period in the crash arms
+/// and is never restarted by the plan — recovery is the master's job (or
+/// nobody's).
+DbOptions Options(Arm arm, SimTime crash_period) {
   DbOptions options = DbOptions()
                           .WithNodes(4)
                           .WithActiveNodes(2)
@@ -69,43 +59,31 @@ ArmResult RunArm(double qps, Arm arm, SimTime window, SimTime crash_period,
   options.cluster.costs.cpu_record_read_us = 150;
   options.cluster.costs.cpu_record_write_us = 300;
   if (arm != Arm::kHealthy) {
-    // Node 1 (half the key space) dies every crash_period and is never
-    // restarted by the plan — recovery is the master's job (or nobody's).
     options.WithFaultPlan(fault::FaultPlan().CrashEvery(
         NodeId(1), crash_period, /*restart_after=*/0));
   }
-  auto opened = Db::Open(options);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  Db& db = **opened;
-  auto kv = db.AddKvWorkload(KvCfg(qps));
-  if (!kv.ok()) {
-    std::fprintf(stderr, "AddKvWorkload failed: %s\n",
-                 kv.status().ToString().c_str());
-    std::abort();
-  }
-  workload::KvWorkload& driver = **kv;
+  return options;
+}
 
-  driver.Start();
-  db.RunFor(kWarmup);
-  driver.ResetStats();
-  db.RunFor(window);
-  if (json != nullptr) ReportQueueDepths(json, &db, prefix);
+struct ArmResult {
+  KvWindow w;
+  int declared_dead = 0;
+  int auto_restarts = 0;
+};
 
+ArmResult RunArm(double qps, Arm arm, SimTime window, SimTime crash_period,
+                 JsonReporter* json = nullptr,
+                 const std::string& prefix = "") {
+  KvArm kv(Options(arm, crash_period), {KvCfg(qps)});
+  Db& db = kv.db();
+  kv.Start(kKvWarmup);
   ArmResult r;
-  const double secs = ToSeconds(window);
-  r.committed_per_s = static_cast<double>(driver.committed()) / secs;
-  r.aborted_per_s = static_cast<double>(driver.aborted()) / secs;
-  r.mean_ms = driver.latencies().mean() / kUsPerMs;
-  r.p99_ms = driver.latencies().Percentile(99.0) / kUsPerMs;
+  r.w = kv.Measure(window);
+  if (json != nullptr) ReportQueueDepths(json, &db, prefix);
   r.declared_dead =
       db.master().event_count(cluster::ControlEventType::kNodeDeclaredDead);
   r.auto_restarts =
       db.master().event_count(cluster::ControlEventType::kRestartIssued);
-  driver.Stop();
   return r;
 }
 
@@ -122,27 +100,10 @@ struct TimelineResult {
 };
 
 TimelineResult RunTimeline(double qps, SimTime crash_period, SimTime window) {
-  DbOptions options =
-      DbOptions()
-          .WithNodes(4)
-          .WithActiveNodes(2)
-          .WithBufferPages(4000)
-          .WithSeed(17)
-          .WithoutTpccLoad()
-          .WithMasterLoop(HealingPolicy(/*auto_heal=*/true))
-          .WithFaultPlan(fault::FaultPlan().CrashEvery(NodeId(1), crash_period,
-                                                       /*restart_after=*/0));
-  options.cluster.costs.cpu_record_read_us = 150;
-  options.cluster.costs.cpu_record_write_us = 300;
-  auto opened = Db::Open(options);
-  if (!opened.ok()) std::abort();
-  Db& db = **opened;
-  auto kv = db.AddKvWorkload(KvCfg(qps));
-  if (!kv.ok()) std::abort();
-  workload::KvWorkload& driver = **kv;
-
-  driver.Start();
-  db.RunFor(kWarmup);
+  KvArm kv(Options(Arm::kCrashHealing, crash_period), {KvCfg(qps)});
+  Db& db = kv.db();
+  workload::KvWorkload& driver = kv.driver();
+  kv.Start(kKvWarmup);
   driver.ResetStats();
 
   TimelineResult r;
@@ -154,11 +115,10 @@ TimelineResult RunTimeline(double qps, SimTime crash_period, SimTime window) {
     r.per_second.push_back(static_cast<double>(now_committed - last_committed));
     last_committed = now_committed;
   }
-  driver.Stop();
 
   r.crashes = db.fault().crashes_injected();
   r.events = db.control_events();
-  const SimTime first_crash_at = t0 + crash_period - kWarmup;
+  const SimTime first_crash_at = t0 + crash_period - kKvWarmup;
   for (const auto& e : r.events) {
     if (e.type == cluster::ControlEventType::kNodeDeclaredDead) {
       ++r.declared_dead;
@@ -239,22 +199,22 @@ void Run() {
         RunArm(qps, Arm::kCrashHealing, sweep_window, crash_period,
                last ? &json : nullptr, "heal");
     std::printf("%-10.0f | %10.0f %9.2f %9.2f | %10.0f | %10.0f %6d %6d\n",
-                qps, healthy.committed_per_s, healthy.mean_ms, healthy.p99_ms,
-                noheal.committed_per_s, heal.committed_per_s,
-                heal.declared_dead, heal.auto_restarts);
+                qps, healthy.w.committed_per_s, healthy.w.mean_ms,
+                healthy.w.p99_ms, noheal.w.committed_per_s,
+                heal.w.committed_per_s, heal.declared_dead, heal.auto_restarts);
     // The knee: open-loop committed tracks offered right up to overload
     // (arrivals queue, they don't vanish), so saturation shows in the
     // latency blow-up — the largest load with a sane p99 is the knee.
-    if (healthy.p99_ms <= 50.0) knee_qps = qps;
+    if (healthy.w.p99_ms <= 50.0) knee_qps = qps;
     if (i == sweep.size() / 2) {
-      healthy_mid = healthy.committed_per_s;
-      heal_mid = heal.committed_per_s;
-      noheal_mid = noheal.committed_per_s;
+      healthy_mid = healthy.w.committed_per_s;
+      heal_mid = heal.w.committed_per_s;
+      noheal_mid = noheal.w.committed_per_s;
     }
     if (i == 0) {
-      json.Metric("p99_low_load_ms", healthy.p99_ms, "ms",
+      json.Metric("p99_low_load_ms", healthy.w.p99_ms, "ms",
                   JsonReporter::kLowerIsBetter);
-      json.Metric("mean_low_load_ms", healthy.mean_ms, "ms",
+      json.Metric("mean_low_load_ms", healthy.w.mean_ms, "ms",
                   JsonReporter::kLowerIsBetter);
     }
   }
@@ -284,7 +244,7 @@ void Run() {
   // Annotate each second with the control events that fired inside it.
   std::vector<std::string> notes(tl.per_second.size());
   for (const auto& e : tl.events) {
-    const double s = ToSeconds(e.at) - ToSeconds(kWarmup);
+    const double s = ToSeconds(e.at) - ToSeconds(kKvWarmup);
     if (s < 0 || s >= static_cast<double>(notes.size())) continue;
     std::string& n = notes[static_cast<size_t>(s)];
     if (!n.empty()) n += ", ";

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -157,6 +158,78 @@ class JsonReporter {
       std::chrono::steady_clock::now();
 };
 
+/// A bench measures one fixed scenario, so a call that fails is a bug in
+/// the bench, not a result: print `what` and the status, then abort.
+inline void Must(const Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+  std::abort();
+}
+
+/// As above, handing over the value on success.
+template <typename T>
+T Must(StatusOr<T> result, const char* what) {
+  Must(result.status(), what);
+  return std::move(result).value();
+}
+
+/// Warm-up of a KV arm before anything is measured or done to it.
+inline constexpr SimTime kKvWarmup = 2 * kUsPerSec;
+
+/// What a KV arm's measured workload booked over one window.
+struct KvWindow {
+  double committed_per_s = 0;
+  double key_ops_per_s = 0;
+  double aborted_per_s = 0;
+  double mean_ms = 0;
+  double p99_ms = 0;
+};
+
+/// One arm of a KV bench, on a Db of its own: the constructor opens
+/// `options` and attaches one KV workload per config, in order; the first
+/// is the measured one. A bench runs its own steps between the ones below
+/// on `db()`: a settle before Start, a converge window before Measure, a
+/// queue or lane snapshot or a crash after it. The Db stops every workload
+/// when the arm goes out of scope.
+class KvArm {
+ public:
+  KvArm(DbOptions options, const std::vector<workload::KvConfig>& workloads)
+      : db_(Must(Db::Open(std::move(options)), "Db::Open")) {
+    for (const workload::KvConfig& cfg : workloads) {
+      drivers_.push_back(Must(db_->AddKvWorkload(cfg), "AddKvWorkload"));
+    }
+  }
+
+  Db& db() { return *db_; }
+  workload::KvWorkload& driver() { return *drivers_.front(); }
+
+  /// Start every workload, then run `warmup`.
+  void Start(SimTime warmup) {
+    for (workload::KvWorkload* d : drivers_) d->Start();
+    db_->RunFor(warmup);
+  }
+
+  /// Reset the measured workload's books, run `window`, and report what
+  /// the workload committed in it.
+  KvWindow Measure(SimTime window) {
+    workload::KvWorkload& d = driver();
+    d.ResetStats();
+    db_->RunFor(window);
+    const double secs = ToSeconds(window);
+    KvWindow w;
+    w.committed_per_s = static_cast<double>(d.committed()) / secs;
+    w.key_ops_per_s = static_cast<double>(d.key_ops()) / secs;
+    w.aborted_per_s = static_cast<double>(d.aborted()) / secs;
+    w.mean_ms = d.latencies().mean() / kUsPerMs;
+    w.p99_ms = d.latencies().Percentile(99.0) / kUsPerMs;
+    return w;
+  }
+
+ private:
+  std::unique_ptr<Db> db_;
+  std::vector<workload::KvWorkload*> drivers_;
+};
+
 /// Snapshot every active node's admission-queue depth into `reporter` as
 /// info metrics (`<prefix>_queue_depth_node<N>` plus the max across nodes).
 /// Cheap and meaningful in every scenario — the admission controller tracks
@@ -249,13 +322,7 @@ struct RebalanceRig {
 /// per-bench option tweaks: `MakeRig(s, RigOptions(s).WithCopyChunkBytes(n))`.
 inline RebalanceRig MakeRig(const RebalanceSetup& s, const DbOptions& options) {
   RebalanceRig rig;
-  auto opened = Db::Open(options);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  rig.db = std::move(opened).value();
+  rig.db = Must(Db::Open(options), "Db::Open");
   if (s.clients > 0) {
     workload::ClientPoolConfig pool_cfg;
     pool_cfg.num_clients = s.clients;
@@ -270,6 +337,77 @@ inline RebalanceRig MakeRig(const RebalanceSetup& s,
                             const std::string& scheme = "physiological",
                             tx::CcScheme cc = tx::CcScheme::kMvcc) {
   return MakeRig(s, RigOptions(s, scheme, cc));
+}
+
+/// The time axis of Figs. 6 and 8: 180 s of warm-up, the move starts at
+/// t = 0, and the window closes 570 s later; 10 s buckets. Smoke mode keeps
+/// the shape (dip and recovery) on a shorter window.
+inline SimTime MoveWarmup() { return (SmokeMode() ? 30 : 180) * kUsPerSec; }
+inline SimTime MoveRunAfter() { return (SmokeMode() ? 130 : 570) * kUsPerSec; }
+inline constexpr SimTime kMoveBucket = 10 * kUsPerSec;
+
+/// The Fig. 6/8 testbed. Smoke mode moves less data under a lighter load;
+/// the ordering of the arms (the figures' point) is preserved.
+inline RebalanceSetup MoveSetup() {
+  RebalanceSetup setup;
+  if (SmokeMode()) {
+    setup.cost_scale = 4.0;
+    setup.clients = 20;
+    setup.warehouses = 4;
+    setup.fill = 0.3;
+  }
+  return setup;
+}
+
+/// One arm of a rebalance-under-load figure.
+struct MoveRun {
+  metrics::TimeSeries series{kMoveBucket};
+  int64_t completed = 0;
+  int64_t aborted = 0;
+  /// The scheme's move as the window closed.
+  cluster::RebalanceStats move;
+  /// Seconds the move took; -1 when it was still running as the window
+  /// closed (logical may be), so a negative duration never reaches a gate.
+  double migration_secs = -1.0;
+};
+
+/// Run `scheme` under the setup's client pool over the Fig. 6/8 axis,
+/// sampling cluster and pool into the run's series. At t = 0 `at_zero`
+/// starts the move.
+inline MoveRun RunMove(const RebalanceSetup& s, const std::string& scheme,
+                       const std::function<void(Db*)>& at_zero) {
+  RebalanceRig rig = MakeRig(s, scheme);
+  Db& db = *rig.db;
+  MoveRun out;
+  out.series.SetOrigin(MoveWarmup());
+  db.cluster().StartSampling(&out.series);
+  rig.pool->set_series(&out.series);
+  rig.pool->Start();
+  db.events().ScheduleAt(MoveWarmup(), [&]() { at_zero(&db); });
+  db.RunUntil(MoveWarmup() + MoveRunAfter());
+  out.completed = rig.pool->committed();
+  out.aborted = rig.pool->aborted();
+  out.move = db.scheme().stats();
+  if (out.move.finished_at > out.move.started_at) {
+    out.migration_secs = ToSeconds(out.move.finished_at - out.move.started_at);
+  }
+  return out;
+}
+
+/// Print the four panels of Figs. 6 and 8, one column group per arm.
+inline void PrintMovePanels(const std::vector<std::string>& labels,
+                            const std::vector<const MoveRun*>& runs) {
+  std::vector<const metrics::TimeSeries*> series;
+  for (const MoveRun* r : runs) series.push_back(&r->series);
+  const double bs = ToSeconds(kMoveBucket);
+  std::printf("\n(a) Throughput of the cluster [qps]\n%s\n",
+              metrics::SideBySide(labels, series, "qps", bs).c_str());
+  std::printf("\n(b) Avg. response time per query [ms]\n%s\n",
+              metrics::SideBySide(labels, series, "ms", bs).c_str());
+  std::printf("\n(c) Power consumption of the cluster [Watt]\n%s\n",
+              metrics::SideBySide(labels, series, "watt", bs).c_str());
+  std::printf("\n(d) Energy consumption per query [Joule/query]\n%s\n",
+              metrics::SideBySide(labels, series, "jpq", bs).c_str());
 }
 
 struct PlanRunResult {

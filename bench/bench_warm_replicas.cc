@@ -21,8 +21,6 @@
 namespace wattdb::bench {
 namespace {
 
-constexpr SimTime kWarmup = 2 * kUsPerSec;
-
 struct Setup {
   double offered_qps = 1400;
   SimTime converge_window = 30 * kUsPerSec;  ///< Replica bootstrap+catch-up.
@@ -72,9 +70,7 @@ cluster::MasterPolicy Policy(bool replicated) {
 }
 
 struct ArmResult {
-  double key_ops_per_s = 0;
-  double committed_per_s = 0;
-  double p99_ms = 0;
+  KvWindow w;
   int replicas_caught_up = 0;
   double replication_mb = 0;        ///< Tax during the measure window.
   double failover_gap_ms = 0;       ///< Crash -> serving again.
@@ -97,39 +93,22 @@ ArmResult RunArm(const Setup& s, bool replicated, JsonReporter* json,
   // is visible in committed throughput, not just queueing delay.
   options.cluster.costs.cpu_record_read_us = 300;
   options.cluster.costs.cpu_record_write_us = 600;
-  auto opened = Db::Open(options);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "Db::Open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::abort();
-  }
-  Db& db = **opened;
-  auto kv = db.AddKvWorkload(KvCfg(s));
-  if (!kv.ok()) {
-    std::fprintf(stderr, "AddKvWorkload failed: %s\n",
-                 kv.status().ToString().c_str());
-    std::abort();
-  }
-  workload::KvWorkload& driver = **kv;
+  KvArm arm(options, {KvCfg(s)});
+  Db& db = arm.db();
+  workload::KvWorkload& driver = arm.driver();
 
-  driver.Start();
-  db.RunFor(kWarmup);
+  arm.Start(kKvWarmup);
   // Give the control loop time to spot the hot segments and bring standbys
   // to caught-up before scoring anything (no-op in the unreplicated arm).
   db.RunFor(s.converge_window);
 
   const int64_t tax_before = db.replicas().replication_bytes();
-  driver.ResetStats();
-  db.RunFor(s.measure_window);
+  ArmResult r;
+  r.w = arm.Measure(s.measure_window);
   // End-of-measurement backlog: read fan-out should show as a flatter
   // depth profile across owner + replica hosts.
   if (json != nullptr) ReportQueueDepths(json, &db, prefix);
 
-  ArmResult r;
-  const double secs = ToSeconds(s.measure_window);
-  r.key_ops_per_s = static_cast<double>(driver.key_ops()) / secs;
-  r.committed_per_s = static_cast<double>(driver.committed()) / secs;
-  r.p99_ms = driver.latencies().Percentile(99.0) / kUsPerMs;
   r.replicas_caught_up =
       db.master().event_count(cluster::ControlEventType::kReplicaCaughtUp);
   r.replication_mb =
@@ -149,12 +128,7 @@ ArmResult RunArm(const Setup& s, bool replicated, JsonReporter* json,
     if (route.range.Contains(hot_key)) hot_owner = route.owner;
   }
   const SimTime crash_at = db.Now();
-  const Status crashed = db.CrashNode(hot_owner);
-  if (!crashed.ok()) {
-    std::fprintf(stderr, "CrashNode failed: %s\n",
-                 crashed.ToString().c_str());
-    std::abort();
-  }
+  Must(db.CrashNode(hot_owner), "CrashNode");
   const auto serving_mark = replicated
                                 ? cluster::ControlEventType::kReplicaPromoted
                                 : cluster::ControlEventType::kNodeRecovered;
@@ -210,14 +184,14 @@ void Run() {
   std::printf("%-12s | %12s %12s %9s | %12s %9s\n", "arm", "key-ops/s",
               "txn/s", "p99 ms", "failover ms", "caught-up");
   std::printf("%-12s | %12.0f %12.0f %9.1f | %12.1f %9d\n", "unreplicated",
-              plain.key_ops_per_s, plain.committed_per_s, plain.p99_ms,
+              plain.w.key_ops_per_s, plain.w.committed_per_s, plain.w.p99_ms,
               plain.failover_gap_ms, plain.replicas_caught_up);
   std::printf("%-12s | %12.0f %12.0f %9.1f | %12.1f %9d\n", "replicated",
-              repl.key_ops_per_s, repl.committed_per_s, repl.p99_ms,
+              repl.w.key_ops_per_s, repl.w.committed_per_s, repl.w.p99_ms,
               repl.failover_gap_ms, repl.replicas_caught_up);
 
-  const double ratio = plain.key_ops_per_s > 0
-                           ? repl.key_ops_per_s / plain.key_ops_per_s
+  const double ratio = plain.w.key_ops_per_s > 0
+                           ? repl.w.key_ops_per_s / plain.w.key_ops_per_s
                            : 0;
   std::printf(
       "\nread scale-out: %.2fx key-ops/s for %.2f MB of replication traffic\n"
@@ -227,13 +201,13 @@ void Run() {
       repl.failover_observed ? "promotion" : "NO promotion",
       plain.failover_observed ? "recovery" : "NO recovery");
 
-  json.Metric("unreplicated_key_ops_per_s", plain.key_ops_per_s, "ops/s",
+  json.Metric("unreplicated_key_ops_per_s", plain.w.key_ops_per_s, "ops/s",
               JsonReporter::kInfo);
-  json.Metric("replicated_key_ops_per_s", repl.key_ops_per_s, "ops/s",
+  json.Metric("replicated_key_ops_per_s", repl.w.key_ops_per_s, "ops/s",
               JsonReporter::kHigherIsBetter);
   json.Metric("throughput_ratio", ratio, "ratio",
               JsonReporter::kHigherIsBetter);
-  json.Metric("replicated_p99_ms", repl.p99_ms, "ms",
+  json.Metric("replicated_p99_ms", repl.w.p99_ms, "ms",
               JsonReporter::kLowerIsBetter);
   json.Metric("replication_tax_mb", repl.replication_mb, "MB",
               JsonReporter::kInfo);

@@ -8,8 +8,10 @@
 # the same way (Release), one built from the parent commit and one from the
 # change. On both builds the script runs:
 #   1. every smoke bench (WATTDB_BENCH_SMOKE=1); each BENCH_*.json must be
-#      identical apart from wall_clock_ms, and compare_baselines.py --exact
-#      must find the change's JSONs equal to bench/baselines;
+#      identical apart from wall_clock_ms, compare_baselines.py --exact
+#      must find the change's JSONs equal to bench/baselines, and each
+#      bench's stdout and stderr (the printed figure tables) must be
+#      identical once normalised (see smoke_norm);
 #   2. elastic_scaleout, whose whole output is in simulated time;
 #   3. chaos_soak --seeds 200 in plain, --elasticity and
 #      --elasticity --history modes;
@@ -41,6 +43,21 @@ anchor_seeds=(317 419)
 
 norm() { sed -e 's/wall=[^ )]*//' -e 's/\(\.cc\):[0-9]*\]/\1]/'; }
 
+# smoke_norm FILE < OUTPUT: what a smoke bench printed, minus what differs
+# between two builds of the same model: the path in the "[bench json] wrote"
+# line, the line numbers of file.cc:LINE log tags, and bench_power_model's
+# google-benchmark timings (its stdout rows keep only the benchmark name;
+# its stderr is google-benchmark's host context, date, CPU and load, and is
+# dropped whole).
+smoke_norm() {
+  case $1 in
+    bench_power_model.err) : ;;
+    bench_power_model.out) sed -E 's/^(BM_[A-Za-z0-9_]+) .*/\1/' ;;
+    *) cat ;;
+  esac | sed -e 's|^\[bench json\] wrote .*/|[bench json] wrote |' \
+    -e 's/\(\.cc\):[0-9]*\]/\1]/'
+}
+
 # lap OUT_DIR STEP START: append "STEP<TAB>seconds since START" to
 # OUT_DIR/wall.tsv; START is an $EPOCHREALTIME reading.
 lap() {
@@ -51,11 +68,12 @@ lap() {
 # Smoke benches, then the soaks and anchor seeds, of one build.
 run_benches_and_soaks() {
   local b=$1 out=$1/drift x m s t0
-  rm -rf "$out/json" && mkdir -p "$out/json"
+  rm -rf "$out/json" "$out/smoke" && mkdir -p "$out/json" "$out/smoke"
   t0=$EPOCHREALTIME
   for x in "$b"/bench_*; do
     [ -f "$x" ] && [ -x "$x" ] || continue
-    WATTDB_BENCH_SMOKE=1 WATTDB_BENCH_JSON_DIR="$out/json" "$x" > /dev/null 2>&1
+    WATTDB_BENCH_SMOKE=1 WATTDB_BENCH_JSON_DIR="$out/json" "$x" \
+      > "$out/smoke/${x##*/}.out" 2> "$out/smoke/${x##*/}.err"
   done
   lap "$out" "1. smoke benches" "$t0"
   t0=$EPOCHREALTIME
@@ -121,6 +139,18 @@ if ! grep -q "^modeled drift: none" <<< "$exact"; then
   echo "DRIFT: smoke JSONs differ from bench/baselines" >&2
   drift=1
 fi
+
+# 1. Smoke stdout and stderr.
+for f in "$parent"/drift/smoke/*; do
+  name=$(basename "$f")
+  if [ ! -f "$change/drift/smoke/$name" ]; then
+    echo "DRIFT: smoke output $name missing from the change" >&2
+    drift=1
+    continue
+  fi
+  check "$name" <(smoke_norm "$name" < "$f") \
+    <(smoke_norm "$name" < "$change/drift/smoke/$name")
+done
 
 # 2. Control-event timeline.
 check elastic_scaleout "$parent/drift/elastic.out" "$change/drift/elastic.out"

@@ -488,7 +488,8 @@ void Master::MaybeBalanceHeat() {
   // one balanced tick anywhere resets the streak.
   ++heat_over_count_;
   if (heat_over_count_ < bp.trigger_after) return;
-  if (heat_round_in_flight_ || repartitioner_->InProgress()) return;
+  // One gate for every move in flight: a heat round, a rebalance or a drain.
+  if (repartitioner_->InProgress()) return;
   if (cluster_->Now() < next_balance_at_) return;
   heat_over_count_ = 0;
 
@@ -501,7 +502,6 @@ void Master::MaybeBalanceHeat() {
   std::vector<SegmentMove> plan = PlanHeatMoves(hot, mean, node_heat);
   if (plan.empty()) return;  // Imbalanced but nothing movable right now
                              // (cooldowns, or no move narrows the gap).
-  heat_round_in_flight_ = true;
   const Status started =
       repartitioner_->StartMoves(plan, [this, plan]() {
         FinishHeatRound(plan);
@@ -511,7 +511,6 @@ void Master::MaybeBalanceHeat() {
     // re-asked every trigger_after ticks — back off one full cooldown so
     // neither the event log nor the counters tell a story of rounds that
     // never ran.
-    heat_round_in_flight_ = false;
     next_balance_at_ = cluster_->Now() + bp.cooldown;
     WATTDB_WARN("master: heat rebalance failed to start: "
                 << started.ToString());
@@ -693,7 +692,6 @@ std::vector<SegmentMove> Master::PlanHeatMoves(
 }
 
 void Master::FinishHeatRound(const std::vector<SegmentMove>& plan) {
-  heat_round_in_flight_ = false;
   const SimTime now = cluster_->Now();
   next_balance_at_ = now + policy_.balance.cooldown;
   int moved = 0;

@@ -411,7 +411,6 @@ class Master {
 
   // Heat balancing state.
   int heat_over_count_ = 0;        ///< Consecutive imbalanced ticks.
-  bool heat_round_in_flight_ = false;
   SimTime next_balance_at_ = 0;    ///< Cooldown gate for the next round.
   /// Segments that moved successfully may not move again before this time.
   std::unordered_map<SegmentId, SimTime> segment_cooldown_until_;

@@ -40,11 +40,11 @@ void TableScanOp::Open(ExecContext* ctx) {
     WATTDB_CHECK(seg != nullptr);
     const Key lo = std::max(range_.lo, entry.range.lo);
     const Key hi = std::min(range_.hi, entry.range.hi);
-    seg->ScanRange(lo, hi, [&](const storage::Record& rec) {
-      auto pos = seg->Locate(rec.key);
-      rows_.push_back({rec.key, storage::Rid{entry.segment, pos.value()}});
-      return true;
-    });
+    seg->ScanRange(
+        lo, hi, [&](const storage::Record& rec, storage::RecordPos pos) {
+          rows_.push_back({rec.key, storage::Rid{entry.segment, pos}});
+          return true;
+        });
   }
 }
 

@@ -448,6 +448,54 @@ TEST_F(HeatBalanceTest, NeverPingPongsAHotSegment) {
   EXPECT_TRUE(cluster_.catalog().CheckInvariants());
 }
 
+TEST_F(HeatBalanceTest, WaitsForARebalanceInFlight) {
+  // A second table on node 0, the only one the rebalance moves, slowed
+  // down so that the move spans several control ticks.
+  const TableId other = cluster_.catalog().CreateTable(
+      {TableId(), "other", {{"v", catalog::ColumnType::kString, 64}}});
+  catalog::Partition* other_part =
+      cluster_.catalog().CreatePartition(other, NodeId(0));
+  ASSERT_TRUE(
+      cluster_.catalog().AssignRange(other, {0, 1000}, other_part->id()).ok());
+  Node* node0 = cluster_.node(NodeId(0));
+  for (const Key lo : {Key{0}, Key{500}}) {
+    auto seg = node0->AllocateSegment(0, other_part, {lo, lo + 500});
+    ASSERT_TRUE(seg.ok());
+    ASSERT_TRUE(seg.value()->Insert(lo, std::vector<uint8_t>(64, 3)).ok());
+  }
+  partition::MigrationConfig config;
+  config.cost_scale = 50000;
+  config.only_table = other;
+  partition::PhysiologicalPartitioning scheme(&cluster_, config);
+  Master master(&cluster_, &scheme, BalancingPolicy());
+  master.Start();
+
+  SimTime moved_at = -1;
+  const Status started = master.TriggerRebalance(
+      {NodeId(2)}, 0.5, [&]() { moved_at = cluster_.Now(); });
+  ASSERT_TRUE(started.ok());
+  // Node 1 stays skewed the whole time: the streak passes trigger_after
+  // while the rebalance runs, so only the in-flight gate holds the round.
+  int tick = 0;
+  while (master.event_count(ControlEventType::kHeatImbalance) == 0) {
+    ASSERT_LT(++tick, 60) << "no heat round started";
+    Heat(hot_seg_, 300, 10);
+    Heat(warm_seg_, 30, 600);
+    cluster_.RunUntil(tick * kUsPerSec + kUsPerMs);
+  }
+  ASSERT_GE(moved_at, 0) << "a heat round started during the rebalance";
+  EXPECT_GE(moved_at, 4 * kUsPerSec) << "the rebalance spanned too few ticks";
+  SimTime round_at = -1;
+  for (const ControlEvent& e : master.control_events()) {
+    if (e.type == ControlEventType::kHeatImbalance) round_at = e.at;
+  }
+  // The first tick after the move starts the round. Without the gate the
+  // scheme refuses the round as Busy and the master backs off a cooldown.
+  EXPECT_GE(round_at, moved_at);
+  EXPECT_LE(round_at, moved_at + kUsPerSec);
+  EXPECT_EQ(master.heat_rebalances(), 1);
+}
+
 TEST(Master, ScaleOutOnSustainedOverload) {
   Cluster c(SmallConfig(4, 2));
   workload::TpccLoadConfig load;
