@@ -59,18 +59,10 @@ admission::AdmissionPolicy ShedPolicy(bool enabled) {
 PointResult RunPoint(double offered_qps, bool shedding, SimTime warmup,
                      SimTime window, JsonReporter* json,
                      const std::string& prefix) {
-  DbOptions options = DbOptions()
-                          .WithNodes(4)
-                          .WithActiveNodes(4)
-                          .WithBufferPages(8000)
-                          .WithSeed(29)
-                          .WithoutTpccLoad()
+  // CPU-bound, so the 4-node cluster saturates inside the sweep.
+  DbOptions options = CpuBoundKvOptions(4, 4, 8000, 29)
                           .WithMasterLoop(ControlPolicy())
                           .WithAdmissionPolicy(ShedPolicy(shedding));
-  // Atom-class CPU costs scaled up so the 4-node cluster saturates inside
-  // the sweep (same calibration trick as the heat-rebalance bench).
-  options.cluster.costs.cpu_record_read_us = 300;
-  options.cluster.costs.cpu_record_write_us = 600;
 
   // Latency-sensitive stream: single point ops with an SLO, shed work
   // retried twice with jittered backoff before dropping. One op = one

@@ -1,15 +1,25 @@
-// Reproduces Fig. 6 (a-d) of the paper: throughput, average response time,
-// cluster power, and energy per query over time while the cluster
-// rebalances 50% of all records from 2 nodes onto 2 additional nodes at
-// t = 0, under physical, logical, and physiological partitioning.
+// Reproduces Figs. 6 and 8 (a-d) of the paper: throughput, average
+// response time, cluster power, and energy per query over time while the
+// cluster rebalances 50% of all records from 2 nodes onto 2 additional
+// nodes at t = 0.
 //
-// Expected shape (paper §5.2):
+// Fig. 6 runs the move under physical, logical, and physiological
+// partitioning. Expected shape (paper §5.2):
 //  * all three dip right after t=0;
 //  * physical never recovers fully (ownership pinned, remote page fetches);
 //  * logical dips deepest/longest but ends strong once ranges moved;
 //  * physiological moves at copy speed AND transfers ownership: it recovers
 //    fastest and ends with the best response times and J/query;
 //  * power steps up when the two target nodes leave standby.
+//
+// Fig. 8 sets Fig. 6's physiological arm against the same move with two
+// helper nodes that take over log shipping and provide remote (rDMA) buffer
+// space while it runs. Helpers power up at t=0 and power down when
+// rebalancing completes (paper: around t+370). Expected shape: with
+// helpers, response times during the move improve and throughput holds up
+// better, at the price of higher power draw — energy per query gets worse
+// while they run ("trading energy efficiency for query performance").
+// Fig. 8 gets its own header, panels and BENCH_fig8_helper_nodes.json.
 
 #include <cstdio>
 
@@ -40,6 +50,54 @@ MoveRun RunScheme(const RebalanceSetup& setup, const std::string& scheme_name) {
                static_cast<long long>(out.move.records_moved),
                ToSeconds(out.move.started_at - MoveWarmup()), end);
   return out;
+}
+
+// Fig. 8's stderr line of one arm.
+void PrintHelperArm(const char* label, const MoveRun& run) {
+  std::fprintf(stderr, "[%s] completed=%lld migration end t=%+.0fs\n", label,
+               static_cast<long long>(run.completed),
+               run.move.finished_at == 0
+                   ? -1.0
+                   : ToSeconds(run.move.finished_at - MoveWarmup()));
+}
+
+// The Fig. 8 helper arm: the Fig. 6 physiological move with helpers 4 and 5
+// attached at t = 0 and detached once the move is done.
+MoveRun RunWithHelpers(const RebalanceSetup& setup) {
+  MoveRun out = RunMove(setup, "physiological", [](Db* db) {
+    Must(db->AttachHelpers({NodeId(4), NodeId(5)},
+                           {NodeId(0), NodeId(1), NodeId(2), NodeId(3)},
+                           /*remote_buffer_pages=*/1500),
+         "AttachHelpers");
+    Must(db->TriggerRebalance(
+             {NodeId(2), NodeId(3)}, 0.5,
+             [db]() { Must(db->DetachHelpers(), "DetachHelpers"); }),
+         "TriggerRebalance");
+  });
+  PrintHelperArm("physio+helper", out);
+  return out;
+}
+
+void Fig8(const RebalanceSetup& setup, const MoveRun& plain) {
+  PrintHeader("Figure 8", "physiological rebalancing with helper nodes");
+  JsonReporter json("fig8_helper_nodes");
+  PrintHelperArm("physiological", plain);
+  const MoveRun helped = RunWithHelpers(setup);
+
+  json.Metric("plain_completed", static_cast<double>(plain.completed), "txn",
+              JsonReporter::kHigherIsBetter);
+  json.Metric("helped_completed", static_cast<double>(helped.completed), "txn",
+              JsonReporter::kHigherIsBetter);
+  if (plain.migration_secs >= 0) {
+    json.Metric("plain_migration_s", plain.migration_secs, "s",
+                JsonReporter::kLowerIsBetter);
+  }
+  if (helped.migration_secs >= 0) {
+    json.Metric("helped_migration_s", helped.migration_secs, "s",
+                JsonReporter::kLowerIsBetter);
+  }
+
+  PrintMovePanels({"physiological", "physio+helper"}, {&plain, &helped});
 }
 
 }  // namespace
@@ -73,5 +131,8 @@ int main() {
 
   PrintMovePanels({"physical", "logical", "physiological"},
                   {&physical, &logical, &physio});
+  json.Flush();
+
+  Fig8(setup, physio);
   return 0;
 }

@@ -28,44 +28,9 @@ namespace {
 
 struct HeatSetup {
   double offered_qps = 1400;  ///< Fixed offered load (txn/s), both arms.
-  double zipf_theta = 0.99;
-  int batch_size = 8;
-  int64_t num_keys = 16384;
-  int segments_per_partition = 32;
   SimTime converge_window = 30 * kUsPerSec;  ///< Balancer reacts in here.
   SimTime measure_window = 15 * kUsPerSec;   ///< Scored after convergence.
 };
-
-workload::KvConfig KvCfg(const HeatSetup& s) {
-  workload::KvConfig cfg;
-  cfg.arrival_qps = s.offered_qps;
-  cfg.count_at_completion = true;
-  cfg.read_ratio = 0.95;
-  cfg.batch_size = s.batch_size;
-  cfg.num_keys = s.num_keys;
-  cfg.value_bytes = 100;
-  cfg.zipf_theta = s.zipf_theta;
-  cfg.segments_per_partition = s.segments_per_partition;
-  cfg.seed = 23;
-  return cfg;
-}
-
-cluster::MasterPolicy Policy(bool balance) {
-  cluster::MasterPolicy policy;
-  policy.check_period = kUsPerSec / 2;
-  policy.stats_window = kUsPerSec;
-  // Isolate heat balancing from CPU-threshold elasticity.
-  policy.enable_scale_out = false;
-  policy.enable_scale_in = false;
-  policy.balance.enabled = balance;
-  policy.balance.trigger_ratio = 1.3;
-  policy.balance.ewma_alpha = 0.5;
-  policy.balance.trigger_after = 2;
-  policy.balance.cooldown = 4 * kUsPerSec;
-  policy.balance.max_moves_per_round = 6;
-  policy.balance.min_total_heat = 100.0;
-  return policy;
-}
 
 struct ArmResult {
   KvWindow w;
@@ -76,18 +41,9 @@ struct ArmResult {
 
 ArmResult RunArm(const HeatSetup& s, bool balance, JsonReporter* json,
                  const std::string& prefix) {
-  DbOptions options = DbOptions()
-                          .WithNodes(4)
-                          .WithActiveNodes(4)
-                          .WithBufferPages(8000)
-                          .WithSeed(23)
-                          .WithoutTpccLoad()
-                          .WithMasterLoop(Policy(balance));
-  // Atom-class CPU costs scaled up so a single node saturates at a load
-  // the whole cluster could comfortably serve — the skew story in one knob.
-  options.cluster.costs.cpu_record_read_us = 300;
-  options.cluster.costs.cpu_record_write_us = 600;
-  KvArm arm(options, {KvCfg(s)});
+  KvArm arm(CpuBoundKvOptions(4, 4, 8000, 23)
+                .WithMasterLoop(HeatBalancePolicy(balance)),
+            {SkewedKvConfig(s.offered_qps)});
   Db& db = arm.db();
 
   arm.Start(kKvWarmup);
@@ -132,12 +88,13 @@ void Run() {
     s.measure_window = 8 * kUsPerSec;
   }
 
+  const workload::KvConfig kv = SkewedKvConfig(s.offered_qps);
   json.Config("offered_qps", s.offered_qps);
-  json.Config("zipf_theta", s.zipf_theta);
-  json.Config("batch_size", s.batch_size);
-  json.Config("num_keys", static_cast<double>(s.num_keys));
+  json.Config("zipf_theta", kv.zipf_theta);
+  json.Config("batch_size", kv.batch_size);
+  json.Config("num_keys", static_cast<double>(kv.num_keys));
   json.Config("segments_per_partition",
-              static_cast<double>(s.segments_per_partition));
+              static_cast<double>(kv.segments_per_partition));
   json.Config("converge_window_s", ToSeconds(s.converge_window));
   json.Config("measure_window_s", ToSeconds(s.measure_window));
   json.Config("smoke", SmokeMode() ? 1.0 : 0.0);
@@ -146,8 +103,8 @@ void Run() {
       "Zipf(theta=%.2f) over %lld keys on 4 nodes, %g txn/s offered\n"
       "(batch %d, 95%% reads). Measuring the %0.f s after a %0.f s\n"
       "convergence window; committed booked at completion time.\n\n",
-      s.zipf_theta, static_cast<long long>(s.num_keys), s.offered_qps,
-      s.batch_size, ToSeconds(s.measure_window), ToSeconds(s.converge_window));
+      kv.zipf_theta, static_cast<long long>(kv.num_keys), s.offered_qps,
+      kv.batch_size, ToSeconds(s.measure_window), ToSeconds(s.converge_window));
 
   const ArmResult stat = RunArm(s, /*balance=*/false, &json, "static");
   const ArmResult heat = RunArm(s, /*balance=*/true, &json, "heat");

@@ -31,27 +31,9 @@ namespace {
 struct LaneSetup {
   double sweep_qps = 3000;  ///< Offered load (txn/s) of the lane sweep.
   double rebal_qps = 1400;  ///< Offered load of the reaction-time duel.
-  double zipf_theta = 0.99;
-  int batch_size = 8;
-  int64_t num_keys = 16384;
-  int segments_per_partition = 32;
   SimTime measure_window = 10 * kUsPerSec;
   SimTime rebal_window = 30 * kUsPerSec;  ///< Balancer reacts in here.
 };
-
-workload::KvConfig KvCfg(const LaneSetup& s, double qps) {
-  workload::KvConfig cfg;
-  cfg.arrival_qps = qps;
-  cfg.count_at_completion = true;
-  cfg.read_ratio = 0.95;
-  cfg.batch_size = s.batch_size;
-  cfg.num_keys = s.num_keys;
-  cfg.value_bytes = 100;
-  cfg.zipf_theta = s.zipf_theta;
-  cfg.segments_per_partition = s.segments_per_partition;
-  cfg.seed = 23;
-  return cfg;
-}
 
 lanes::LanePolicy Lanes(int per_node, bool balance) {
   lanes::LanePolicy lp;
@@ -63,50 +45,20 @@ lanes::LanePolicy Lanes(int per_node, bool balance) {
   return lp;
 }
 
-DbOptions BaseOptions() {
-  DbOptions options = DbOptions()
-                          .WithNodes(4)
-                          .WithActiveNodes(4)
-                          .WithBufferPages(8000)
-                          .WithSeed(23)
-                          .WithoutTpccLoad();
-  // Atom-class CPU costs scaled up so the CPU — the resource lanes
-  // multiply — is the bottleneck, not disks or network.
-  options.cluster.costs.cpu_record_read_us = 300;
-  options.cluster.costs.cpu_record_write_us = 600;
-  return options;
-}
-
 KvWindow RunSweepArm(const LaneSetup& s, int lanes_per_node,
                      index::IndexKind kind, JsonReporter* json,
                      const std::string& prefix) {
-  KvArm arm(BaseOptions()
+  // CPU-bound, so the CPU is the resource lanes multiply.
+  KvArm arm(CpuBoundKvOptions(4, 4, 8000, 23)
                 .WithLanePolicy(Lanes(lanes_per_node, /*balance=*/false))
                 .WithIndexKind(kind),
-            {KvCfg(s, s.sweep_qps)});
+            {SkewedKvConfig(s.sweep_qps)});
   arm.Start(kKvWarmup);
   const KvWindow w = arm.Measure(s.measure_window);
   // End-of-measurement per-lane backlog: with one lane, everything queues
   // on it; with enough lanes the backlog flattens out.
   if (json != nullptr) ReportLaneBacklogs(json, &arm.db(), prefix);
   return w;
-}
-
-cluster::MasterPolicy RebalPolicy() {
-  cluster::MasterPolicy policy;
-  policy.check_period = kUsPerSec / 2;
-  policy.stats_window = kUsPerSec;
-  // Isolate heat reaction from CPU-threshold elasticity.
-  policy.enable_scale_out = false;
-  policy.enable_scale_in = false;
-  policy.balance.enabled = true;
-  policy.balance.trigger_ratio = 1.3;
-  policy.balance.ewma_alpha = 0.5;
-  policy.balance.trigger_after = 2;
-  policy.balance.cooldown = 4 * kUsPerSec;
-  policy.balance.max_moves_per_round = 6;
-  policy.balance.min_total_heat = 100.0;
-  return policy;
 }
 
 struct RebalResult {
@@ -117,10 +69,10 @@ struct RebalResult {
 
 RebalResult RunRebalArm(const LaneSetup& s, bool intra, JsonReporter* json,
                         const std::string& prefix) {
-  KvArm arm(BaseOptions()
+  KvArm arm(CpuBoundKvOptions(4, 4, 8000, 23)
                 .WithLanePolicy(Lanes(4, /*balance=*/intra))
-                .WithMasterLoop(RebalPolicy()),
-            {KvCfg(s, s.rebal_qps)});
+                .WithMasterLoop(HeatBalancePolicy(/*balance=*/true)),
+            {SkewedKvConfig(s.rebal_qps)});
   Db& db = arm.db();
   arm.Start(kKvWarmup);
 
@@ -178,11 +130,12 @@ void Run() {
 
   json.Config("sweep_qps", s.sweep_qps);
   json.Config("rebal_qps", s.rebal_qps);
-  json.Config("zipf_theta", s.zipf_theta);
-  json.Config("batch_size", s.batch_size);
-  json.Config("num_keys", static_cast<double>(s.num_keys));
+  const workload::KvConfig kv = SkewedKvConfig(s.sweep_qps);
+  json.Config("zipf_theta", kv.zipf_theta);
+  json.Config("batch_size", kv.batch_size);
+  json.Config("num_keys", static_cast<double>(kv.num_keys));
   json.Config("segments_per_partition",
-              static_cast<double>(s.segments_per_partition));
+              static_cast<double>(kv.segments_per_partition));
   json.Config("measure_window_s", ToSeconds(s.measure_window));
   json.Config("rebal_window_s", ToSeconds(s.rebal_window));
   json.Config("smoke", SmokeMode() ? 1.0 : 0.0);
@@ -191,8 +144,8 @@ void Run() {
       "Zipf(theta=%.2f) over %lld keys on 4 nodes, %g txn/s offered\n"
       "(batch %d, 95%% reads), CPU-bound. Sweeping lanes/node with the\n"
       "segment index as ablation axis.\n\n",
-      s.zipf_theta, static_cast<long long>(s.num_keys), s.sweep_qps,
-      s.batch_size);
+      kv.zipf_theta, static_cast<long long>(kv.num_keys), s.sweep_qps,
+      kv.batch_size);
 
   // --- Lane sweep × index ablation ---------------------------------------
   std::printf("%-6s %-6s | %12s %9s\n", "lanes", "index", "key-ops/s",

@@ -230,6 +230,63 @@ class KvArm {
   std::vector<workload::KvWorkload*> drivers_;
 };
 
+/// Options of a KV bench cluster with no TPC-C load, whose record CPU
+/// costs are Atom-class scaled up (300 us per read, 600 us per write): one
+/// node saturates at a load the whole cluster could serve, so the CPU is
+/// the bottleneck, not disks or network.
+inline DbOptions CpuBoundKvOptions(int nodes, int active_nodes,
+                                   size_t buffer_pages, uint64_t seed) {
+  DbOptions options = DbOptions()
+                          .WithNodes(nodes)
+                          .WithActiveNodes(active_nodes)
+                          .WithBufferPages(buffer_pages)
+                          .WithSeed(seed)
+                          .WithoutTpccLoad();
+  options.cluster.costs.cpu_record_read_us = 300;
+  options.cluster.costs.cpu_record_write_us = 600;
+  return options;
+}
+
+/// The skewed KV workload of the heat, lane and replica benches: open loop
+/// at `qps`, YCSB-B (95% reads) in batches of 8 over 16384 keys of 100
+/// bytes, 32 segments per partition. Zipf(0.99) keeps the hot head
+/// contiguous, so one owner soaks up most of the traffic. Committed work is
+/// booked at completion, so saturation shows as throughput loss, not just
+/// latency.
+inline workload::KvConfig SkewedKvConfig(double qps) {
+  workload::KvConfig cfg;
+  cfg.arrival_qps = qps;
+  cfg.count_at_completion = true;
+  cfg.read_ratio = 0.95;
+  cfg.batch_size = 8;
+  cfg.num_keys = 16384;
+  cfg.value_bytes = 100;
+  cfg.zipf_theta = 0.99;
+  cfg.segments_per_partition = 32;
+  cfg.seed = 23;
+  return cfg;
+}
+
+/// The master loop of the skewed-KV benches: a half-second control tick,
+/// CPU-threshold elasticity off, and heat balancing on when `balance` is:
+/// a node over 1.3x the mean heat for two ticks sheds up to 6 segments a
+/// round, with a 4 s cooldown between rounds.
+inline cluster::MasterPolicy HeatBalancePolicy(bool balance) {
+  cluster::MasterPolicy policy;
+  policy.check_period = kUsPerSec / 2;
+  policy.stats_window = kUsPerSec;
+  policy.enable_scale_out = false;
+  policy.enable_scale_in = false;
+  policy.balance.enabled = balance;
+  policy.balance.trigger_ratio = 1.3;
+  policy.balance.ewma_alpha = 0.5;
+  policy.balance.trigger_after = 2;
+  policy.balance.cooldown = 4 * kUsPerSec;
+  policy.balance.max_moves_per_round = 6;
+  policy.balance.min_total_heat = 100.0;
+  return policy;
+}
+
 /// Snapshot every active node's admission-queue depth into `reporter` as
 /// info metrics (`<prefix>_queue_depth_node<N>` plus the max across nodes).
 /// Cheap and meaningful in every scenario — the admission controller tracks

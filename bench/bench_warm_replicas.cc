@@ -28,23 +28,13 @@ struct Setup {
   SimTime failover_wait = 60 * kUsPerSec;  ///< Crash -> serving, max.
 };
 
+// YCSB-B, the regime replicas can help in. The hot head is rotated into
+// the second partition: the saturated owner is then a plain worker the
+// failover phase is allowed to crash (the master, owner of
+// [0, num_keys/4), can't die in the single-master design).
 workload::KvConfig KvCfg(const Setup& s) {
-  workload::KvConfig cfg;
-  cfg.arrival_qps = s.offered_qps;
-  // Committed work is scored where it was actually served, so moving or
-  // fanning out hot segments changes the number (not just latency).
-  cfg.count_at_completion = true;
-  cfg.read_ratio = 0.95;  // YCSB-B: the regime replicas can help in.
-  cfg.batch_size = 8;
-  cfg.num_keys = 16384;
-  cfg.value_bytes = 100;
-  cfg.zipf_theta = 0.99;  // Contiguous hot head -> one owner soaks it up.
-  // Rotate the head into the second partition: the saturated owner is then
-  // a plain worker the failover phase is allowed to crash (the master,
-  // owner of [0, num_keys/4), can't die in the single-master design).
+  workload::KvConfig cfg = SkewedKvConfig(s.offered_qps);
   cfg.zipf_offset = cfg.num_keys / 4;
-  cfg.segments_per_partition = 32;
-  cfg.seed = 23;
   return cfg;
 }
 
@@ -81,19 +71,12 @@ struct ArmResult {
 /// owner and time how long its data is unservable.
 ArmResult RunArm(const Setup& s, bool replicated, JsonReporter* json,
                  const std::string& prefix) {
-  DbOptions options = DbOptions()
-                          .WithNodes(5)
-                          .WithActiveNodes(4)
-                          .WithBufferPages(4000)
-                          .WithSeed(23)
-                          .WithoutTpccLoad()
-                          .WithMasterLoop(Policy(replicated));
-  // Expensive record ops (cf. bench_heat_rebalance): the Zipf head's owner
-  // runs out of CPU long before the cluster does, so offloading its reads
-  // is visible in committed throughput, not just queueing delay.
-  options.cluster.costs.cpu_record_read_us = 300;
-  options.cluster.costs.cpu_record_write_us = 600;
-  KvArm arm(options, {KvCfg(s)});
+  // CPU-bound: the Zipf head's owner runs out of CPU long before the
+  // cluster does, so offloading its reads is visible in committed
+  // throughput, not just queueing delay.
+  KvArm arm(CpuBoundKvOptions(5, 4, 4000, 23)
+                .WithMasterLoop(Policy(replicated)),
+            {KvCfg(s)});
   Db& db = arm.db();
   workload::KvWorkload& driver = arm.driver();
 
@@ -162,12 +145,13 @@ void Run() {
     s.measure_window = 8 * kUsPerSec;
     s.failover_wait = 45 * kUsPerSec;
   }
+  const workload::KvConfig kv = KvCfg(s);
   json.Config("offered_qps", s.offered_qps);
-  json.Config("read_ratio", 0.95);
-  json.Config("zipf_theta", 0.99);
-  json.Config("batch_size", 8);
-  json.Config("num_keys", 16384);
-  json.Config("segments_per_partition", 32);
+  json.Config("read_ratio", kv.read_ratio);
+  json.Config("zipf_theta", kv.zipf_theta);
+  json.Config("batch_size", kv.batch_size);
+  json.Config("num_keys", static_cast<double>(kv.num_keys));
+  json.Config("segments_per_partition", kv.segments_per_partition);
   json.Config("converge_window_s", ToSeconds(s.converge_window));
   json.Config("measure_window_s", ToSeconds(s.measure_window));
   json.Config("smoke", smoke ? 1.0 : 0.0);

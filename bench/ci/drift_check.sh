@@ -7,11 +7,12 @@
 # Both arguments are build directories of the root CMake project, configured
 # the same way (Release), one built from the parent commit and one from the
 # change. On both builds the script runs:
-#   1. every smoke bench (WATTDB_BENCH_SMOKE=1); each BENCH_*.json must be
-#      identical apart from wall_clock_ms, compare_baselines.py --exact
-#      must find the change's JSONs equal to bench/baselines, and each
-#      bench's stdout and stderr (the printed figure tables) must be
-#      identical once normalised (see smoke_norm);
+#   1. every smoke bench of the build's source tree (WATTDB_BENCH_SMOKE=1;
+#      see bench_targets); each BENCH_*.json must be identical apart from
+#      wall_clock_ms, compare_baselines.py --exact must find the change's
+#      JSONs equal to bench/baselines, and each bench's stdout and stderr
+#      (the printed figure tables) must be identical once normalised (see
+#      smoke_norm);
 #   2. elastic_scaleout, whose whole output is in simulated time;
 #   3. chaos_soak --seeds 200 in plain, --elasticity and
 #      --elasticity --history modes;
@@ -30,7 +31,8 @@
 
 set -u
 
-if [ $# -ne 2 ] || [ ! -x "$1/chaos_soak" ] || [ ! -x "$2/chaos_soak" ]; then
+if [ $# -ne 2 ] || [ ! -x "$1/chaos_soak" ] || [ ! -x "$2/chaos_soak" ] ||
+  [ ! -f "$1/CMakeCache.txt" ] || [ ! -f "$2/CMakeCache.txt" ]; then
   echo "usage: $0 PARENT_BUILD CHANGE_BUILD (build dirs with chaos_soak)" >&2
   exit 2
 fi
@@ -65,12 +67,27 @@ lap() {
     'BEGIN { printf "%s\t%.1f\n", step, t1 - t0 }' >> "$1/wall.tsv"
 }
 
+# bench_targets BUILD: the bench binaries BUILD makes from its source tree
+# today, one per bench/*.cc of the tree its CMakeCache.txt names. A binary
+# left in a reused build directory by a bench since deleted is not among
+# them. A bench the build skips (bench_power_model without google-benchmark)
+# is named but not built, so the loop below passes it by.
+bench_targets() {
+  local src x
+  src=$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$1/CMakeCache.txt")
+  for x in "$src"/bench/*.cc; do
+    x=${x##*/}
+    echo "$1/${x%.cc}"
+  done
+}
+
 # Smoke benches, then the soaks and anchor seeds, of one build.
 run_benches_and_soaks() {
-  local b=$1 out=$1/drift x m s t0
+  local b=$1 out=$1/drift x m s t0 benches
   rm -rf "$out/json" "$out/smoke" && mkdir -p "$out/json" "$out/smoke"
+  mapfile -t benches < <(bench_targets "$b")
   t0=$EPOCHREALTIME
-  for x in "$b"/bench_*; do
+  for x in "${benches[@]}"; do
     [ -f "$x" ] && [ -x "$x" ] || continue
     WATTDB_BENCH_SMOKE=1 WATTDB_BENCH_JSON_DIR="$out/json" "$x" \
       > "$out/smoke/${x##*/}.out" 2> "$out/smoke/${x##*/}.err"

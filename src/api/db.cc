@@ -316,26 +316,19 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
 
   db->scheme_ = FindScheme(opts.scheme)(db->cluster_.get(), migration);
 
-  db->master_ = std::make_unique<cluster::Master>(
-      db->cluster_.get(), db->scheme_.get(), opts.master);
-
+  // The control plane, each part built on what it acts through: the
+  // master's heartbeat detector restarts nodes through the recovery manager
+  // (boot + redo), and the fault injector crashes them through it. No
+  // constructor schedules an event; the three calls below do, in this order.
   db->recovery_ = std::make_unique<fault::RecoveryManager>(db->cluster_.get(),
                                                            db->scheme_.get());
+  db->master_ = std::make_unique<cluster::Master>(
+      db->cluster_.get(), db->scheme_.get(), db->recovery_.get(), opts.master);
   db->fault_ = std::make_unique<fault::FaultInjector>(
-      db->cluster_.get(), db->recovery_.get(), db->scheme_.get());
+      db->cluster_.get(), db->recovery_.get(), db->scheme_.get(),
+      &db->master_->replicas());
+
   if (!opts.fault_plan.empty()) db->fault_->Arm(opts.fault_plan);
-
-  // Warm-standby subsystem: built unconditionally (its observers are part
-  // of the facade), driven from the master's control ticks only when the
-  // policy enables it.
-  db->replicas_ = std::make_unique<replica::ReplicaManager>(
-      db->cluster_.get(), db->master_.get());
-  // Close the self-healing loop: the master's heartbeat detector restarts
-  // nodes through the recovery manager (boot + redo) and promotes and drops
-  // standbys through the replica manager.
-  db->master_->SetManagers(db->recovery_.get(), db->replicas_.get());
-  db->fault_->set_replica_manager(db->replicas_.get());
-
   if (opts.start_sampling) db->cluster_->StartSampling(nullptr);
   if (opts.start_master) db->master_->Start();
 

@@ -165,7 +165,7 @@ class Db {
   /// MasterPolicy::replica enabled it). Observers for replica state and the
   /// replication network tax; its decisions are counted on the master's
   /// timeline (master().event_count).
-  replica::ReplicaManager& replicas() { return *replicas_; }
+  replica::ReplicaManager& replicas() { return master_->replicas(); }
 
   // --- Self-healing observers ---------------------------------------------
   /// Timeline of the master control loop's decisions (scale events, failure
@@ -218,10 +218,9 @@ class Db {
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<workload::TpccDatabase> tpcc_;
   std::unique_ptr<cluster::Repartitioner> scheme_;
-  std::unique_ptr<cluster::Master> master_;
   std::unique_ptr<fault::RecoveryManager> recovery_;
+  std::unique_ptr<cluster::Master> master_;
   std::unique_ptr<fault::FaultInjector> fault_;
-  std::unique_ptr<replica::ReplicaManager> replicas_;
   /// All attached workload generators, owned through the common interface.
   std::vector<std::unique_ptr<workload::WorkloadDriver>> drivers_;
 };

@@ -54,11 +54,19 @@ const char* ToString(ControlEventType type) {
 }
 
 Master::Master(Cluster* cluster, Repartitioner* repartitioner,
-               MasterPolicy policy)
+               fault::RecoveryManager* recovery, MasterPolicy policy)
     : cluster_(cluster),
       repartitioner_(repartitioner),
+      recovery_(recovery),
       policy_(policy),
-      monitor_(cluster) {}
+      monitor_(cluster) {
+  WATTDB_CHECK(cluster_ != nullptr);
+  WATTDB_CHECK(repartitioner_ != nullptr);
+  WATTDB_CHECK(recovery_ != nullptr);
+  replicas_ = std::make_unique<replica::ReplicaManager>(cluster_, this);
+}
+
+Master::~Master() = default;
 
 void Master::Start() {
   if (running_) return;
@@ -90,14 +98,12 @@ void Master::ControlTick() {
   // heat EWMA. Advance it every tick — idle windows must cool segments
   // down — but only after CheckHeartbeats, so a promotion there still
   // breaks ties on the previous tick's heat.
-  const bool balancing = policy_.balance.enabled && repartitioner_ != nullptr;
-  const bool replicating = policy_.replica.enabled && replicas_ != nullptr;
-  if (balancing || replicating) {
+  if (policy_.balance.enabled || policy_.replica.enabled) {
     monitor_.UpdateHeat(policy_.check_period, policy_.balance.ewma_alpha);
   }
   MaybeBalanceHeat();
-  if (replicating) replicas_->Tick();
-  if (repartitioner_ == nullptr || !repartitioner_->InProgress()) {
+  if (policy_.replica.enabled) replicas_->Tick();
+  if (!repartitioner_->InProgress()) {
     MaybeScaleOut(stats);
     MaybeScaleIn(stats);
   }
@@ -135,7 +141,7 @@ void Master::DeclareDead(NodeId node) {
            " consecutive windows; crash #" + std::to_string(crashes));
   // The scheme abandons queued moves touching the node; idempotent when the
   // recovery manager already notified it at crash time.
-  if (repartitioner_ != nullptr) repartitioner_->OnNodeFailure(node);
+  repartitioner_->OnNodeFailure(node);
 
   if (cluster_->node_state(node).helper) {
     // Helpers hold no partitions — replace instead of restarting.
@@ -146,8 +152,8 @@ void Master::DeclareDead(NodeId node) {
   // discarded; standbys *of* the dead node's ranges are the fast failover
   // path — catch up from its surviving WAL and flip ownership, instead of
   // waiting out the full redo of a restart.
-  DropReplicasOn(node);
-  if (replicas_ != nullptr) replicas_->PromoteReplicasOf(node);
+  replicas_->DropReplicasOn(node);
+  replicas_->PromoteReplicasOf(node);
   if (!policy_.recovery.auto_heal) return;
 
   // Flaky after m detections: restart once more for data access, then
@@ -155,7 +161,6 @@ void Master::DeclareDead(NodeId node) {
   // ownership; under physical partitioning restart-in-place is all we have.
   const bool flaky = policy_.recovery.exclude_after_crashes > 0 &&
                      crashes >= policy_.recovery.exclude_after_crashes &&
-                     repartitioner_ != nullptr &&
                      repartitioner_->SupportsDrain();
   cluster_->BeginHealing(node);
   if (policy_.recovery.restart_backoff > 0) {
@@ -171,16 +176,12 @@ void Master::IssueRestart(NodeId node, bool drain_after, int attempt) {
   if (!running_) return;
   // Came back on its own (e.g. a fault plan's auto-restart beat us to it).
   if (!cluster_->node_state(node).healing) return;
-  Status issued = Status::FailedPrecondition("no recovery manager wired");
-  if (recovery_ != nullptr) {
-    issued = recovery_->Restart(
-        node, [this, node, drain_after](const fault::RecoveryReport& report) {
-          Emit(ControlEventType::kNodeRecovered, node,
-               RecoveredDetail(report));
-          cluster_->FinishHealing(node);
-          if (drain_after) StartDrainAndExclude(node, 0);
-        });
-  }
+  const Status issued = recovery_->Restart(
+      node, [this, node, drain_after](const fault::RecoveryReport& report) {
+        Emit(ControlEventType::kNodeRecovered, node, RecoveredDetail(report));
+        cluster_->FinishHealing(node);
+        if (drain_after) StartDrainAndExclude(node, 0);
+      });
   if (issued.ok()) {
     Emit(ControlEventType::kRestartIssued, node,
          drain_after ? "flaky node: restarting for drain-and-exclude"
@@ -205,7 +206,7 @@ void Master::IssueRestart(NodeId node, bool drain_after, int attempt) {
 
 void Master::StartDrainAndExclude(NodeId node, int attempt) {
   if (!running_) return;
-  if (repartitioner_ == nullptr || !repartitioner_->SupportsDrain()) return;
+  if (!repartitioner_->SupportsDrain()) return;
   if (attempt >= kMaxDrainAttempts) {
     WATTDB_WARN("master: drain-and-exclude of node "
                 << node.value() << " gave up after " << attempt
@@ -219,9 +220,9 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
   // Standby copies hosted on the victim are disposable — drop them rather
   // than have the drain move them (and again in the completion callback,
   // in case a replica landed here mid-drain).
-  DropReplicasOn(node);
+  replicas_->DropReplicasOn(node);
   const Status started = repartitioner_->Drain(node, [this, node, attempt]() {
-    DropReplicasOn(node);
+    replicas_->DropReplicasOn(node);
     const Status off = cluster_->PowerOff(node);
     if (off.ok()) {
       cluster_->Exclude(node);
@@ -325,7 +326,7 @@ void Master::HandleHelperFailure(NodeId helper) {
 }
 
 void Master::MaybeScaleOut(const std::vector<NodeStats>& stats) {
-  if (!policy_.enable_scale_out || repartitioner_ == nullptr) return;
+  if (!policy_.enable_scale_out) return;
   bool overloaded = false;
   for (const auto& s : stats) {
     if (s.active && s.cpu > policy_.cpu_upper) overloaded = true;
@@ -357,7 +358,7 @@ void Master::MaybeScaleOut(const std::vector<NodeStats>& stats) {
 }
 
 void Master::MaybeScaleIn(const std::vector<NodeStats>& stats) {
-  if (!policy_.enable_scale_in || repartitioner_ == nullptr) return;
+  if (!policy_.enable_scale_in) return;
   int active = 0;
   bool all_under = true;
   for (const auto& s : stats) {
@@ -393,9 +394,9 @@ void Master::MaybeScaleIn(const std::vector<NodeStats>& stats) {
   }
   if (!victim.valid()) return;
   Emit(ControlEventType::kScaleIn, victim, "draining least-loaded node");
-  DropReplicasOn(victim);
+  replicas_->DropReplicasOn(victim);
   repartitioner_->Drain(victim, [this, victim]() {
-    DropReplicasOn(victim);
+    replicas_->DropReplicasOn(victim);
     const Status s = cluster_->PowerOff(victim);
     // Taken down deliberately: no heartbeats expected, no false alarm.
     if (s.ok()) cluster_->StopWatching(victim);
@@ -445,7 +446,7 @@ void Master::CheckOverload() {
 
 void Master::MaybeBalanceHeat() {
   const BalancePolicy& bp = policy_.balance;
-  if (!bp.enabled || repartitioner_ == nullptr) return;
+  if (!bp.enabled) return;
   if (!repartitioner_->SupportsDrain()) return;  // Needs ownership transfer.
 
   const auto node_heat = monitor_.NodeHeats();
@@ -735,9 +736,6 @@ void Master::FinishHeatRound(const std::vector<SegmentMove>& plan) {
 Status Master::TriggerRebalance(const std::vector<NodeId>& targets,
                                 double fraction,
                                 std::function<void()> done) {
-  if (repartitioner_ == nullptr) {
-    return Status::InvalidArgument("no repartitioner configured");
-  }
   if (repartitioner_->InProgress()) {
     return Status::Busy("rebalance already running");
   }
@@ -775,11 +773,6 @@ Status Master::TriggerRebalance(const std::vector<NodeId>& targets,
     // the recovery manager considering the node down forever, and pull
     // fresh data onto a disk whose WAL tail was never replayed.
     if (cluster_->node_state(t).crashed) {
-      if (recovery_ == nullptr) {
-        return Status::FailedPrecondition(
-            "target node " + std::to_string(t.value()) +
-            " crashed and no recovery manager is wired");
-      }
       WATTDB_RETURN_IF_ERROR(recovery_->Restart(
           t, [on_up](const fault::RecoveryReport&) { on_up(); }));
       continue;
@@ -871,10 +864,6 @@ Status Master::DetachHelpers() {
   }
   helpers_.clear();
   return Status::OK();
-}
-
-void Master::DropReplicasOn(NodeId node) {
-  if (replicas_ != nullptr) replicas_->DropReplicasOn(node);
 }
 
 }  // namespace wattdb::cluster

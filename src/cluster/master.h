@@ -3,6 +3,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -265,22 +266,18 @@ struct MasterPolicy {
 /// elasticity and availability controller.
 class Master {
  public:
+  /// Moves go through `repartitioner`, restarts of declared-dead nodes
+  /// through `recovery`; neither may be null. The master builds and owns
+  /// the replica manager whose standbys it ticks, promotes, and drops.
+  /// Nothing is scheduled before Start.
   Master(Cluster* cluster, Repartitioner* repartitioner,
+         fault::RecoveryManager* recovery,
          MasterPolicy policy = MasterPolicy());
+  ~Master();
 
   /// Start the periodic control loop.
   void Start();
   void Stop() { running_ = false; }
-
-  /// Wire the managers the master's decisions act through; either may be
-  /// null. Without a recovery manager the detector still declares nodes
-  /// dead but cannot restart them; without a replica manager there are no
-  /// standbys to tick, promote, or drop. The Db facade wires both.
-  void SetManagers(fault::RecoveryManager* recovery,
-                   replica::ReplicaManager* replicas) {
-    recovery_ = recovery;
-    replicas_ = replicas;
-  }
 
   /// Explicitly trigger a rebalance onto `extra_nodes` standby nodes,
   /// moving `fraction` of the data (the Fig. 6 experiment: 2 -> 4 nodes,
@@ -298,6 +295,8 @@ class Master {
 
   Monitor& monitor() { return monitor_; }
   const MasterPolicy& policy() const { return policy_; }
+  /// The warm-standby subsystem the control tick drives.
+  replica::ReplicaManager& replicas() { return *replicas_; }
 
   // --- Control-event timeline ---------------------------------------------
   /// Append one decision to the timeline. The master's own loop and the
@@ -377,15 +376,13 @@ class Master {
   void IssueRestart(NodeId node, bool drain_after, int attempt);
   void StartDrainAndExclude(NodeId node, int attempt);
   void HandleHelperFailure(NodeId helper);
-  /// Drop the standbys hosted on `node`, when a replica manager is wired.
-  void DropReplicasOn(NodeId node);
 
   Cluster* cluster_;
   Repartitioner* repartitioner_;
+  fault::RecoveryManager* recovery_;
   MasterPolicy policy_;
   Monitor monitor_;
-  fault::RecoveryManager* recovery_ = nullptr;
-  replica::ReplicaManager* replicas_ = nullptr;
+  std::unique_ptr<replica::ReplicaManager> replicas_;
   bool running_ = false;
   int over_count_ = 0;
   int under_count_ = 0;

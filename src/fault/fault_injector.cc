@@ -14,10 +14,16 @@ constexpr SimTime kProgressPollUs = 20 * kUsPerMs;
 
 FaultInjector::FaultInjector(cluster::Cluster* cluster,
                              RecoveryManager* recovery,
-                             cluster::Repartitioner* scheme)
-    : cluster_(cluster), recovery_(recovery), scheme_(scheme) {
+                             cluster::Repartitioner* scheme,
+                             replica::ReplicaManager* replicas)
+    : cluster_(cluster),
+      recovery_(recovery),
+      scheme_(scheme),
+      replicas_(replicas) {
   WATTDB_CHECK(cluster_ != nullptr);
   WATTDB_CHECK(recovery_ != nullptr);
+  WATTDB_CHECK(scheme_ != nullptr);
+  WATTDB_CHECK(replicas_ != nullptr);
 }
 
 void FaultInjector::Arm(const FaultPlan& plan) {
@@ -65,7 +71,7 @@ void FaultInjector::PollProgress(FaultPlan::Crash spec, uint64_t generation) {
   // finish inside one poll interval, and the trigger must still fire
   // (tasks_planned > 0 survives completion; it only resets on the next
   // StartRebalance).
-  if (spec.at_migration_progress >= 0.0 && scheme_ != nullptr &&
+  if (spec.at_migration_progress >= 0.0 &&
       scheme_->stats().tasks_planned > 0 &&
       scheme_->stats().progress() >= spec.at_migration_progress) {
     WATTDB_INFO("fault: migration progress "
@@ -78,8 +84,7 @@ void FaultInjector::PollProgress(FaultPlan::Crash spec, uint64_t generation) {
   // Replica-progress trigger: arms only once replicas exist (progress() is
   // 0.0 on an empty replica set, so a plan built before the first standby
   // is created still waits for it).
-  if (spec.at_replica_progress >= 0.0 && replicas_ != nullptr &&
-      !replicas_->replicas().empty() &&
+  if (spec.at_replica_progress >= 0.0 && !replicas_->replicas().empty() &&
       replicas_->progress() >= spec.at_replica_progress) {
     WATTDB_INFO("fault: replica progress "
                 << replicas_->progress() << " >= " << spec.at_replica_progress

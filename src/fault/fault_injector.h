@@ -36,8 +36,7 @@ struct FaultPlan {
     double at_migration_progress = -1.0;
     /// In [0, 1]: ignore `at` and crash when ReplicaManager::progress()
     /// first reaches this fraction ("crash the owner at replica catch-up
-    /// p%"); < 0 disables the trigger. Requires a replica manager to be
-    /// wired (set_replica_manager) — otherwise the trigger never fires.
+    /// p%"); < 0 disables the trigger.
     double at_replica_progress = -1.0;
     /// > 0: automatically restart (and redo-recover) this long after each
     /// crash; 0 leaves the node down until Db::RestartNode.
@@ -116,9 +115,11 @@ struct FaultPlan {
 /// and fire the moment task progress crosses the requested fraction.
 class FaultInjector {
  public:
-  /// `scheme` may be null; progress triggers then never fire.
+  /// Crashes go through `recovery`; the progress triggers poll `scheme`
+  /// and `replicas`. No pointer may be null.
   FaultInjector(cluster::Cluster* cluster, RecoveryManager* recovery,
-                cluster::Repartitioner* scheme);
+                cluster::Repartitioner* scheme,
+                replica::ReplicaManager* replicas);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -137,10 +138,6 @@ class FaultInjector {
   /// pending auto-restarts still run so the cluster is not left wedged).
   void Disarm() { ++generation_; }
 
-  /// Wire the replica subsystem so CrashAtReplicaProgress triggers can poll
-  /// its progress. May be null (those triggers then never fire).
-  void set_replica_manager(replica::ReplicaManager* rm) { replicas_ = rm; }
-
   int crashes_injected() const { return crashes_injected_; }
   int restarts_injected() const { return restarts_injected_; }
   int partitions_injected() const { return partitions_injected_; }
@@ -152,7 +149,7 @@ class FaultInjector {
   cluster::Cluster* cluster_;
   RecoveryManager* recovery_;
   cluster::Repartitioner* scheme_;
-  replica::ReplicaManager* replicas_ = nullptr;
+  replica::ReplicaManager* replicas_;
   /// Bumped by Disarm(); events from older generations become no-ops.
   uint64_t generation_ = 0;
   int crashes_injected_ = 0;

@@ -13,6 +13,7 @@ RecoveryManager::RecoveryManager(cluster::Cluster* cluster,
                                  cluster::Repartitioner* scheme)
     : cluster_(cluster), scheme_(scheme) {
   WATTDB_CHECK(cluster_ != nullptr);
+  WATTDB_CHECK(scheme_ != nullptr);
 }
 
 Status RecoveryManager::Crash(NodeId node) {
@@ -65,7 +66,7 @@ Status RecoveryManager::Crash(NodeId node) {
     n->buffer().InvalidateSegment(seg->id());
   }
   n->hardware().set_power_state(hw::PowerState::kStandby);
-  if (scheme_ != nullptr) scheme_->OnNodeFailure(node);
+  scheme_->OnNodeFailure(node);
 
   cluster_->MarkCrashed(node);
   ++crashes_;

@@ -60,7 +60,7 @@ struct RecoveryReport {
 /// longer covers is re-registered with the GlobalPartitionTable.
 class RecoveryManager {
  public:
-  /// `scheme` may be null (no migration machinery to notify).
+  /// `scheme` is told of every crash; neither pointer may be null.
   RecoveryManager(cluster::Cluster* cluster, cluster::Repartitioner* scheme);
 
   RecoveryManager(const RecoveryManager&) = delete;

@@ -147,18 +147,27 @@ int64_t ReplicaManager::CatchUp(const std::shared_ptr<ReplicaInfo>& rep,
   catalog::Partition* part =
       cluster_->catalog().GetPartition(rep->replica_partition);
   if (part == nullptr) return lag;
-  const SimTime arrived =
-      cluster_->network().Transfer(now, rep->src_node, rep->host, bytes);
-  const StatusOr<SimTime> applied = host->ReplayTail(part, tail, arrived);
+  const StatusOr<SimTime> applied =
+      ApplyTail(rep.get(), part, tail, bytes, now);
   if (!applied.ok()) {
     WATTDB_WARN("replica: apply failed for "
                 << Describe(*rep) << ": " << applied.status().ToString());
-    return lag;
   }
+  return lag;
+}
+
+StatusOr<SimTime> ReplicaManager::ApplyTail(
+    ReplicaInfo* rep, catalog::Partition* part,
+    const std::vector<tx::LogRecord>& tail, size_t bytes, SimTime ship_at) {
+  const SimTime arrived =
+      cluster_->network().Transfer(ship_at, rep->src_node, rep->host, bytes);
+  const StatusOr<SimTime> applied =
+      cluster_->node(rep->host)->ReplayTail(part, tail, arrived);
+  if (!applied.ok()) return applied;
   rep->records_applied += static_cast<int64_t>(tail.size());
   rep->bytes_shipped += static_cast<int64_t>(bytes);
   replication_bytes_ += static_cast<int64_t>(bytes);
-  return lag;
+  return applied;
 }
 
 void ReplicaManager::ApplyLogTails(SimTime now) {
@@ -446,10 +455,9 @@ int ReplicaManager::PromoteReplicasOf(NodeId dead) {
     const std::vector<tx::LogRecord> tail = CutTail(*rep, src->log(), &bytes);
     SimTime done = now;
     if (!tail.empty()) {
-      const SimTime read_done = src->log().ChargeReplayRead(now, bytes);
-      const SimTime arrived =
-          cluster_->network().Transfer(read_done, dead, rep->host, bytes);
-      const StatusOr<SimTime> applied = host->ReplayTail(part, tail, arrived);
+      const StatusOr<SimTime> applied =
+          ApplyTail(rep.get(), part, tail, bytes,
+                    src->log().ChargeReplayRead(now, bytes));
       if (!applied.ok()) {
         WATTDB_WARN("replica: final catch-up failed for "
                     << Describe(*rep) << ": "
@@ -457,9 +465,6 @@ int ReplicaManager::PromoteReplicasOf(NodeId dead) {
         continue;
       }
       done = *applied;
-      rep->records_applied += static_cast<int64_t>(tail.size());
-      rep->bytes_shipped += static_cast<int64_t>(bytes);
-      replication_bytes_ += static_cast<int64_t>(bytes);
     }
     rep->applied_lsn = src->log().next_lsn() - 1;
 

@@ -56,11 +56,11 @@ struct ReplicaInfo {
 /// them off the Monitor's per-segment heat EWMA, bootstraps a base copy by
 /// byte-streaming the owner's segment (the migration path's cost model),
 /// then keeps the copy fresh by applying the owner's log tail through the
-/// same idempotent redo the crash path uses. The master calls Tick from
-/// its control tick and PromoteReplicasOf / DropReplicasOn from its failure
-/// and drain paths; failover promotes the freshest standby of a dead owner
-/// (catch-up-and-flip) instead of waiting out the owner's full WAL redo.
-/// Heat, policy, and the event timeline are the master's.
+/// same idempotent redo the crash path uses. The master owns it and calls
+/// Tick from its control tick and PromoteReplicasOf / DropReplicasOn from
+/// its failure and drain paths; failover promotes the freshest standby of
+/// a dead owner (catch-up-and-flip) instead of waiting out the owner's full
+/// WAL redo. Heat, policy, and the event timeline are the master's.
 class ReplicaManager {
  public:
   ReplicaManager(cluster::Cluster* cluster, cluster::Master* master);
@@ -123,6 +123,12 @@ class ReplicaManager {
   /// the replica partition, charging network + host CPU. Returns how many
   /// records were pending before the apply (the lag).
   int64_t CatchUp(const std::shared_ptr<ReplicaInfo>& rep, SimTime now);
+  /// Ship `tail` (`bytes` long) from rep's owner, leaving at `ship_at`, and
+  /// replay it into the replica partition `part` on rep's host; counts the
+  /// records and bytes once applied. Returns when the replay completes.
+  StatusOr<SimTime> ApplyTail(ReplicaInfo* rep, catalog::Partition* part,
+                              const std::vector<tx::LogRecord>& tail,
+                              size_t bytes, SimTime ship_at);
   void DropReplica(const std::shared_ptr<ReplicaInfo>& rep,
                    const std::string& reason);
   NodeId PickHost(const std::shared_ptr<ReplicaInfo>& rep) const;

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -396,7 +397,8 @@ class HeatBalanceTest : public ::testing::Test {
 
 TEST_F(HeatBalanceTest, TriggersAfterHysteresisAndMovesHottestSegment) {
   partition::PhysiologicalPartitioning scheme(&cluster_);
-  Master master(&cluster_, &scheme, BalancingPolicy());
+  fault::RecoveryManager recovery(&cluster_, &scheme);
+  Master master(&cluster_, &scheme, &recovery, BalancingPolicy());
   master.Start();
 
   // Tick 1: imbalance visible (node 1 carries all heat) but hysteresis
@@ -428,7 +430,8 @@ TEST_F(HeatBalanceTest, TriggersAfterHysteresisAndMovesHottestSegment) {
 
 TEST_F(HeatBalanceTest, NeverPingPongsAHotSegment) {
   partition::PhysiologicalPartitioning scheme(&cluster_);
-  Master master(&cluster_, &scheme, BalancingPolicy());
+  fault::RecoveryManager recovery(&cluster_, &scheme);
+  Master master(&cluster_, &scheme, &recovery, BalancingPolicy());
   master.Start();
 
   // Keep hammering the same segment across many ticks: it moves off node 1
@@ -467,7 +470,8 @@ TEST_F(HeatBalanceTest, WaitsForARebalanceInFlight) {
   config.cost_scale = 50000;
   config.only_table = other;
   partition::PhysiologicalPartitioning scheme(&cluster_, config);
-  Master master(&cluster_, &scheme, BalancingPolicy());
+  fault::RecoveryManager recovery(&cluster_, &scheme);
+  Master master(&cluster_, &scheme, &recovery, BalancingPolicy());
   master.Start();
 
   SimTime moved_at = -1;
@@ -511,7 +515,8 @@ TEST(Master, ScaleOutOnSustainedOverload) {
   policy.enable_scale_in = false;  // Keep the new node (tested separately).
   policy.check_period = 2 * kUsPerSec;
   policy.trigger_after = 2;
-  Master master(&c, &scheme, policy);
+  fault::RecoveryManager recovery(&c, &scheme);
+  Master master(&c, &scheme, &recovery, policy);
   master.Start();
 
   workload::ClientPoolConfig pool_cfg;
@@ -542,7 +547,8 @@ TEST(Master, ScaleInWhenIdle) {
   policy.cpu_lower = 0.99;  // Everything counts as underutilized.
   policy.enable_scale_out = false;
   policy.check_period = 2 * kUsPerSec;
-  Master master(&c, &scheme, policy);
+  fault::RecoveryManager recovery(&c, &scheme);
+  Master master(&c, &scheme, &recovery, policy);
   master.Start();
   c.StartSampling(nullptr);
   c.RunUntil(300 * kUsPerSec);
@@ -556,7 +562,8 @@ TEST(Master, ScaleInWhenIdle) {
 TEST(Master, HelpersWireLogShippingAndRemoteBuffer) {
   Cluster c(SmallConfig(4, 2));
   partition::PhysiologicalPartitioning scheme(&c);
-  Master master(&c, &scheme);
+  fault::RecoveryManager recovery(&c, &scheme);
+  Master master(&c, &scheme, &recovery);
   ASSERT_TRUE(
       master.AttachHelpers({NodeId(2)}, {NodeId(0), NodeId(1)}, 1000).ok());
   c.RunUntil(c.Now() + 10 * kUsPerSec);  // Boot.
@@ -580,7 +587,8 @@ TEST(Master, TriggerRebalanceBootsTargets) {
   workload::TpccDatabase db(&c, load);
   ASSERT_TRUE(db.Load().ok());
   partition::PhysiologicalPartitioning scheme(&c);
-  Master master(&c, &scheme);
+  fault::RecoveryManager recovery(&c, &scheme);
+  Master master(&c, &scheme, &recovery);
   bool done = false;
   ASSERT_TRUE(master
                   .TriggerRebalance({NodeId(2), NodeId(3)}, 0.5,
@@ -592,11 +600,11 @@ TEST(Master, TriggerRebalanceBootsTargets) {
   EXPECT_TRUE(c.node(NodeId(2))->IsActive());
 }
 
-// A master with no recovery manager wired still detects a crash but
-// cannot heal it: the restart is retried, then given up after
-// kMaxHealAttempts, and a rebalance onto the crashed node is refused rather
-// than booting it without redo.
-TEST(Master, UnwiredMasterDetectsButCannotHealACrash) {
+// A node that is alive behind a network partition misses its heartbeats
+// and is declared dead, but the recovery manager refuses its restart as
+// "already active". The master retries the refusal once per control period,
+// gives up after kMaxHealAttempts, and never records a restart.
+TEST(Master, PartitionedNodeRestartIsRefusedThenAbandoned) {
   Cluster c(SmallConfig(4, 3));
   partition::PhysiologicalPartitioning scheme(&c);
   MasterPolicy policy;
@@ -604,30 +612,30 @@ TEST(Master, UnwiredMasterDetectsButCannotHealACrash) {
   policy.stats_window = kUsPerSec;
   policy.enable_scale_out = false;
   policy.enable_scale_in = false;
-  Master master(&c, &scheme, policy);
+  fault::RecoveryManager recovery(&c, &scheme);
+  Master master(&c, &scheme, &recovery, policy);
   master.Start();
   c.RunUntil(2 * kUsPerSec + kUsPerMs);
   ASSERT_TRUE(c.node_state(NodeId(2)).watched) << "node 2 reported";
 
-  // The crash comes from a recovery manager the master does not know.
-  fault::RecoveryManager faults(&c, &scheme);
-  ASSERT_TRUE(faults.Crash(NodeId(2)).ok());
+  ASSERT_TRUE(c.PartitionNode(NodeId(2)).ok());
   c.RunUntil(c.Now() + 3 * kUsPerSec);
   EXPECT_EQ(master.event_count(ControlEventType::kNodeDeclaredDead), 1);
   EXPECT_TRUE(c.node_state(NodeId(2)).healing) << "restart being retried";
+  const Status refused = recovery.Restart(NodeId(2));
+  EXPECT_TRUE(refused.IsFailedPrecondition()) << refused.ToString();
+  EXPECT_NE(refused.ToString().find("already active"), std::string::npos)
+      << refused.ToString();
 
   // One retry per control period, then the master gives up.
   c.RunUntil(c.Now() + (kMaxHealAttempts + 1) * policy.check_period);
   EXPECT_FALSE(c.node_state(NodeId(2)).healing) << "healing abandoned";
-  EXPECT_TRUE(c.node_state(NodeId(2)).crashed);
-  EXPECT_FALSE(c.node(NodeId(2))->IsActive());
+  EXPECT_FALSE(c.node_state(NodeId(2)).crashed);
+  EXPECT_TRUE(c.node(NodeId(2))->IsActive()) << "never restarted";
   EXPECT_EQ(master.event_count(ControlEventType::kRestartIssued), 0);
   EXPECT_EQ(master.event_count(ControlEventType::kNodeRecovered), 0);
   EXPECT_EQ(master.event_count(ControlEventType::kNodeDeclaredDead), 1)
       << "a declared-dead node is no longer watched";
-
-  EXPECT_TRUE(
-      master.TriggerRebalance({NodeId(2)}, 0.5).IsFailedPrecondition());
 
   // Every per-type count is the count of that type on the timeline.
   std::array<int, kControlEventTypeCount> on_timeline{};
@@ -651,13 +659,13 @@ TEST(Master, DetectorSuspectsAfterOneWindowAndDeclaresDeadAfterK) {
   policy.stats_window = kUsPerSec;
   policy.enable_scale_out = false;
   policy.enable_scale_in = false;
-  Master master(&c, &scheme, policy);
+  fault::RecoveryManager recovery(&c, &scheme);
+  Master master(&c, &scheme, &recovery, policy);
   master.Start();
   c.RunUntil(2 * kUsPerSec + kUsPerMs);
   ASSERT_TRUE(c.node_state(NodeId(2)).watched) << "node 2 reported";
 
-  fault::RecoveryManager faults(&c, &scheme);
-  ASSERT_TRUE(faults.Crash(NodeId(2)).ok());
+  ASSERT_TRUE(recovery.Crash(NodeId(2)).ok());
   const auto suspected = [&] {
     return master.event_count(ControlEventType::kNodeSuspected);
   };

@@ -9,6 +9,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/master.h"
+#include "fault/recovery_manager.h"
 #include "partition/logical.h"
 #include "partition/physical.h"
 #include "partition/physiological.h"
@@ -94,7 +95,8 @@ TEST_P(MigrationPropertyTest, ConservesRecordsUnderLoad) {
   const auto before = CountByTable(&c);
 
   auto scheme = MakeScheme(&c, param.scheme);
-  cluster::Master master(&c, scheme.get());
+  fault::RecoveryManager recovery(&c, scheme.get());
+  cluster::Master master(&c, scheme.get(), &recovery);
   bool done = false;
   ASSERT_TRUE(master
                   .TriggerRebalance({NodeId(2), NodeId(3)}, param.fraction,

@@ -5,6 +5,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/master.h"
+#include "fault/recovery_manager.h"
 #include "partition/logical.h"
 #include "partition/physical.h"
 #include "partition/physiological.h"
@@ -54,7 +55,8 @@ TEST(Smoke, PhysiologicalRebalance) {
   ASSERT_TRUE(db.Load().ok());
 
   partition::PhysiologicalPartitioning scheme(&c);
-  cluster::Master master(&c, &scheme);
+  fault::RecoveryManager recovery(&c, &scheme);
+  cluster::Master master(&c, &scheme, &recovery);
 
   workload::ClientPoolConfig pool_cfg;
   pool_cfg.num_clients = 8;
@@ -96,7 +98,8 @@ TEST(Smoke, PhysicalAndLogicalRebalance) {
       mc.logical_batch_records = 512;
       scheme = std::make_unique<partition::LogicalPartitioning>(&c, mc);
     }
-    cluster::Master master(&c, scheme.get());
+    fault::RecoveryManager recovery(&c, scheme.get());
+    cluster::Master master(&c, scheme.get(), &recovery);
     bool finished = false;
     ASSERT_TRUE(master
                     .TriggerRebalance({NodeId(2), NodeId(3)}, 0.5,
