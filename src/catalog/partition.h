@@ -12,8 +12,11 @@ namespace wattdb::catalog {
 /// Lifecycle state of a partition during online repartitioning (§4.3).
 enum class PartitionState {
   kNormal,
-  kMovingOut,  ///< Read-locked source: writers drained, copy in progress.
-  kForwarding, ///< Copy done; old location redirects residual readers.
+  /// The source of a completed physiological move, for a grace window. A
+  /// placement gate only: the replica manager creates no replica of it,
+  /// chaos settle waits for the window to close, the invariant audit flags
+  /// a partition left in it, and crash recovery resets it.
+  kForwarding,
 };
 
 /// A horizontal partition: the unit of ownership, integrity control, and
@@ -53,11 +56,6 @@ class Partition {
   PartitionState state() const { return state_; }
   void set_state(PartitionState s) { state_ = s; }
 
-  /// Redirect target while records/segments are moving (§4.3: the source
-  /// keeps a pointer to the new location until old readers drain).
-  PartitionId forward_to() const { return forward_to_; }
-  void set_forward_to(PartitionId p) { forward_to_ = p; }
-
   index::TopIndex& top_index() { return top_index_; }
   const index::TopIndex& top_index() const { return top_index_; }
 
@@ -79,7 +77,6 @@ class Partition {
   TableId table_;
   NodeId owner_;
   PartitionState state_ = PartitionState::kNormal;
-  PartitionId forward_to_;
   bool is_replica_ = false;
   uint64_t route_epoch_ = 0;
   index::TopIndex top_index_;

@@ -203,7 +203,7 @@ std::string ConvergenceBlocker(Db& db, TableId table) {
              std::to_string(entry.range.hi) + ")";
     }
     if (p->state() != catalog::PartitionState::kNormal) {
-      // kForwarding is a legitimate post-move grace window; wait it out.
+      // kForwarding is the post-move grace window; wait it out.
       return "partition " + std::to_string(p->id().value()) +
              " still in a move state";
     }

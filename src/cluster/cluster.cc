@@ -313,8 +313,8 @@ void Cluster::AbortTxn(tx::Txn* txn) {
   // Undo must be applied at the location that actually holds the record —
   // during a move the primary route may still point at the old partition
   // while the write (and therefore the undo target) lives at the new one.
-  auto resolve = [this, txn](TableId table, Key key) -> catalog::Partition* {
-    auto [first, second] = RouteBoth(txn, table, key);
+  auto resolve = [this](TableId table, Key key) -> catalog::Partition* {
+    auto [first, second] = RouteBoth(table, key);
     if (first != nullptr) {
       const SegmentId sid = first->SegmentFor(key);
       if (sid.valid()) {
@@ -368,53 +368,15 @@ void Cluster::AbortTxn(tx::Txn* txn) {
   }
 }
 
-catalog::Partition* Cluster::ResolveRoute(tx::Txn* txn,
-                                          const catalog::RouteEntry& entry,
-                                          Key key) {
-  catalog::Partition* primary = catalog_.GetPartition(entry.primary);
-  if (primary == nullptr) return nullptr;
-  // Two-pointer protocol: while a move is in flight the primary may no
-  // longer (or not yet) cover the key — probe it, then follow to the
-  // secondary/forwarding target (§4.3 Correctness).
-  if (primary->SegmentFor(key).valid() || !entry.secondary.valid()) {
-    if (primary->state() == catalog::PartitionState::kForwarding &&
-        primary->forward_to().valid() && !primary->SegmentFor(key).valid()) {
-      catalog::Partition* fwd = catalog_.GetPartition(primary->forward_to());
-      if (fwd != nullptr && txn != nullptr) {
-        // Redirect probe costs one hop to the old node.
-        ChargeClientHop(txn, primary->owner(), 64, 64);
-        return fwd;
-      }
-    }
-    return primary;
-  }
-  catalog::Partition* secondary = catalog_.GetPartition(entry.secondary);
-  if (secondary != nullptr && secondary->SegmentFor(key).valid()) {
-    if (txn != nullptr) ChargeClientHop(txn, primary->owner(), 64, 64);
-    return secondary;
-  }
-  return primary;
-}
-
-catalog::Partition* Cluster::Route(tx::Txn* txn, TableId table, Key key) {
-  auto entry = catalog_.Route(table, key);
-  if (!entry.has_value()) return nullptr;
-  if (EntryFenced(*entry)) {
-    ++stale_route_refusals_;
-    return nullptr;
-  }
-  return ResolveRoute(txn, *entry, key);
-}
-
 std::pair<catalog::Partition*, catalog::Partition*> Cluster::RouteForRead(
-    tx::Txn* txn, TableId table, Key key) {
+    TableId table, Key key) {
   // Fast path: no replica routes on the table at all — plain two-pointer.
-  if (!catalog_.HasReplicas(table)) return RouteBoth(txn, table, key);
+  if (!catalog_.HasReplicas(table)) return RouteBoth(table, key);
   auto entry = catalog_.Route(table, key);
   if (!entry.has_value()) return {nullptr, nullptr};
   // Mid-move the two candidate locations are the §4.3 pointers, not the
   // replicas: a bounded-stale copy must not mask the moving record.
-  if (entry->secondary.valid()) return RouteBoth(txn, table, key);
+  if (entry->secondary.valid()) return RouteBoth(table, key);
 
   const bool fenced = EntryFenced(*entry);
   catalog::Partition* primary = catalog_.GetPartition(entry->primary);
@@ -436,7 +398,7 @@ std::pair<catalog::Partition*, catalog::Partition*> Cluster::RouteForRead(
     if (fenced) ++stale_route_refusals_;
     return fenced ? std::pair<catalog::Partition*, catalog::Partition*>{
                         nullptr, nullptr}
-                  : RouteBoth(txn, table, key);
+                  : RouteBoth(table, key);
   }
 
   Node* owner = primary != nullptr ? node(primary->owner()) : nullptr;
@@ -455,7 +417,7 @@ std::pair<catalog::Partition*, catalog::Partition*> Cluster::RouteForRead(
 }
 
 std::pair<catalog::Partition*, catalog::Partition*> Cluster::RouteBoth(
-    tx::Txn* txn, TableId table, Key key) {
+    TableId table, Key key) {
   // One catalog lookup feeds both pointers — this runs once per key on
   // every data-plane operation.
   auto entry = catalog_.Route(table, key);
@@ -467,15 +429,11 @@ std::pair<catalog::Partition*, catalog::Partition*> Cluster::RouteBoth(
     ++stale_route_refusals_;
     return {nullptr, nullptr};
   }
-  catalog::Partition* first = ResolveRoute(txn, *entry, key);
-  catalog::Partition* primary = catalog_.GetPartition(entry->primary);
+  catalog::Partition* first = catalog_.GetPartition(entry->primary);
   catalog::Partition* second = nullptr;
   if (entry->secondary.valid()) {
     catalog::Partition* sec = catalog_.GetPartition(entry->secondary);
-    if (sec != nullptr && sec != first) second = sec;
-  }
-  if (second == nullptr && primary != nullptr && primary != first) {
-    second = primary;
+    if (sec != first) second = sec;
   }
   return {first, second};
 }

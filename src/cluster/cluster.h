@@ -225,7 +225,7 @@ class Cluster {
   /// Serve-path refusals of fenced routes (observability for chaos/tests).
   uint64_t stale_route_refusals() const { return stale_route_refusals_; }
 
-  /// Why Route/RouteBoth returned no partition for (table, key):
+  /// Why RouteBoth returned no partition for (table, key):
   /// Unavailable when the covering entry is fenced (ownership handoff in
   /// flight — retry later), NotFound when the key is simply unrouted.
   Status NoRouteStatus(TableId table, Key key) const;
@@ -260,20 +260,15 @@ class Cluster {
   void AbortTxn(tx::Txn* txn);
 
   // --- Routing -----------------------------------------------------------
-  /// Partition currently responsible for (table, key), following the
-  /// two-pointer redirection protocol (§4.3): if the primary no longer
-  /// covers the key but a secondary is registered, the secondary is used.
-  /// Charges the redirect probe to `txn` when it happens.
-  catalog::Partition* Route(tx::Txn* txn, TableId table, Key key);
-
-  /// Both candidate locations for (table, key) under the two-pointer
-  /// protocol: `second` is non-null only while a move is in flight. Callers
-  /// that miss on the first location must retry on the second ("queries are
-  /// advised to visit both", §4.3) — during a logical move an individual
-  /// record may already have been deleted at the source and re-inserted at
-  /// the target.
-  std::pair<catalog::Partition*, catalog::Partition*> RouteBoth(
-      tx::Txn* txn, TableId table, Key key);
+  /// Both locations of (table, key) under the two-pointer protocol (§4.3),
+  /// read off the catalog entry: `first` is the entry's primary partition
+  /// (null if it was dropped), `second` its secondary, non-null only while
+  /// a move is in flight. Routing probes neither. The routed op visits
+  /// `first` and, on a miss, `second` ("queries are advised to visit
+  /// both") — during a logical move an individual record may already have
+  /// been deleted at the source and re-inserted at the target.
+  std::pair<catalog::Partition*, catalog::Partition*> RouteBoth(TableId table,
+                                                                Key key);
 
   /// RouteBoth for *reads*: when the key has serving warm replicas and no
   /// move is in flight, the read is spread round-robin over the owner and
@@ -282,9 +277,9 @@ class Cluster {
   /// a replica retries at the owner, so a bounded-stale copy can delay a
   /// read but never wrongly deny a key's existence. With a down owner the
   /// replicas keep serving until promotion flips the route. Writes must
-  /// keep using RouteBoth/Route: they go to the owner only.
+  /// keep using RouteBoth: they go to the owner only.
   std::pair<catalog::Partition*, catalog::Partition*> RouteForRead(
-      tx::Txn* txn, TableId table, Key key);
+      TableId table, Key key);
 
   /// Ship an operation's request/response between the master (client
   /// endpoint) and the owner node, charging `txn`. No-op if owner is the
@@ -294,13 +289,6 @@ class Cluster {
 
  private:
   void SampleTick();
-
-  /// Shared resolution core of Route/RouteBoth: pick the serving partition
-  /// for `key` out of one already-fetched routing entry (primary, or the
-  /// secondary / forwarding target mid-move), charging redirect probes to
-  /// `txn`. Both public entry points pay exactly one catalog lookup.
-  catalog::Partition* ResolveRoute(tx::Txn* txn,
-                                   const catalog::RouteEntry& entry, Key key);
 
   /// True when `entry`'s primary carries a claim token older than the
   /// entry's epoch — the range was sealed by FenceRange and must not be

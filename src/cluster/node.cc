@@ -37,12 +37,13 @@ hw::Disk* Node::DataDisk(SimTime now) {
   // utilization is balanced across local disks first). The first SSD also
   // carries the WAL, so data, migration streams, and log appends compete
   // for the same storage bandwidth — the paper's Fig. 7 bottleneck.
+  const std::vector<storage::Segment*> local = segments_->SegmentsOn(id_);
   hw::Disk* best = nullptr;
   size_t best_load = 0;
   for (auto& d : hw_.disks()) {
     if (d->spec().kind != hw::DiskKind::kSsd) continue;
     size_t load = 0;
-    for (storage::Segment* seg : segments_->SegmentsOn(id_)) {
+    for (const storage::Segment* seg : local) {
       if (seg->disk() == d->id()) load += seg->DiskBytes();
     }
     if (best == nullptr || load < best_load ||

@@ -61,11 +61,11 @@ bool SecondVisitDecides(const Status& primary, const Status& retry) {
 /// One write of `key` at `route`, after the hop to the primary owner has
 /// been charged: run `op` on the primary; on a mid-move miss re-ship the
 /// payload to the secondary (charged per straggler) and retry there; for an
-/// upsert still NotFound, insert at the currently-routed partition. `stats`
-/// (batches only) counts the stragglers and the inserts.
-Status WriteAt(Cluster* c, tx::Txn* txn, TableId table, Key key,
-               const KeyRoute& route, WriteOp op,
-               const std::vector<uint8_t>& payload, BatchStats* stats) {
+/// upsert still NotFound, insert at the primary. `stats` (batches only)
+/// counts the stragglers and the inserts.
+Status WriteAt(Cluster* c, tx::Txn* txn, Key key, const KeyRoute& route,
+               WriteOp op, const std::vector<uint8_t>& payload,
+               BatchStats* stats) {
   const auto apply = [&](catalog::Partition* part) {
     Node* node = c->node(part->owner());
     return op == WriteOp::kDelete ? node->Delete(txn, part, key)
@@ -79,16 +79,10 @@ Status WriteAt(Cluster* c, tx::Txn* txn, TableId table, Key key,
     if (SecondVisitDecides(s, retry)) s = retry;
   }
   if (op != WriteOp::kUpsert || !s.IsNotFound()) return s;
-  // Upsert tail: insert at the currently-routed location (which may have
-  // shifted mid-move). A same-owner insert rides the hop already charged.
-  catalog::Partition* ins = c->Route(txn, table, key);
-  // A fenced route mid-handoff must not read as "key absent".
-  if (ins == nullptr) return c->NoRouteStatus(table, key);
-  if (ins->owner() != route.part->owner()) {
-    c->ChargeClientHop(txn, ins->owner(), 96 + payload.size(), 32);
-  }
+  // Upsert tail: the insert rides the hop already charged to the primary,
+  // which owns the key's route.
   if (stats != nullptr) ++stats->inserts;
-  return c->node(ins->owner())->Insert(txn, ins, key, payload);
+  return c->node(route.part->owner())->Insert(txn, route.part, key, payload);
 }
 
 }  // namespace
@@ -98,7 +92,7 @@ Status RoutedRead(Cluster* c, tx::Txn* txn, TableId table, Key key,
   // Reads (and only reads) may land on a serving warm replica instead of
   // the owner; a replica miss falls back to the authoritative copy below,
   // so bounded staleness can cost a retry but never a wrong NotFound.
-  auto [part, second] = c->RouteForRead(txn, table, key);
+  auto [part, second] = c->RouteForRead(table, key);
   if (part == nullptr) return c->NoRouteStatus(table, key);
   WATTDB_RETURN_IF_ERROR(AdmitOps(c, txn, part->owner(), ClassOf(txn)));
   // Track which copy *determined* the result: a replica-served observation
@@ -130,12 +124,12 @@ Status RoutedRead(Cluster* c, tx::Txn* txn, TableId table, Key key,
 
 Status RoutedWrite(Cluster* c, tx::Txn* txn, TableId table, Key key,
                    WriteOp op, const std::vector<uint8_t>& payload) {
-  auto [part, second] = c->RouteBoth(txn, table, key);
+  auto [part, second] = c->RouteBoth(table, key);
   if (part == nullptr) return c->NoRouteStatus(table, key);
   WATTDB_RETURN_IF_ERROR(AdmitOps(c, txn, part->owner(), ClassOf(txn)));
   c->ChargeClientHop(txn, part->owner(), 96 + payload.size(), 32);
   const Status s =
-      WriteAt(c, txn, table, key, KeyRoute{part, second}, op, payload,
+      WriteAt(c, txn, key, KeyRoute{part, second}, op, payload,
               /*stats=*/nullptr);
   CompleteOps(c, txn, part->owner());
   return s;
@@ -143,7 +137,7 @@ Status RoutedWrite(Cluster* c, tx::Txn* txn, TableId table, Key key,
 
 Status RoutedInsert(Cluster* c, tx::Txn* txn, TableId table, Key key,
                     const std::vector<uint8_t>& payload) {
-  catalog::Partition* part = c->Route(txn, table, key);
+  catalog::Partition* part = c->RouteBoth(table, key).first;
   if (part == nullptr) return c->NoRouteStatus(table, key);
   WATTDB_RETURN_IF_ERROR(AdmitOps(c, txn, part->owner(), ClassOf(txn)));
   c->ChargeClientHop(txn, part->owner(), 96 + payload.size(), 32);
@@ -242,7 +236,7 @@ Status RoutedMultiRead(Cluster* c, tx::Txn* txn, TableId table,
   for (size_t i = 0; i < keys.size(); ++i) {
     // Replica fan-out per key: hot keys spread over owner + serving
     // standbys, so one Zipf-hot owner stops bounding the whole batch.
-    auto [part, second] = c->RouteForRead(txn, table, keys[i]);
+    auto [part, second] = c->RouteForRead(table, keys[i]);
     routes[i] = KeyRoute{part, second};
     if (part == nullptr) {
       // Distinguish "unrouted" from "fenced mid-handoff" per key, like the
@@ -317,7 +311,7 @@ Status RoutedMultiWrite(Cluster* c, tx::Txn* txn, TableId table,
 
   std::vector<KeyRoute> routes(kvs.size());
   for (size_t i = 0; i < kvs.size(); ++i) {
-    auto [part, second] = c->RouteBoth(txn, table, kvs[i].key);
+    auto [part, second] = c->RouteBoth(table, kvs[i].key);
     routes[i] = KeyRoute{part, second};
     if (part == nullptr) (*out)[i] = c->NoRouteStatus(table, kvs[i].key);
   }
@@ -343,8 +337,8 @@ Status RoutedMultiWrite(Cluster* c, tx::Txn* txn, TableId table,
       return LaneOfKey(c, routes[i].part, kvs[i].key);
     };
     FanOutByLane(c, txn, idxs, lane_of, [&](size_t i) {
-      (*out)[i] = WriteAt(c, txn, table, kvs[i].key, routes[i],
-                          WriteOp::kUpsert, kvs[i].payload, &local);
+      (*out)[i] = WriteAt(c, txn, kvs[i].key, routes[i], WriteOp::kUpsert,
+                          kvs[i].payload, &local);
     });
     CompleteOps(c, txn, owner, static_cast<int>(idxs.size()));
   }
@@ -362,7 +356,7 @@ Status RoutedScan(Cluster* c, tx::Txn* txn, TableId table,
   bool stopped = false;
   for (const auto& route : c->catalog().RoutesInRange(table, range)) {
     catalog::Partition* part =
-        c->Route(txn, table, std::max(range.lo, route.range.lo));
+        c->RouteBoth(table, std::max(range.lo, route.range.lo)).first;
     if (part == nullptr) {
       // A fenced range must abort the scan, not be silently skipped — a
       // committed-but-unscanned record would read as lost.

@@ -147,10 +147,7 @@ RecoveryReport RecoveryManager::Redo(NodeId node) {
     if (p->is_replica()) continue;
     // A partition caught mid-move by the crash reopens as a normal one: the
     // scheme already rolled the move off the master's books.
-    if (p->state() != catalog::PartitionState::kNormal) {
-      p->set_state(catalog::PartitionState::kNormal);
-      p->set_forward_to(PartitionId::Invalid());
-    }
+    p->set_state(catalog::PartitionState::kNormal);
 
     const std::vector<tx::LogRecord> tail = n->log().TailAfter(p->id());
     size_t tail_bytes = 0;

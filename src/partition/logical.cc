@@ -15,7 +15,7 @@ void LogicalPartitioning::ExecuteTask(const cluster::SegmentMove& task,
     next();
     return;
   }
-  const PartitionId dst_id = BeginOwnershipMove(task, src, next);
+  const PartitionId dst_id = BeginOwnershipMove(task, next);
   if (!dst_id.valid()) return;
   MoveBatch(task, dst_id, task.range.lo, std::move(next));
 }
@@ -157,10 +157,7 @@ void LogicalPartitioning::FinalizeRange(const cluster::SegmentMove& task,
                        .ok());
     }
   }
-  if (src != nullptr) {
-    src->set_forward_to(PartitionId::Invalid());
-    src->set_state(catalog::PartitionState::kNormal);
-  }
+  if (src != nullptr) src->set_state(catalog::PartitionState::kNormal);
   ++stats_.segments_moved;
 }
 

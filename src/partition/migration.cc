@@ -289,8 +289,7 @@ bool MigrationManagerBase::EvictStaleDstCopies(
 }
 
 PartitionId MigrationManagerBase::BeginOwnershipMove(
-    const cluster::SegmentMove& task, catalog::Partition* src,
-    const std::function<void()>& next) {
+    const cluster::SegmentMove& task, const std::function<void()>& next) {
   if (!SourceOwnsRoute(task)) {
     // The route moved on since planning (a standby was promoted over the
     // source): installing or draining this copy would resurrect
@@ -310,10 +309,9 @@ PartitionId MigrationManagerBase::BeginOwnershipMove(
     return PartitionId::Invalid();
   }
   // Master: two-pointer routing entry (both locations are visited while
-  // the move is in flight); the source forwards stragglers.
+  // the move is in flight).
   WATTDB_CHECK(
       cluster_->catalog().BeginMove(task.table, task.range, dst_id).ok());
-  src->set_forward_to(dst_id);
   return dst_id;
 }
 

@@ -75,11 +75,10 @@ class MigrationManagerBase : public cluster::Repartitioner {
 
   /// The §4.3 preamble of an ownership-transferring move, run once the
   /// scheme's own checks passed: the route check, the destination pick,
-  /// stale-copy eviction, then the master's two-pointer entry (BeginMove)
-  /// and the source's forwarding pointer. Returns the destination
-  /// partition, or Invalid once the task was abandoned (`next` pulled).
+  /// stale-copy eviction, then the master's two-pointer entry (BeginMove).
+  /// Returns the destination partition, or Invalid once the task was
+  /// abandoned (`next` pulled).
   PartitionId BeginOwnershipMove(const cluster::SegmentMove& task,
-                                 catalog::Partition* src,
                                  const std::function<void()>& next);
 
   /// Count `task` as failed (stats().tasks_failed) and pull the next task.

@@ -7,7 +7,8 @@
 namespace wattdb::partition {
 
 namespace {
-/// How long the source keeps forwarding after a move (old readers drain).
+/// How long the source stays in kForwarding after a move: no replica of
+/// it is created until the window closes.
 constexpr SimTime kForwardWindow = 5 * kUsPerSec;
 }  // namespace
 
@@ -41,8 +42,8 @@ void PhysiologicalPartitioning::ExecuteTask(const cluster::SegmentMove& task,
     Abandon(task, "endpoint down", next);
     return;
   }
-  // (1) Master: two-pointer routing entry; source forwards stragglers.
-  const PartitionId dst_id = BeginOwnershipMove(task, src, next);
+  // (1) Master: two-pointer routing entry.
+  const PartitionId dst_id = BeginOwnershipMove(task, next);
   if (!dst_id.valid()) return;
 
   // (2) Read lock on the source partition: waits for in-flight writers to
@@ -94,7 +95,6 @@ void PhysiologicalPartitioning::ExecuteTask(const cluster::SegmentMove& task,
                     WATTDB_CHECK(
                         cat.AbortMove(task.table, task.range, dst_id).ok());
                     if (src != nullptr) {
-                      src->set_forward_to(PartitionId::Invalid());
                       src->set_state(catalog::PartitionState::kNormal);
                     }
                     Abandon(task, "endpoint crashed mid-copy", next);
@@ -128,7 +128,7 @@ void PhysiologicalPartitioning::ExecuteTask(const cluster::SegmentMove& task,
                   WATTDB_CHECK(
                       cat.CompleteMove(task.table, task.range, dst_id).ok());
 
-                  // Forwarding grace window for old readers (§4.3).
+                  // Grace window before the source may be replicated.
                   src->set_state(catalog::PartitionState::kForwarding);
                   const PartitionId src_id = task.src_partition;
                   cluster_->events().ScheduleAfter(
@@ -138,7 +138,6 @@ void PhysiologicalPartitioning::ExecuteTask(const cluster::SegmentMove& task,
                         if (p != nullptr &&
                             p->state() == catalog::PartitionState::kForwarding) {
                           p->set_state(catalog::PartitionState::kNormal);
-                          p->set_forward_to(PartitionId::Invalid());
                         }
                       });
 

@@ -16,7 +16,7 @@ namespace wattdb::partition {
 ///   4. the segment is detached from the source top index, attached to the
 ///      target partition's top index, and the master flips routing;
 ///   5. the lock settles, checkpoint records are logged on both nodes, and
-///      the source forwards stragglers for a grace window.
+///      the source stays in kForwarding for a grace window.
 class PhysiologicalPartitioning : public MigrationManagerBase {
  public:
   PhysiologicalPartitioning(cluster::Cluster* cluster,

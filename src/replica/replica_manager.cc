@@ -164,7 +164,6 @@ StatusOr<SimTime> ReplicaManager::ApplyTail(
   const StatusOr<SimTime> applied =
       cluster_->node(rep->host)->ReplayTail(part, tail, arrived);
   if (!applied.ok()) return applied;
-  rep->records_applied += static_cast<int64_t>(tail.size());
   rep->bytes_shipped += static_cast<int64_t>(bytes);
   replication_bytes_ += static_cast<int64_t>(bytes);
   return applied;
@@ -177,7 +176,6 @@ void ReplicaManager::ApplyLogTails(SimTime now) {
     const bool fresh = rep->lag_records <= policy().max_lag_records;
     if (fresh && rep->state == ReplicaState::kCatchingUp) {
       rep->state = ReplicaState::kCaughtUp;
-      rep->caught_up_at = now;
       (void)cluster_->catalog().SetReplicaServing(
           rep->table, rep->replica_partition, true);
       master_->Emit(cluster::ControlEventType::kReplicaCaughtUp, rep->host,

@@ -39,14 +39,12 @@ struct ReplicaInfo {
   /// Unapplied source-log records at the start of the last catch-up round
   /// (the replication lag the staleness bound is checked against).
   int64_t lag_records = 0;
-  int64_t records_applied = 0;
   /// Bootstrap + log-shipping bytes this replica has moved (network tax).
   int64_t bytes_shipped = 0;
   /// Bootstrap stream accounting (for progress()).
   size_t bootstrap_total_bytes = 0;
   size_t bootstrap_streamed_bytes = 0;
   SimTime created_at = 0;
-  SimTime caught_up_at = 0;
   /// When the source segment's heat first dipped under the policy
   /// threshold (0 while hot) — the drop-hysteresis clock.
   SimTime cold_since = 0;

@@ -138,8 +138,7 @@ TEST(Partition, StateAndForwarding) {
   Partition p(PartitionId(1), TableId(1), NodeId(0));
   EXPECT_EQ(p.state(), PartitionState::kNormal);
   p.set_state(PartitionState::kForwarding);
-  p.set_forward_to(PartitionId(2));
-  EXPECT_EQ(p.forward_to(), PartitionId(2));
+  EXPECT_EQ(p.state(), PartitionState::kForwarding);
   p.set_owner(NodeId(5));
   EXPECT_EQ(p.owner(), NodeId(5));
 }

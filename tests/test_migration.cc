@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "cluster/cluster.h"
 #include "cluster/master.h"
+#include "fault/recovery_manager.h"
 #include "partition/logical.h"
 #include "partition/physical.h"
 #include "partition/physiological.h"
@@ -49,15 +52,12 @@ class MigrationTest : public ::testing::Test {
 
   Status ReadKey(Key k, uint8_t* out) {
     tx::Txn* r = cluster_.BeginTxn(true);
-    catalog::Partition* part = cluster_.Route(r, table_, k);
+    auto [part, second] = cluster_.RouteBoth(table_, k);
     if (part == nullptr) return Status::NotFound("no route");
     storage::Record rec;
     Status s = cluster_.node(part->owner())->Read(r, part, k, &rec);
-    if (s.IsNotFound()) {
-      auto [first, second] = cluster_.RouteBoth(r, table_, k);
-      if (second != nullptr) {
-        s = cluster_.node(second->owner())->Read(r, second, k, &rec);
-      }
+    if (s.IsNotFound() && second != nullptr) {
+      s = cluster_.node(second->owner())->Read(r, second, k, &rec);
     }
     if (s.ok() && out != nullptr) *out = rec.payload[0];
     cluster_.tm().Commit(r);
@@ -152,7 +152,7 @@ TEST_F(MigrationTest, SnapshotBeforeMoveStillReadsDuringAndAfter) {
   // The old snapshot reads moved records through the new location.
   int readable = 0;
   for (Key k = 0; k < 200; ++k) {
-    auto [part, second] = cluster_.RouteBoth(old_reader, table_, k * 50);
+    auto [part, second] = cluster_.RouteBoth(table_, k * 50);
     ASSERT_NE(part, nullptr);
     storage::Record rec;
     Status s = cluster_.node(part->owner())->Read(old_reader, part, k * 50, &rec);
@@ -190,7 +190,7 @@ TEST_F(MigrationTest, WritersDuringMoveLandAtNewLocation) {
     }
   }
   ASSERT_NE(dst, nullptr) << "a move must be in flight";
-  catalog::Partition* part = cluster_.Route(w, table_, probe);
+  catalog::Partition* part = cluster_.RouteBoth(table_, probe).first;
   Status s = cluster_.node(part->owner())
                  ->Update(w, part, probe, std::vector<uint8_t>(32, 0xEE));
   if (s.IsNotFound()) {
@@ -216,15 +216,12 @@ TEST_F(MigrationTest, DrainBlocksWritersUntilCopyDone) {
   cluster_.RunUntil(cluster_.Now() + 2 * kUsPerMs);
   // A writer to the locked partition must wait (lock_wait > 0)...
   tx::Txn* w = cluster_.BeginTxn();
-  catalog::Partition* part = cluster_.Route(w, table_, 0);
+  auto [part, second] = cluster_.RouteBoth(table_, 0);
   Status s = cluster_.node(part->owner())
                  ->Update(w, part, 0, std::vector<uint8_t>(32, 1));
-  if (s.IsNotFound()) {
-    auto [f, second] = cluster_.RouteBoth(w, table_, 0);
-    if (second) {
-      s = cluster_.node(second->owner())->Update(w, second, 0,
-                                                 std::vector<uint8_t>(32, 1));
-    }
+  if (s.IsNotFound() && second != nullptr) {
+    s = cluster_.node(second->owner())
+            ->Update(w, second, 0, std::vector<uint8_t>(32, 1));
   }
   ASSERT_TRUE(s.ok());
   EXPECT_GT(w->lock_wait_us, 0) << "writer drains behind the migration lock";
@@ -308,6 +305,116 @@ TEST_F(DeposedSourceTest, PhysiologicalAbandonsMove) {
 TEST_F(DeposedSourceTest, LogicalAbandonsMove) {
   LogicalPartitioning scheme(&cluster_);
   ExpectMoveAbandoned(&scheme);
+}
+
+// Routing hands back the catalog entry's two pointers (§4.3) without
+// probing either, and only the routed op's second visit follows the
+// secondary. That relies on an invariant of the ownership-moving schemes:
+// while an entry carries a secondary, its primary still holds the moving
+// segment. Each move below runs one event at a time, and the routes are
+// checked after every event.
+class TwoPointerStepTest : public MigrationTest {
+ protected:
+  /// Every entry with a secondary is covered by its primary's segments,
+  /// and RouteBoth returns exactly the entry's pointers: {source,
+  /// destination} mid-move, {owner, nullptr} otherwise.
+  void CheckRoutes() {
+    auto& cat = cluster_.catalog();
+    for (const auto& e : cat.RoutesInRange(table_, KeyRange{0, 10000})) {
+      catalog::Partition* primary = cat.GetPartition(e.primary);
+      ASSERT_NE(primary, nullptr);
+      const auto [first, second] = cluster_.RouteBoth(table_, e.range.lo);
+      EXPECT_EQ(first, primary);
+      if (!e.secondary.valid()) {
+        EXPECT_EQ(second, nullptr);
+        continue;
+      }
+      EXPECT_EQ(primary, part_) << "the source stays primary mid-move";
+      EXPECT_EQ(second, cat.GetPartition(e.secondary));
+      ASSERT_NE(second, nullptr);
+      EXPECT_EQ(second->owner(), NodeId(1));
+      moving_ = e.range;
+      dst_ = second;
+      Key covered = e.range.lo;
+      for (const auto& seg : primary->SegmentsInRange(e.range)) {
+        if (seg.range.lo > covered) break;
+        covered = std::max(covered, seg.range.hi);
+      }
+      EXPECT_GE(covered, e.range.hi)
+          << "the primary no longer holds [" << e.range.lo << ", "
+          << e.range.hi << ") while a move is registered over it";
+    }
+  }
+
+  /// Rebalance half the data onto node 1 with `scheme`, one event at a
+  /// time until the queue is empty; `after_event` runs after each check.
+  void StepMove(MigrationManagerBase* scheme,
+                const std::function<void()>& after_event = nullptr) {
+    bool done = false;
+    ASSERT_TRUE(
+        scheme->StartRebalance({NodeId(1)}, 0.5, [&]() { done = true; })
+            .ok());
+    int events = 0;
+    while (cluster_.events().RunOne()) {
+      ASSERT_LT(++events, 100000) << "the move never settled";
+      CheckRoutes();
+      if (HasFailure()) return;
+      if (after_event) after_event();
+    }
+    ASSERT_TRUE(done);
+    ASSERT_NE(dst_, nullptr) << "no event saw the move in flight";
+  }
+
+  /// The moved range routes to its destination alone.
+  void ExpectMoveCompleted() {
+    const auto [first, second] = cluster_.RouteBoth(table_, moving_.lo);
+    EXPECT_EQ(first, dst_);
+    EXPECT_EQ(second, nullptr);
+  }
+
+  KeyRange moving_{0, 0};
+  catalog::Partition* dst_ = nullptr;
+};
+
+TEST_F(TwoPointerStepTest, PhysiologicalMove) {
+  PhysiologicalPartitioning scheme(&cluster_);
+  StepMove(&scheme);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(scheme.stats().segments_moved, 1);
+  ExpectMoveCompleted();
+}
+
+TEST_F(TwoPointerStepTest, LogicalMove) {
+  MigrationConfig mc;
+  mc.logical_batch_records = 64;
+  LogicalPartitioning scheme(&cluster_, mc);
+  StepMove(&scheme);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(scheme.stats().segments_moved, 1);
+  ExpectMoveCompleted();
+}
+
+TEST_F(TwoPointerStepTest, LogicalMoveAbandonedOnEndpointCrash) {
+  MigrationConfig mc;
+  mc.logical_batch_records = 64;
+  LogicalPartitioning scheme(&cluster_, mc);
+  fault::RecoveryManager recovery(&cluster_, &scheme);
+  // The destination crashes once the first batch has landed there; the
+  // next batch finds it down and abandons the move.
+  StepMove(&scheme, [&]() {
+    if (scheme.stats().records_moved > 0 &&
+        cluster_.node(NodeId(1))->IsActive()) {
+      ASSERT_TRUE(recovery.Crash(NodeId(1)).ok());
+    }
+  });
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(scheme.stats().tasks_failed, 1);
+  EXPECT_EQ(scheme.stats().segments_moved, 0);
+  // An abandoned logical move keeps its two-pointer entry: the records of
+  // the first batch are reachable only through the secondary.
+  const auto [first, second] = cluster_.RouteBoth(table_, moving_.lo);
+  EXPECT_EQ(first, part_);
+  EXPECT_EQ(second, dst_);
 }
 
 TEST_F(MigrationTest, PhysicalCannotDrain) {

@@ -132,7 +132,7 @@ TEST_P(MigrationPropertyTest, ConservesRecordsUnderLoad) {
   for (int64_t w = 1; w <= 2; ++w) {
     const Key key = workload::TpccKeys::Customer(w, 1, 1);
     auto [part, second] =
-        c.RouteBoth(r, db.table(workload::TpccTable::kCustomer), key);
+        c.RouteBoth(db.table(workload::TpccTable::kCustomer), key);
     ASSERT_NE(part, nullptr);
     storage::Record rec;
     Status s = c.node(part->owner())->Read(r, part, key, &rec);

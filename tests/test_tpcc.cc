@@ -170,7 +170,7 @@ TEST_F(TpccFixture, NewOrderCreatesOrderRows) {
   tx::Txn* r = cluster_.BeginTxn(true);
   const Key okey = TpccKeys::Order(1, 1, before_oid);
   catalog::Partition* part =
-      cluster_.Route(r, db_.table(TpccTable::kOrders), okey);
+      cluster_.RouteBoth(db_.table(TpccTable::kOrders), okey).first;
   ASSERT_NE(part, nullptr);
   storage::Record rec;
   ASSERT_TRUE(cluster_.node(part->owner())->Read(r, part, okey, &rec).ok());
@@ -187,8 +187,10 @@ TEST_F(TpccFixture, PaymentConservesMoney) {
   Rng rng(7);
   auto warehouse_ytd = [&](int64_t w) {
     tx::Txn* r = cluster_.BeginTxn(true);
-    catalog::Partition* part = cluster_.Route(
-        r, db_.table(TpccTable::kWarehouse), TpccKeys::Warehouse(w));
+    catalog::Partition* part =
+        cluster_.RouteBoth(db_.table(TpccTable::kWarehouse),
+                           TpccKeys::Warehouse(w))
+            .first;
     storage::Record rec;
     WATTDB_CHECK(cluster_.node(part->owner())
                      ->Read(r, part, TpccKeys::Warehouse(w), &rec)
@@ -217,8 +219,10 @@ TEST_F(TpccFixture, DeliveryConsumesNewOrders) {
     tx::Txn* r = cluster_.BeginTxn(true);
     size_t n = 0;
     const KeyRange range = TpccKeys::WarehouseRange(TpccTable::kNewOrder, 1, 2);
-    catalog::Partition* part = cluster_.Route(
-        r, db_.table(TpccTable::kNewOrder), TpccKeys::NewOrder(1, 1, 106));
+    catalog::Partition* part =
+        cluster_.RouteBoth(db_.table(TpccTable::kNewOrder),
+                           TpccKeys::NewOrder(1, 1, 106))
+            .first;
     WATTDB_CHECK(part != nullptr);
     WATTDB_CHECK(cluster_.node(part->owner())
                      ->ScanRange(r, part, range,

@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -127,6 +128,22 @@ std::string ReplayCommand(const SoakArgs& args, uint64_t seed) {
   return cmd;
 }
 
+/// FNV-1a-64 of the event timeline, lines joined by '\n', as 16 hex
+/// digits. PASS lines carry it so that an event moved in simulated time
+/// shows in the soak output even when no count changes.
+std::string TimelineDigest(const std::vector<std::string>& timeline) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](unsigned char c) { h = (h ^ c) * 0x100000001b3ULL; };
+  for (size_t i = 0; i < timeline.size(); ++i) {
+    if (i > 0) mix('\n');
+    for (const char c : timeline[i]) mix(static_cast<unsigned char>(c));
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -187,7 +204,9 @@ int main(int argc, char** argv) {
           std::cout << " keys_over_budget=" << result.history_keys_over_budget;
         }
       }
-      std::cout << " wall=" << ms << "ms)\n";
+      std::cout << " end=" << result.sim_end
+                << " timeline=" << TimelineDigest(result.timeline)
+                << " wall=" << ms << "ms)\n";
     } else {
       std::cout << "seed " << seed << ": FAIL (wall=" << ms << "ms)\n";
       for (const std::string& v : result.violations) {
