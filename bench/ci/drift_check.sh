@@ -23,8 +23,10 @@
 # differently from run to run.
 #
 # Every difference is printed. The summary also lists each build's wall
-# seconds per step, so a host-speed change can read its gain off the same
-# run (steps 1, 3 and 4 run in sequence, step 2 beside them). Exit status: 0
+# seconds and peak RSS per step, so a host-speed or memory change can read
+# its gain off the same run (steps 1, 3 and 4 run in sequence, step 2
+# beside them; a step's peak RSS is the largest ru_maxrss of the processes
+# it ran). Exit status: 0
 # when there is no drift, 1 on any drift, 2 on bad arguments. Outputs go to
 # <build>/drift/. Both builds run side by side, two processes each;
 # ~6 minutes on 4 vCPUs, most of it elastic_scaleout.
@@ -60,11 +62,25 @@ smoke_norm() {
     -e 's/\(\.cc\):[0-9]*\]/\1]/'
 }
 
-# lap OUT_DIR STEP START: append "STEP<TAB>seconds since START" to
-# OUT_DIR/wall.tsv; START is an $EPOCHREALTIME reading.
+# rss FILE CMD...: run CMD, then append its peak RSS (ru_maxrss, KiB) to
+# FILE. Exits with CMD's status.
+rss() {
+  python3 -c 'import resource, subprocess, sys
+rc = subprocess.call(sys.argv[2:])
+with open(sys.argv[1], "a") as f:
+    f.write("%d\n" % resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(rc)' "$@"
+}
+
+# lap OUT_DIR STEP START RSS_FILE: append "STEP<TAB>seconds since START
+# <TAB>largest peak RSS in RSS_FILE, MB" to OUT_DIR/wall.tsv and remove
+# RSS_FILE; START is an $EPOCHREALTIME reading.
 lap() {
   awk -v step="$2" -v t0="$3" -v t1="$EPOCHREALTIME" \
-    'BEGIN { printf "%s\t%.1f\n", step, t1 - t0 }' >> "$1/wall.tsv"
+    '$1 > kb { kb = $1 }
+     END { printf "%s\t%.1f\t%.1f\n", step, t1 - t0, kb / 1024 }' \
+    "$4" >> "$1/wall.tsv"
+  rm -f "$4"
 }
 
 # bench_targets BUILD: the bench binaries BUILD makes from its source tree
@@ -84,39 +100,42 @@ bench_targets() {
 # Smoke benches, then the soaks and anchor seeds, of one build.
 run_benches_and_soaks() {
   local b=$1 out=$1/drift x m s t0 benches
+  local kb=$out/steps.rss
   rm -rf "$out/json" "$out/smoke" && mkdir -p "$out/json" "$out/smoke"
   mapfile -t benches < <(bench_targets "$b")
+  rm -f "$kb"
   t0=$EPOCHREALTIME
   for x in "${benches[@]}"; do
     [ -f "$x" ] && [ -x "$x" ] || continue
-    WATTDB_BENCH_SMOKE=1 WATTDB_BENCH_JSON_DIR="$out/json" "$x" \
+    WATTDB_BENCH_SMOKE=1 WATTDB_BENCH_JSON_DIR="$out/json" rss "$kb" "$x" \
       > "$out/smoke/${x##*/}.out" 2> "$out/smoke/${x##*/}.err"
   done
-  lap "$out" "1. smoke benches" "$t0"
+  lap "$out" "1. smoke benches" "$t0" "$kb"
   t0=$EPOCHREALTIME
   for m in "${soak_modes[@]}"; do
     [ "$m" = plain ] && m=""
     # shellcheck disable=SC2086  # $m holds zero or more flags.
-    "$b/chaos_soak" --seeds 200 $m 2> "$out/soak${m// /}.err" |
+    rss "$kb" "$b/chaos_soak" --seeds 200 $m 2> "$out/soak${m// /}.err" |
       norm > "$out/soak${m// /}.out"
   done
-  lap "$out" "3. chaos_soak" "$t0"
+  lap "$out" "3. chaos_soak" "$t0" "$kb"
   t0=$EPOCHREALTIME
   for s in "${anchor_seeds[@]}"; do
-    "$b/chaos_soak" --seed "$s" --no-fencing --history \
+    rss "$kb" "$b/chaos_soak" --seed "$s" --no-fencing --history \
       2> "$out/anchor$s.err" | norm > "$out/anchor$s.out"
   done
-  lap "$out" "4. anchor seeds" "$t0"
+  lap "$out" "4. anchor seeds" "$t0" "$kb"
 }
 
 run_build() {
   local b=$1
   mkdir -p "$b/drift"
-  rm -f "$b/drift/wall.tsv"
+  rm -f "$b/drift/wall.tsv" "$b/drift/elastic.rss"
   {
     local t0=$EPOCHREALTIME
-    "$b/elastic_scaleout" > "$b/drift/elastic.out" 2> "$b/drift/elastic.err"
-    lap "$b/drift" "2. elastic_scaleout" "$t0"
+    rss "$b/drift/elastic.rss" "$b/elastic_scaleout" \
+      > "$b/drift/elastic.out" 2> "$b/drift/elastic.err"
+    lap "$b/drift" "2. elastic_scaleout" "$t0" "$b/drift/elastic.rss"
   } &
   run_benches_and_soaks "$b"
   wait
@@ -189,9 +208,10 @@ for seed in "${anchor_seeds[@]}"; do
   done
 done
 
-echo "wall seconds per step (parent / change):"
+echo "wall seconds and peak RSS MB per step (parent / change):"
 join -t $'\t' <(sort "$parent/drift/wall.tsv") <(sort "$change/drift/wall.tsv") |
-  awk -F '\t' '{ printf "  %-20s %7s / %7s\n", $1, $2, $3 }'
+  awk -F '\t' '{ printf "  %-20s %7s / %7s s  %7s / %7s MB\n",
+                  $1, $2, $4, $3, $5 }'
 
 if [ $drift -eq 0 ]; then
   echo "drift check: no modeled drift"

@@ -96,11 +96,11 @@ StatusOr<std::unique_ptr<Db>> Db::Open(DbOptions options) {
         "MasterPolicy.stats_window must be > 0, got " +
         std::to_string(mp.stats_window));
   }
-  if (mp.stats_window > cluster::kResourceHistoryKeep) {
+  if (mp.stats_window > cluster::kMaxStatsWindow) {
     return Status::InvalidArgument(
         "MasterPolicy.stats_window must be <= " +
-        std::to_string(cluster::kResourceHistoryKeep) +
-        " us (the resource history each sample tick keeps), got " +
+        std::to_string(cluster::kMaxStatsWindow) +
+        " us (the resource history kept grows with it), got " +
         std::to_string(mp.stats_window));
   }
   if (!(mp.cpu_lower < mp.cpu_upper)) {

@@ -190,6 +190,9 @@ class Db {
 
   // --- Power / energy (§3.1) ----------------------------------------------
   int ActiveNodeCount() const { return cluster_->ActiveNodeCount(); }
+  /// Mean cluster watts over [from, to). The window may reach back from now
+  /// as far as the longest declared window, the master's stats_window;
+  /// `from` older than the kept resource history aborts.
   double WattsIn(SimTime from, SimTime to) const {
     return cluster_->WattsIn(from, to);
   }

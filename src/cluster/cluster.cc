@@ -6,11 +6,6 @@
 
 namespace wattdb::cluster {
 
-namespace {
-/// Power/metric sampling period.
-constexpr SimTime kSamplePeriod = kUsPerSec;
-}  // namespace
-
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config), events_(&clock_), network_(config.network),
       power_model_(config.power), lanes_(config.lanes, config.num_nodes),
@@ -290,8 +285,8 @@ void Cluster::SampleTick() {
     series_->RecordPower(last_sample_, now, watts);
   }
   // Prune resource interval bookkeeping we have already accounted, keeping
-  // enough history for the master's monitoring windows.
-  const SimTime keep_from = now - kResourceHistoryKeep;
+  // the longest window any reader declared.
+  const SimTime keep_from = now - history_keep_;
   for (auto& n : nodes_) n->hardware().Prune(keep_from);
   lanes_.Prune(keep_from);
   network_.Prune(keep_from);
@@ -376,10 +371,8 @@ std::pair<catalog::Partition*, catalog::Partition*> Cluster::RouteForRead(
   if (!entry.has_value()) return {nullptr, nullptr};
   // Mid-move the two candidate locations are the §4.3 pointers, not the
   // replicas: a bounded-stale copy must not mask the moving record.
-  if (entry->secondary.valid()) return RouteBoth(table, key);
+  if (entry->secondary.valid()) return RoutePointers(*entry);
 
-  const bool fenced = EntryFenced(*entry);
-  catalog::Partition* primary = catalog_.GetPartition(entry->primary);
   std::vector<catalog::Partition*> standbys;
   for (const auto& rr : catalog_.ReplicasFor(table, key)) {
     if (!rr.serving) continue;
@@ -394,13 +387,10 @@ std::pair<catalog::Partition*, catalog::Partition*> Cluster::RouteForRead(
     if (host == nullptr || !host->IsActive()) continue;
     standbys.push_back(rp);
   }
-  if (standbys.empty()) {
-    if (fenced) ++stale_route_refusals_;
-    return fenced ? std::pair<catalog::Partition*, catalog::Partition*>{
-                        nullptr, nullptr}
-                  : RouteBoth(table, key);
-  }
+  if (standbys.empty()) return RoutePointers(*entry);
 
+  const bool fenced = EntryFenced(*entry);
+  catalog::Partition* primary = catalog_.GetPartition(entry->primary);
   Node* owner = primary != nullptr ? node(primary->owner()) : nullptr;
   const bool owner_up = !fenced && owner != nullptr && owner->IsActive();
   if (!owner_up) {
@@ -422,17 +412,22 @@ std::pair<catalog::Partition*, catalog::Partition*> Cluster::RouteBoth(
   // every data-plane operation.
   auto entry = catalog_.Route(table, key);
   if (!entry.has_value()) return {nullptr, nullptr};
+  return RoutePointers(*entry);
+}
+
+std::pair<catalog::Partition*, catalog::Partition*> Cluster::RoutePointers(
+    const catalog::RouteEntry& entry) {
   // A fenced entry yields *neither* pointer: handing the sealed primary
   // back as the retry target would let the two-pointer protocol serve the
   // very route the fence exists to refuse.
-  if (EntryFenced(*entry)) {
+  if (EntryFenced(entry)) {
     ++stale_route_refusals_;
     return {nullptr, nullptr};
   }
-  catalog::Partition* first = catalog_.GetPartition(entry->primary);
+  catalog::Partition* first = catalog_.GetPartition(entry.primary);
   catalog::Partition* second = nullptr;
-  if (entry->secondary.valid()) {
-    catalog::Partition* sec = catalog_.GetPartition(entry->secondary);
+  if (entry.secondary.valid()) {
+    catalog::Partition* sec = catalog_.GetPartition(entry.secondary);
     if (sec != first) second = sec;
   }
   return {first, second};

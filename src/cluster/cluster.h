@@ -1,6 +1,7 @@
 #ifndef WATTDB_CLUSTER_CLUSTER_H_
 #define WATTDB_CLUSTER_CLUSTER_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -23,10 +24,9 @@
 
 namespace wattdb::cluster {
 
-/// How much resource-timeline history a sample tick keeps: busy intervals
-/// older than `now - kResourceHistoryKeep` are pruned, so no monitoring
-/// window (MasterPolicy::stats_window) may reach further back.
-constexpr SimTime kResourceHistoryKeep = 30 * kUsPerSec;
+/// Cadence of the sample tick: it accounts energy over the last period and
+/// prunes resource history.
+constexpr SimTime kSamplePeriod = kUsPerSec;
 
 /// Everything the cluster knows about one node's lifecycle besides its power
 /// state, which stays on NodeHardware (the energy meter reads it there).
@@ -232,8 +232,17 @@ class Cluster {
 
   // --- Metrics -----------------------------------------------------------
   /// Start periodic sampling into `series` (may be null to sample only the
-  /// energy meter). Sampling also prunes resource bookkeeping.
+  /// energy meter). Sampling also prunes resource bookkeeping: each tick
+  /// keeps the busy intervals of the longest window declared through
+  /// `KeepHistory`, and at least one kSamplePeriod. A window over a CPU,
+  /// disk, NIC or lane (BusyIn, WattsIn, a Monitor sample) may reach back
+  /// that far from the latest tick and no further.
   void StartSampling(metrics::TimeSeries* series);
+  /// A reader will read resource windows up to `window` long (the master
+  /// declares its stats_window). Declarations only ever widen the history.
+  void KeepHistory(SimTime window) {
+    history_keep_ = std::max(history_keep_, window);
+  }
   void StopSampling() { sampling_ = false; }
   hw::EnergyMeter& energy() { return energy_; }
 
@@ -290,6 +299,10 @@ class Cluster {
  private:
   void SampleTick();
 
+  /// RouteBoth's answer for an entry already fetched from the catalog.
+  std::pair<catalog::Partition*, catalog::Partition*> RoutePointers(
+      const catalog::RouteEntry& entry);
+
   /// True when `entry`'s primary carries a claim token older than the
   /// entry's epoch — the range was sealed by FenceRange and must not be
   /// served through the primary. Always false with fencing disabled.
@@ -320,6 +333,8 @@ class Cluster {
   /// Round-robin ticket spreading fanned-out reads over owner + replicas.
   uint64_t read_ticket_ = 0;
   SimTime last_sample_ = 0;
+  /// How far back of a sample tick resource history is kept.
+  SimTime history_keep_ = kSamplePeriod;
   metrics::TimeSeries* series_ = nullptr;
   hw::EnergyMeter energy_;
 };

@@ -63,6 +63,7 @@ Master::Master(Cluster* cluster, Repartitioner* repartitioner,
   WATTDB_CHECK(cluster_ != nullptr);
   WATTDB_CHECK(repartitioner_ != nullptr);
   WATTDB_CHECK(recovery_ != nullptr);
+  cluster_->KeepHistory(policy_.stats_window);
   replicas_ = std::make_unique<replica::ReplicaManager>(cluster_, this);
 }
 

@@ -233,12 +233,18 @@ struct ControlEvent {
 /// instead of looping forever.
 constexpr int kMaxHealAttempts = 10;
 
+/// Longest MasterPolicy::stats_window that Db::Open accepts. The cluster
+/// keeps as much resource history as the window, so this bounds that
+/// memory.
+constexpr SimTime kMaxStatsWindow = 30 * kUsPerSec;
+
 /// Thresholds and cadence of the master's control loop (§3.4).
 struct MasterPolicy {
   double cpu_upper = kCpuUpperThreshold;  ///< 80%: scale out / repartition.
   double cpu_lower = kCpuLowerThreshold;  ///< Under it on all nodes: scale in.
   SimTime check_period = 5 * kUsPerSec;
-  /// Monitoring window; at most kResourceHistoryKeep (checked at Db::Open).
+  /// Monitoring window; at most kMaxStatsWindow (checked at Db::Open). The
+  /// master declares it to the cluster, which keeps that much history.
   SimTime stats_window = 10 * kUsPerSec;
   /// Consecutive violating samples before acting (hysteresis).
   int trigger_after = 2;

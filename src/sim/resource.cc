@@ -8,8 +8,18 @@ namespace wattdb::sim {
 
 Resource::Pos Resource::Locate(SimTime t) const {
   if (blocks_.empty()) return {0, 0};
+  // Most times fall in the last block. Failing that, gallop back 1, 2, 4,
+  // ... blocks until block `lo` starts at or before `t`; every block from
+  // `hi` on starts after it.
+  size_t hi = blocks_.size();
+  size_t lo = hi - 1;
+  for (size_t step = 1; blocks_[lo].first > t; step *= 2) {
+    hi = lo;
+    if (lo == 0) break;
+    lo = lo > step ? lo - step : 0;
+  }
   auto blk = std::upper_bound(
-      blocks_.begin(), blocks_.end(), t,
+      blocks_.begin() + lo, blocks_.begin() + hi, t,
       [](SimTime v, const Block& b) { return v < b.first; });
   const size_t b = blk == blocks_.begin()
                        ? 0
@@ -21,6 +31,10 @@ Resource::Pos Resource::Locate(SimTime t) const {
   return {b, static_cast<size_t>(it - s.begin())};
 }
 
+Resource::Pos Resource::Before(size_t b) const {
+  return b == 0 ? Pos{0, 0} : Pos{b - 1, blocks_[b - 1].spans.size()};
+}
+
 void Resource::RecomputeMaxGap(Block* block) {
   block->max_gap = 0;
   const std::vector<Span>& s = block->spans;
@@ -29,42 +43,46 @@ void Resource::RecomputeMaxGap(Block* block) {
   }
 }
 
-SimTime Resource::FindSlot(SimTime arrival, SimTime service,
-                           SimTime limit) const {
-  if (service <= 0) return arrival;
-  SimTime candidate = arrival;
+Resource::Slot Resource::FindSlot(SimTime arrival, SimTime service,
+                                  SimTime limit) const {
   const Pos pos = Locate(arrival);
+  if (service <= 0) return {arrival, pos};
+  SimTime candidate = arrival;
   // The span preceding `arrival` may cover it.
   if (pos.i > 0) {
     candidate = std::max(candidate, blocks_[pos.b].spans[pos.i - 1].end);
   }
   // Every span from `pos` on starts at or after `candidate`, so a failed
-  // fit moves `candidate` to that span's end.
+  // fit moves `candidate` to that span's end. Past block `b`, `candidate`
+  // lies between that block's last end and the next block's first start.
   for (size_t b = pos.b, i = pos.i; b < blocks_.size(); ++b, i = 0) {
     const Block& blk = blocks_[b];
     if (i == 0 && blk.max_gap < service) {
       // Only the boundary gap before this block can fit.
-      if (blk.first >= candidate + service) return candidate;
+      if (blk.first >= candidate + service) return {candidate, Before(b)};
       candidate = blk.spans.back().end;
     } else {
       for (; i < blk.spans.size(); ++i) {
-        if (blk.spans[i].start >= candidate + service) return candidate;
+        if (blk.spans[i].start >= candidate + service) {
+          return {candidate, i > 0 ? Pos{b, i} : Before(b)};
+        }
         candidate = blk.spans[i].end;
       }
     }
-    if (candidate >= limit) return candidate;
+    if (candidate >= limit) return {candidate, Before(b + 1)};
   }
-  return candidate;
+  return {candidate, Before(blocks_.size())};
 }
 
-void Resource::Reserve(SimTime start, SimTime service) {
+void Resource::Reserve(const Slot& slot, SimTime service) {
+  const SimTime start = slot.start;
   const SimTime end = start + service;
   total_busy_ += service;
   if (blocks_.empty()) {
     blocks_.push_back(Block{{Span{start, end}}, start, 0});
     return;
   }
-  const Pos pos = Locate(start);
+  const Pos pos = slot.pos;
   Block& blk = blocks_[pos.b];
   std::vector<Span>& s = blk.spans;
   // Neighbours: `prev` is in `blk`; `next` is in `blk` or the next block.
@@ -129,13 +147,13 @@ void Resource::Reserve(SimTime start, SimTime service) {
 SimTime Resource::Acquire(SimTime arrival, SimTime service) {
   WATTDB_CHECK(service >= 0);
   if (service == 0) return arrival;
-  const SimTime start = FindSlot(arrival, service);
-  Reserve(start, service);
-  return start + service;
+  const Slot slot = FindSlot(arrival, service);
+  Reserve(slot, service);
+  return slot.start + service;
 }
 
 SimTime Resource::Peek(SimTime arrival, SimTime service) const {
-  return FindSlot(arrival, service) + service;
+  return FindSlot(arrival, service).start + service;
 }
 
 SimTime Resource::Backlog(SimTime now) const {
@@ -210,18 +228,19 @@ ResourcePool::ResourcePool(std::string name, int count) : name_(std::move(name))
   }
 }
 
-SimTime ResourcePool::EarliestStart(SimTime arrival, SimTime service,
-                                    size_t* member) const {
+Resource::Slot ResourcePool::EarliestStart(SimTime arrival, SimTime service,
+                                           size_t* member) const {
   // Equal service everywhere, so the earliest start is the earliest
   // completion. A later member must beat the best start strictly; none can
   // once the best start is `arrival` itself.
   *member = 0;
-  SimTime best = members_[0].FindSlot(arrival, service);
-  for (size_t i = 1; i < members_.size() && best > arrival; ++i) {
-    const SimTime start = members_[i].FindSlot(arrival, service, best);
-    if (start < best) {
+  Resource::Slot best = members_[0].FindSlot(arrival, service);
+  for (size_t i = 1; i < members_.size() && best.start > arrival; ++i) {
+    const Resource::Slot slot =
+        members_[i].FindSlot(arrival, service, best.start);
+    if (slot.start < best.start) {
       *member = i;
-      best = start;
+      best = slot;
     }
   }
   return best;
@@ -231,14 +250,14 @@ SimTime ResourcePool::Acquire(SimTime arrival, SimTime service) {
   WATTDB_CHECK(service >= 0);
   if (service == 0) return arrival;
   size_t member = 0;
-  const SimTime start = EarliestStart(arrival, service, &member);
-  members_[member].Reserve(start, service);
-  return start + service;
+  const Resource::Slot slot = EarliestStart(arrival, service, &member);
+  members_[member].Reserve(slot, service);
+  return slot.start + service;
 }
 
 SimTime ResourcePool::Peek(SimTime arrival, SimTime service) const {
   size_t member = 0;
-  return EarliestStart(arrival, service, &member) + service;
+  return EarliestStart(arrival, service, &member).start + service;
 }
 
 SimTime ResourcePool::BusyIn(SimTime from, SimTime to) const {

@@ -29,14 +29,21 @@ namespace wattdb::sim {
 /// Intervals are coalesced wherever they touch, also across block
 /// boundaries, so the interval set is the same one a plain ordered map of
 /// coalesced intervals would hold and every placement, window and backlog
-/// reads the same. A first-fit search binary-searches the arrival's block,
-/// scans the rest of it, then checks each boundary gap and skips every
-/// block whose largest gap is shorter than the service.
+/// reads the same. Bookings land near the frontier, so a search checks the
+/// last block first and otherwise gallops back 1, 2, 4, ... blocks before
+/// it binary-searches the stretch that holds the time. A first-fit search
+/// then scans the rest of the arrival's block, checks each boundary gap
+/// and skips every block whose largest gap is shorter than the service. It
+/// hands the position it found over to the booking, so `Acquire` searches
+/// the timeline once.
 ///
 /// Busy intervals are retained until `Prune` drops them, so callers can
-/// sample windowed utilization, which feeds the power model. Windows must
-/// start at or after the prune horizon (the largest `before` ever pruned);
-/// reading an older window is a checked error rather than an undercount.
+/// sample windowed utilization, which feeds the power model. The owner
+/// prunes to the longest window its readers declared (the cluster keeps
+/// the master's monitoring window, at least one sample period), so a
+/// window may reach back that far and no further. Windows must start at or
+/// after the prune horizon (the largest `before` ever pruned); reading an
+/// older window is a checked error rather than an undercount.
 class Resource {
  public:
   explicit Resource(std::string name = "") : name_(std::move(name)) {}
@@ -89,15 +96,23 @@ class Resource {
     size_t b;
     size_t i;
   };
+  /// A free slot: its start and `Locate(start)`.
+  struct Slot {
+    SimTime start;
+    Pos pos;
+  };
 
-  /// Start of the first gap of >= `service` at/after `arrival`. The walk
-  /// gives up once the start reaches `limit` and then returns a value
-  /// >= `limit`, so callers comparing against `limit` lose nothing.
-  SimTime FindSlot(SimTime arrival, SimTime service,
-                   SimTime limit = kNoLimit) const;
-  /// Book [start, start + service), which must lie in a free gap.
-  void Reserve(SimTime start, SimTime service);
+  /// The first gap of >= `service` at/after `arrival`. The walk gives up
+  /// once the start reaches `limit` and then returns a start >= `limit`,
+  /// so callers comparing against `limit` lose nothing.
+  Slot FindSlot(SimTime arrival, SimTime service,
+                SimTime limit = kNoLimit) const;
+  /// Book [slot.start, slot.start + service), which must lie in a free gap.
+  void Reserve(const Slot& slot, SimTime service);
   Pos Locate(SimTime t) const;
+  /// The position of a time between block `b - 1`'s last end and block
+  /// `b`'s first start.
+  Pos Before(size_t b) const;
   void CheckWindow(SimTime from) const;
   static void RecomputeMaxGap(Block* block);
 
@@ -127,9 +142,9 @@ class ResourcePool {
   const std::string& name() const { return name_; }
 
  private:
-  /// Earliest start over all members in one bounded pass; sets `*member`.
-  SimTime EarliestStart(SimTime arrival, SimTime service,
-                        size_t* member) const;
+  /// Earliest slot over all members in one bounded pass; sets `*member`.
+  Resource::Slot EarliestStart(SimTime arrival, SimTime service,
+                               size_t* member) const;
 
   std::string name_;
   std::vector<Resource> members_;

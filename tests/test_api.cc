@@ -1037,17 +1037,17 @@ TEST(DbOptions, ValidatesMasterPolicy) {
   ASSERT_FALSE(bad_window.ok());
   EXPECT_TRUE(bad_window.status().IsInvalidArgument());
 
-  // A window reaching past the pruned resource history would abort at the
-  // first sample; the longest window the history still covers is fine.
+  // The resource history kept grows with the window, so a window is
+  // bounded; the longest one allowed is fine.
   auto long_window = with([](cluster::MasterPolicy& p) {
-    p.stats_window = cluster::kResourceHistoryKeep + 1;
+    p.stats_window = cluster::kMaxStatsWindow + 1;
   });
   ASSERT_FALSE(long_window.ok());
   EXPECT_TRUE(long_window.status().IsInvalidArgument());
   EXPECT_NE(long_window.status().message().find("stats_window"),
             std::string::npos);
   EXPECT_TRUE(with([](cluster::MasterPolicy& p) {
-                p.stats_window = cluster::kResourceHistoryKeep;
+                p.stats_window = cluster::kMaxStatsWindow;
               }).ok());
 
   auto inverted = with([](cluster::MasterPolicy& p) {

@@ -251,6 +251,71 @@ TEST(Cluster, SamplingAccumulatesEnergy) {
   EXPECT_GE(series.buckets().size(), 9u);
 }
 
+// Closed-loop TPC-C on a raw cluster (no master) with sampling on.
+struct SampledTpcc {
+  static workload::TpccLoadConfig Load() {
+    workload::TpccLoadConfig load;
+    load.warehouses = 2;
+    load.fill = 0.05;
+    load.home_nodes = {NodeId(0), NodeId(1)};
+    return load;
+  }
+  static workload::ClientPoolConfig Clients() {
+    workload::ClientPoolConfig cfg;
+    cfg.num_clients = 10;
+    cfg.think_time = 10 * kUsPerMs;
+    cfg.seed = 77;
+    return cfg;
+  }
+
+  SampledTpcc() : db(&c, Load()), pool(&db, Clients()) {}
+
+  void RunFor(SimTime duration) {
+    ASSERT_TRUE(db.Load().ok());
+    pool.Start();
+    c.StartSampling(nullptr);
+    c.RunUntil(c.Now() + duration);
+    pool.Stop();
+  }
+
+  Cluster c{SmallConfig(4, 2)};
+  workload::TpccDatabase db;
+  workload::ClientPool pool;
+};
+
+// How much resource history a cluster keeps is bookkeeping for its readers:
+// keeping 30 s instead of one sample period moves no booking, no commit and
+// no joule. Only a window older than the shorter history is refused.
+TEST(ClusterDeathTest, HistoryRetentionDoesNotChangeTheModel) {
+  SampledTpcc lean;
+  SampledTpcc kept;
+  kept.c.KeepHistory(30 * kUsPerSec);
+  lean.RunFor(40 * kUsPerSec);
+  kept.RunFor(40 * kUsPerSec);
+
+  ASSERT_EQ(lean.c.Now(), kept.c.Now());
+  EXPECT_GT(lean.pool.committed(), 0);
+  EXPECT_EQ(lean.pool.committed(), kept.pool.committed());
+  EXPECT_EQ(lean.c.energy().joules(), kept.c.energy().joules());
+  const SimTime now = lean.c.Now();
+  for (int i = 0; i < lean.c.num_nodes(); ++i) {
+    const NodeId id(static_cast<uint32_t>(i));
+    EXPECT_EQ(lean.c.node(id)->hardware().cpu().BusyIn(now - kSamplePeriod,
+                                                       now),
+              kept.c.node(id)->hardware().cpu().BusyIn(now - kSamplePeriod,
+                                                       now))
+        << "node " << i;
+  }
+  // The kept history still covers its declared window; the lean one has
+  // pruned everything older than a sample period before the last tick.
+  EXPECT_GT(kept.c.node(NodeId(0))->hardware().cpu().BusyIn(
+                now - 30 * kUsPerSec, now),
+            0);
+  EXPECT_DEATH(lean.c.node(NodeId(0))->hardware().cpu().BusyIn(
+                   now - 2 * kSamplePeriod, now),
+               "precedes the prune horizon");
+}
+
 TEST(Cluster, ChargeClientHopOnlyForRemote) {
   Cluster c(SmallConfig());
   tx::Txn* t = c.BeginTxn();

@@ -338,18 +338,38 @@ class OpMix {
   SimTime now() const { return now_; }
   void Advance() { now_ += Below(40); }
 
-  // Before the horizon, inside the booked span, or beyond its end.
+  // Before the horizon, deep in the kept history, inside the booked span,
+  // or beyond its end.
   SimTime Arrival(const RefTimeline& ref) {
+    const SimTime first =
+        ref.intervals().empty() ? now_ : ref.intervals().begin()->first;
     const SimTime last =
         ref.intervals().empty() ? now_ : ref.intervals().rbegin()->second;
-    switch (Below(8)) {
+    switch (Below(9)) {
       case 0:
         return now_ - 20'000 - Below(5'000);  // Behind everything kept.
       case 1:
         return last + Below(500);  // At or past the last interval.
+      case 2:
+        // Behind the clock: many blocks back from the frontier.
+        return first + Below(std::max<SimTime>(now_ - first, 1));
       default:
         return now_ + Below(std::max<SimTime>(last - now_, 1) + 200);
     }
+  }
+
+  // An arrival in the gap before some interval, and a service that ends
+  // flush with that interval or one short of it. Where the interval opens
+  // a gap-index block, the slot lies past the end of the block before.
+  std::pair<SimTime, SimTime> BeforeAnInterval(const RefTimeline& ref) {
+    const auto& iv = ref.intervals();
+    if (iv.size() < 2) return {now_, 1 + Below(12)};
+    const SimTime first = iv.begin()->first;
+    auto it = iv.upper_bound(first + Below(iv.rbegin()->first - first));
+    const SimTime gap_start = std::prev(it)->second;
+    const SimTime arrival = gap_start + Below(it->first - gap_start);
+    const SimTime room = it->first - arrival;
+    return {arrival, room > 1 && Below(2) == 0 ? room - 1 : room};
   }
 
   // Mostly short services; sometimes zero, long, or an exact gap.
@@ -393,7 +413,7 @@ TEST_P(ResourceDifferentialTest, MatchesMapFirstFitOnEveryReturn) {
   for (int op = 0; op < 25'000; ++op) {
     mix.Advance();
     const SimTime arrival = mix.Arrival(ref);
-    switch (mix.Below(20)) {
+    switch (mix.Below(21)) {
       case 0: {  // A back-to-back run that coalesces into one interval.
         const SimTime service = 1 + mix.Below(6);
         const int n = 2 + static_cast<int>(mix.Below(60));
@@ -444,6 +464,12 @@ TEST_P(ResourceDifferentialTest, MatchesMapFirstFitOnEveryReturn) {
       case 4:
         ASSERT_EQ(r.Backlog(arrival), ref.Backlog(arrival)) << "op " << op;
         break;
+      case 20: {  // A slot that fits just before an interval.
+        const auto [at, service] = mix.BeforeAnInterval(ref);
+        ASSERT_EQ(r.Acquire(at, service), ref.Acquire(at, service))
+            << "op " << op << " arrival " << at << " service " << service;
+        break;
+      }
       case 5:
       case 6:
       case 7: {
@@ -510,6 +536,36 @@ TEST(ResourceDifferential, EdgesOfTheTimeline) {
   ASSERT_EQ(r.TotalBusy(), ref.TotalBusy());
 }
 
+TEST(ResourceDifferential, SlotsAtBlockBoundariesAndFarBehind) {
+  Resource r;
+  RefTimeline ref;
+  // Isolated intervals booked in order split the gap index into blocks of
+  // 64, so every 64th interval opens a block.
+  for (SimTime t = 0; t < 2'000; ++t) {
+    ASSERT_EQ(r.Acquire(t * 10, 3), ref.Acquire(t * 10, 3));
+  }
+  // Slots in the gap [3, 10) before a block's first interval: touching
+  // neither side, flush with the interval before, flush with the block's
+  // first; then the same in the gaps around it.
+  for (SimTime t = 63; t < 2'000; t += 64) {
+    for (SimTime g : {t, t - 1, t + 1}) {
+      ASSERT_EQ(r.Acquire(g * 10 + 5, 2), ref.Acquire(g * 10 + 5, 2)) << g;
+      ASSERT_EQ(r.Acquire(g * 10 + 3, 1), ref.Acquire(g * 10 + 3, 1)) << g;
+      ASSERT_EQ(r.Acquire(g * 10 + 8, 2), ref.Acquire(g * 10 + 8, 2)) << g;
+      ASSERT_EQ(r.Peek(g * 10, 1), ref.Peek(g * 10, 1)) << g;
+    }
+  }
+  // Far behind the frontier: each arrival walks back from the last block.
+  for (SimTime t = 1'990; t >= 0; t -= 37) {
+    ASSERT_EQ(r.Acquire(t * 10 + 3, 1), ref.Acquire(t * 10 + 3, 1)) << t;
+    ASSERT_EQ(r.Peek(t * 10, 5), ref.Peek(t * 10, 5)) << t;
+  }
+  ASSERT_EQ(r.Acquire(-5, 5), ref.Acquire(-5, 5));  // Flush with the first.
+  ASSERT_EQ(r.BusyIn(-10, 30'000), ref.BusyIn(-10, 30'000));
+  ASSERT_EQ(r.Backlog(0), ref.Backlog(0));
+  ASSERT_EQ(r.TotalBusy(), ref.TotalBusy());
+}
+
 class ResourcePoolDifferentialTest
     : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 
@@ -564,6 +620,13 @@ TEST_P(ResourcePoolDifferentialTest, MatchesPeekEveryMemberThenAcquire) {
                   ref_pick(arrival, service).second)
             << "op " << op;
         break;
+      case 4: {  // A slot that fits just before one member's interval.
+        const auto [at, fit] = mix.BeforeAnInterval(ref[op % ref.size()]);
+        const size_t best = ref_pick(at, fit).first;
+        ASSERT_EQ(pool.Acquire(at, fit), ref[best].Acquire(at, fit))
+            << "op " << op;
+        break;
+      }
       default: {
         const size_t best = ref_pick(arrival, service).first;
         ASSERT_EQ(pool.Acquire(arrival, service),
