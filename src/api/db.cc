@@ -14,11 +14,11 @@ namespace wattdb {
 
 namespace {
 
-using SchemeFactory = std::unique_ptr<cluster::Repartitioner> (*)(
+using SchemeFactory = std::unique_ptr<partition::MigrationManagerBase> (*)(
     cluster::Cluster*, const partition::MigrationConfig&);
 
 template <typename Scheme>
-std::unique_ptr<cluster::Repartitioner> MakeScheme(
+std::unique_ptr<partition::MigrationManagerBase> MakeScheme(
     cluster::Cluster* cluster, const partition::MigrationConfig& config) {
   return std::make_unique<Scheme>(cluster, config);
 }

@@ -209,7 +209,7 @@ class Db {
   }
   cluster::Master& master() { return *master_; }
   cluster::Monitor& monitor() { return master_->monitor(); }
-  cluster::Repartitioner& scheme() { return *scheme_; }
+  partition::MigrationManagerBase& scheme() { return *scheme_; }
   /// Loaded TPC-C database handle (null without the TPC-C load).
   workload::TpccDatabase* tpcc() { return tpcc_.get(); }
   const DbOptions& options() const { return options_; }
@@ -220,7 +220,7 @@ class Db {
   DbOptions options_;
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<workload::TpccDatabase> tpcc_;
-  std::unique_ptr<cluster::Repartitioner> scheme_;
+  std::unique_ptr<partition::MigrationManagerBase> scheme_;
   std::unique_ptr<fault::RecoveryManager> recovery_;
   std::unique_ptr<cluster::Master> master_;
   std::unique_ptr<fault::FaultInjector> fault_;

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "fault/recovery_manager.h"
+#include "partition/migration.h"
 #include "replica/replica_manager.h"
 
 namespace wattdb::cluster {
@@ -53,15 +54,15 @@ const char* ToString(ControlEventType type) {
   return "unknown";
 }
 
-Master::Master(Cluster* cluster, Repartitioner* repartitioner,
+Master::Master(Cluster* cluster, partition::MigrationManagerBase* scheme,
                fault::RecoveryManager* recovery, MasterPolicy policy)
     : cluster_(cluster),
-      repartitioner_(repartitioner),
+      scheme_(scheme),
       recovery_(recovery),
       policy_(policy),
       monitor_(cluster) {
   WATTDB_CHECK(cluster_ != nullptr);
-  WATTDB_CHECK(repartitioner_ != nullptr);
+  WATTDB_CHECK(scheme_ != nullptr);
   WATTDB_CHECK(recovery_ != nullptr);
   cluster_->KeepHistory(policy_.stats_window);
   replicas_ = std::make_unique<replica::ReplicaManager>(cluster_, this);
@@ -104,7 +105,7 @@ void Master::ControlTick() {
   }
   MaybeBalanceHeat();
   if (policy_.replica.enabled) replicas_->Tick();
-  if (!repartitioner_->InProgress()) {
+  if (!scheme_->InProgress()) {
     MaybeScaleOut(stats);
     MaybeScaleIn(stats);
   }
@@ -142,7 +143,7 @@ void Master::DeclareDead(NodeId node) {
            " consecutive windows; crash #" + std::to_string(crashes));
   // The scheme abandons queued moves touching the node; idempotent when the
   // recovery manager already notified it at crash time.
-  repartitioner_->OnNodeFailure(node);
+  scheme_->OnNodeFailure(node);
 
   if (cluster_->node_state(node).helper) {
     // Helpers hold no partitions — replace instead of restarting.
@@ -162,7 +163,7 @@ void Master::DeclareDead(NodeId node) {
   // ownership; under physical partitioning restart-in-place is all we have.
   const bool flaky = policy_.recovery.exclude_after_crashes > 0 &&
                      crashes >= policy_.recovery.exclude_after_crashes &&
-                     repartitioner_->SupportsDrain();
+                     scheme_->SupportsDrain();
   cluster_->BeginHealing(node);
   if (policy_.recovery.restart_backoff > 0) {
     cluster_->events().ScheduleAfter(
@@ -207,7 +208,7 @@ void Master::IssueRestart(NodeId node, bool drain_after, int attempt) {
 
 void Master::StartDrainAndExclude(NodeId node, int attempt) {
   if (!running_) return;
-  if (!repartitioner_->SupportsDrain()) return;
+  if (!scheme_->SupportsDrain()) return;
   if (attempt >= kMaxDrainAttempts) {
     WATTDB_WARN("master: drain-and-exclude of node "
                 << node.value() << " gave up after " << attempt
@@ -218,29 +219,24 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
   // impossible — the heartbeat detector owns the node again.
   Node* n = cluster_->node(node);
   if (n == nullptr || !n->IsActive()) return;
-  // Standby copies hosted on the victim are disposable — drop them rather
-  // than have the drain move them (and again in the completion callback,
-  // in case a replica landed here mid-drain).
-  replicas_->DropReplicasOn(node);
-  const Status started = repartitioner_->Drain(node, [this, node, attempt]() {
-    replicas_->DropReplicasOn(node);
-    const Status off = cluster_->PowerOff(node);
-    if (off.ok()) {
-      cluster_->Exclude(node);
-      Emit(ControlEventType::kNodeExcluded, node,
-           "drained and powered off after " +
-               std::to_string(cluster_->node_state(node).declared_dead) +
-               " crashes");
-      return;
-    }
-    // Segments survived the drain (a survivor died mid-move, or writes
-    // landed behind the planner); plan the remainder again — on the same
-    // bounded attempt budget as the Busy path.
-    WATTDB_WARN("master: node " << node.value()
-                                << " not empty after drain: "
-                                << off.ToString());
-    StartDrainAndExclude(node, attempt + 1);
-  });
+  const Status started =
+      DrainAndPowerOff(node, [this, node, attempt](const Status& off) {
+        if (off.ok()) {
+          cluster_->Exclude(node);
+          Emit(ControlEventType::kNodeExcluded, node,
+               "drained and powered off after " +
+                   std::to_string(cluster_->node_state(node).declared_dead) +
+                   " crashes");
+          return;
+        }
+        // Segments survived the drain (a survivor died mid-move, or writes
+        // landed behind the planner); plan the remainder again — on the same
+        // bounded attempt budget as the Busy path.
+        WATTDB_WARN("master: node " << node.value()
+                                    << " not empty after drain: "
+                                    << off.ToString());
+        StartDrainAndExclude(node, attempt + 1);
+      });
   if (started.ok()) {
     Emit(ControlEventType::kDrainStarted, node,
          "flaky node (crash #" +
@@ -260,9 +256,7 @@ void Master::StartDrainAndExclude(NodeId node, int attempt) {
 }
 
 void Master::HandleHelperFailure(NodeId helper) {
-  auto it = std::find_if(
-      helpers_.begin(), helpers_.end(),
-      [helper](const HelperAssignment& h) { return h.helper == helper; });
+  auto it = FindHelper(helper);
   std::vector<NodeId> orphaned;
   if (it != helpers_.end()) {
     orphaned = std::move(it->assisted);
@@ -306,23 +300,18 @@ void Master::HandleHelperFailure(NodeId helper) {
   Emit(ControlEventType::kHelperRecruited, replacement,
        "standby booting as replacement helper for " +
            std::to_string(orphaned.size()) + " node(s)");
-  const size_t pages = remote_buffer_pages_;
-  (void)cluster_->PowerOn(replacement, [this, replacement, orphaned, pages]() {
+  (void)WhenUp({replacement}, [this, replacement]() {
     // DetachHelpers may have run while it booted: then nothing is left to
     // wire, and the replacement goes back to standby.
-    const bool still_helper = std::any_of(
-        helpers_.begin(), helpers_.end(),
-        [replacement](const HelperAssignment& h) {
-          return h.helper == replacement;
-        });
-    if (!still_helper) {
+    const auto it = FindHelper(replacement);
+    if (it == helpers_.end()) {
       (void)cluster_->PowerOff(replacement);
-      return;
+      return Status::OK();
     }
-    Node* h = cluster_->node(replacement);
-    for (NodeId a : orphaned) cluster_->node(a)->AttachHelper(*h, pages);
+    WireHelper(*it);
     WATTDB_INFO("master: replacement helper " << replacement.value()
                                               << " wired");
+    return Status::OK();
   });
 }
 
@@ -395,14 +384,23 @@ void Master::MaybeScaleIn(const std::vector<NodeStats>& stats) {
   }
   if (!victim.valid()) return;
   Emit(ControlEventType::kScaleIn, victim, "draining least-loaded node");
-  replicas_->DropReplicasOn(victim);
-  repartitioner_->Drain(victim, [this, victim]() {
-    replicas_->DropReplicasOn(victim);
-    const Status s = cluster_->PowerOff(victim);
+  (void)DrainAndPowerOff(victim, [this, victim](const Status& off) {
     // Taken down deliberately: no heartbeats expected, no false alarm.
-    if (s.ok()) cluster_->StopWatching(victim);
+    if (off.ok()) cluster_->StopWatching(victim);
     WATTDB_INFO("scale-in: node " << victim.value() << " off: "
-                                  << s.ToString());
+                                  << off.ToString());
+  });
+}
+
+Status Master::DrainAndPowerOff(NodeId node,
+                                std::function<void(const Status&)> off) {
+  // Standby copies hosted on the node are disposable — drop them rather
+  // than have the drain move them (and again in the completion callback,
+  // in case a replica landed here mid-drain).
+  replicas_->DropReplicasOn(node);
+  return scheme_->Drain(node, [this, node, off = std::move(off)]() {
+    replicas_->DropReplicasOn(node);
+    off(cluster_->PowerOff(node));
   });
 }
 
@@ -448,7 +446,7 @@ void Master::CheckOverload() {
 void Master::MaybeBalanceHeat() {
   const BalancePolicy& bp = policy_.balance;
   if (!bp.enabled) return;
-  if (!repartitioner_->SupportsDrain()) return;  // Needs ownership transfer.
+  if (!scheme_->SupportsDrain()) return;  // Needs ownership transfer.
 
   const auto node_heat = monitor_.NodeHeats();
   // Mean over serving nodes: a cold node with zero heat pulls the mean
@@ -491,7 +489,7 @@ void Master::MaybeBalanceHeat() {
   ++heat_over_count_;
   if (heat_over_count_ < bp.trigger_after) return;
   // One gate for every move in flight: a heat round, a rebalance or a drain.
-  if (repartitioner_->InProgress()) return;
+  if (scheme_->InProgress()) return;
   if (cluster_->Now() < next_balance_at_) return;
   heat_over_count_ = 0;
 
@@ -505,9 +503,7 @@ void Master::MaybeBalanceHeat() {
   if (plan.empty()) return;  // Imbalanced but nothing movable right now
                              // (cooldowns, or no move narrows the gap).
   const Status started =
-      repartitioner_->StartMoves(plan, [this, plan]() {
-        FinishHeatRound(plan);
-      });
+      scheme_->StartMoves(plan, [this, plan]() { FinishHeatRound(plan); });
   if (!started.ok()) {
     // A scheme that cannot (or will not) execute the plan must not be
     // re-asked every trigger_after ticks — back off one full cooldown so
@@ -737,7 +733,7 @@ void Master::FinishHeatRound(const std::vector<SegmentMove>& plan) {
 Status Master::TriggerRebalance(const std::vector<NodeId>& targets,
                                 double fraction,
                                 std::function<void()> done) {
-  if (repartitioner_->InProgress()) {
+  if (scheme_->InProgress()) {
     return Status::Busy("rebalance already running");
   }
   // Validate what can be validated before booting anything: once targets
@@ -745,40 +741,42 @@ Status Master::TriggerRebalance(const std::vector<NodeId>& targets,
   if (targets.empty() || fraction <= 0.0 || fraction > 1.0) {
     return Status::InvalidArgument("bad rebalance parameters");
   }
-  // Boot any standby targets first; start when all are active.
-  auto pending = std::make_shared<int>(0);
-  auto start = [this, targets, fraction, done]() -> Status {
-    return repartitioner_->StartRebalance(targets, fraction, done);
-  };
+  return WhenUp(targets, [this, targets, fraction, done]() {
+    return scheme_->StartRebalance(targets, fraction, done);
+  });
+}
+
+Status Master::WhenUp(const std::vector<NodeId>& nodes,
+                      std::function<Status()> ready) {
   std::vector<NodeId> to_boot;
-  for (NodeId t : targets) {
-    Node* n = cluster_->node(t);
+  for (NodeId id : nodes) {
+    Node* n = cluster_->node(id);
     if (n == nullptr) {
       return Status::NotFound("no such target node " +
-                              std::to_string(t.value()));
+                              std::to_string(id.value()));
     }
-    if (!n->IsActive()) to_boot.push_back(t);
+    if (!n->IsActive()) to_boot.push_back(id);
   }
-  if (to_boot.empty()) return start();
-  *pending = static_cast<int>(to_boot.size());
-  auto on_up = [pending, start]() {
+  if (to_boot.empty()) return ready();
+  auto pending = std::make_shared<size_t>(to_boot.size());
+  auto on_up = [pending, ready]() {
     if (--*pending > 0) return;
-    // Deferred start after boot: failures can only be logged here.
-    if (const Status s = start(); !s.ok()) {
-      WATTDB_WARN("rebalance failed to start: " << s.ToString());
+    // Deferred behind a boot: failures can only be logged here.
+    if (const Status s = ready(); !s.ok()) {
+      WATTDB_WARN("master: start after boot failed: " << s.ToString());
     }
   };
-  for (NodeId t : to_boot) {
-    // A target that is down because it CRASHED (vs a cold standby) must
-    // come back through recovery — bare PowerOn would skip the redo, leave
-    // the recovery manager considering the node down forever, and pull
-    // fresh data onto a disk whose WAL tail was never replayed.
-    if (cluster_->node_state(t).crashed) {
+  for (NodeId id : to_boot) {
+    // A node that is down because it CRASHED (vs a cold standby) must come
+    // back through recovery — bare PowerOn would skip the redo, leave the
+    // recovery manager considering the node down forever, and pull fresh
+    // data onto a disk whose WAL tail was never replayed.
+    if (cluster_->node_state(id).crashed) {
       WATTDB_RETURN_IF_ERROR(recovery_->Restart(
-          t, [on_up](const fault::RecoveryReport&) { on_up(); }));
+          id, [on_up](const fault::RecoveryReport&) { on_up(); }));
       continue;
     }
-    WATTDB_RETURN_IF_ERROR(cluster_->PowerOn(t, on_up));
+    WATTDB_RETURN_IF_ERROR(cluster_->PowerOn(id, on_up));
   }
   return Status::OK();
 }
@@ -831,25 +829,28 @@ Status Master::AttachHelpers(const std::vector<NodeId>& helpers,
     helpers_[i % helpers_.size()].assisted.push_back(assisted[i]);
   }
   remote_buffer_pages_ = remote_buffer_pages;
-  auto pending = std::make_shared<int>(static_cast<int>(helpers.size()));
-  auto wire = [this, remote_buffer_pages]() {
+  return WhenUp(helpers, [this]() {
     // Wires what is attached when the last helper is up: nothing, when
     // DetachHelpers ran while they booted.
-    for (const HelperAssignment& h : helpers_) {
-      Node* helper = cluster_->node(h.helper);
-      for (NodeId a : h.assisted) {
-        cluster_->node(a)->AttachHelper(*helper, remote_buffer_pages);
-      }
-      if (!h.assisted.empty()) cluster_->SetHelper(h.helper, true);
-    }
+    for (const HelperAssignment& h : helpers_) WireHelper(h);
     WATTDB_INFO("helpers wired for log shipping + remote buffering");
-  };
-  for (NodeId h : helpers) {
-    WATTDB_RETURN_IF_ERROR(cluster_->PowerOn(h, [pending, wire]() {
-      if (--*pending == 0) wire();
-    }));
+    return Status::OK();
+  });
+}
+
+std::vector<Master::HelperAssignment>::iterator Master::FindHelper(
+    NodeId helper) {
+  return std::find_if(
+      helpers_.begin(), helpers_.end(),
+      [helper](const HelperAssignment& h) { return h.helper == helper; });
+}
+
+void Master::WireHelper(const HelperAssignment& h) {
+  Node* helper = cluster_->node(h.helper);
+  for (NodeId a : h.assisted) {
+    cluster_->node(a)->AttachHelper(*helper, remote_buffer_pages_);
   }
-  return Status::OK();
+  if (!h.assisted.empty()) cluster_->SetHelper(h.helper, true);
 }
 
 Status Master::DetachHelpers() {

@@ -18,15 +18,19 @@ namespace wattdb::fault {
 class RecoveryManager;
 }  // namespace wattdb::fault
 
+namespace wattdb::partition {
+class MigrationManagerBase;
+}  // namespace wattdb::partition
+
 namespace wattdb::replica {
 class ReplicaManager;
 }  // namespace wattdb::replica
 
 namespace wattdb::cluster {
 
-/// Progress counters every repartitioning scheme maintains; exposed on the
-/// Repartitioner interface so facade users can watch a move without knowing
-/// the concrete scheme.
+/// Progress counters every repartitioning scheme maintains; exposed by
+/// MigrationManagerBase::stats() so facade users can watch a move without
+/// knowing the concrete scheme.
 struct RebalanceStats {
   int64_t segments_moved = 0;
   int64_t records_moved = 0;
@@ -66,50 +70,6 @@ struct SegmentMove {
   PartitionId src_partition;
   NodeId src_node;
   NodeId dst_node;
-};
-
-/// Abstract repartitioning engine the master drives. Implemented by the
-/// three schemes in src/partition (physical, logical, physiological); the
-/// interface keeps cluster/ and fault/ from depending on partition/.
-class Repartitioner {
- public:
-  virtual ~Repartitioner() = default;
-
-  virtual std::string name() const = 0;
-
-  /// Progress of the current (or last) rebalance.
-  virtual const RebalanceStats& stats() const = 0;
-
-  /// Move `fraction` of every table's data from its current owners onto
-  /// `targets` (which must be active). `done` fires when all moves have
-  /// completed. Runs online: queries continue while data moves.
-  virtual Status StartRebalance(const std::vector<NodeId>& targets,
-                                double fraction,
-                                std::function<void()> done) = 0;
-
-  /// Move everything owned by `victim` to the remaining active nodes so the
-  /// node can be powered off (scale-in, §3.4).
-  virtual Status Drain(NodeId victim, std::function<void()> done) = 0;
-
-  /// Execute an explicit list of segment moves (the heat balancer's plan).
-  /// `done` fires when every move completed or was abandoned; progress and
-  /// failures land in stats() like any other rebalance. Schemes that cannot
-  /// transfer ownership reject with NotSupported.
-  virtual Status StartMoves(const std::vector<SegmentMove>& moves,
-                            std::function<void()> done) = 0;
-
-  /// Whether the scheme transfers ownership, so that Drain can empty a node
-  /// and StartMoves can run at all. Physical partitioning cannot, so the
-  /// master's flaky-node drain-and-exclude degrades to restart-in-place
-  /// under it.
-  virtual bool SupportsDrain() const = 0;
-
-  virtual bool InProgress() const = 0;
-
-  /// Notification that `down` crashed. Implementations abandon queued move
-  /// tasks whose source or target died and let in-flight copies abort
-  /// instead of installing onto (or from) a dead node.
-  virtual void OnNodeFailure(NodeId down) = 0;
 };
 
 /// Consecutive missed Monitor::Sample windows before a previously-active
@@ -268,15 +228,16 @@ struct MasterPolicy {
 /// scheme, and — since the self-healing loop — detects node failures from
 /// missed heartbeat windows and reacts per RecoveryPolicy: restart in
 /// place, drain-and-exclude flaky nodes, and fail over dead helper nodes.
-/// Query routing itself lives in Cluster::Route; this class is the
-/// elasticity and availability controller.
+/// Query routing itself lives in Cluster::RouteBoth/RouteForRead and
+/// cluster/routed_ops; this class is the elasticity and availability
+/// controller.
 class Master {
  public:
-  /// Moves go through `repartitioner`, restarts of declared-dead nodes
-  /// through `recovery`; neither may be null. The master builds and owns
+  /// Moves go through `scheme`, restarts of declared-dead nodes through
+  /// `recovery`; neither may be null. The master builds and owns
   /// the replica manager whose standbys it ticks, promotes, and drops.
   /// Nothing is scheduled before Start.
-  Master(Cluster* cluster, Repartitioner* repartitioner,
+  Master(Cluster* cluster, partition::MigrationManagerBase* scheme,
          fault::RecoveryManager* recovery,
          MasterPolicy policy = MasterPolicy());
   ~Master();
@@ -383,8 +344,19 @@ class Master {
   void StartDrainAndExclude(NodeId node, int attempt);
   void HandleHelperFailure(NodeId helper);
 
+  /// Take `node` out of service (scale-in, flaky-node exclusion): drop the
+  /// standbys hosted on it, drain it, drop them again and power it off;
+  /// `off` gets PowerOff's status. Returns Drain's.
+  Status DrainAndPowerOff(NodeId node, std::function<void(const Status&)> off);
+  /// Boot barrier: run `ready` once every node of `nodes` is up.
+  /// An active node counts as up at once, a crashed one comes back through
+  /// recovery, any other powers on. With nothing to boot, `ready` runs now
+  /// and its status is returned; after a boot a failure can only be logged.
+  Status WhenUp(const std::vector<NodeId>& nodes,
+                std::function<Status()> ready);
+
   Cluster* cluster_;
-  Repartitioner* repartitioner_;
+  partition::MigrationManagerBase* scheme_;
   fault::RecoveryManager* recovery_;
   MasterPolicy policy_;
   Monitor monitor_;
@@ -402,6 +374,11 @@ class Master {
   /// an assisted node carry the lifecycle record's helper flag.
   std::vector<HelperAssignment> helpers_;
   size_t remote_buffer_pages_ = 0;
+  /// The attached helper `helper`, or helpers_.end().
+  std::vector<HelperAssignment>::iterator FindHelper(NodeId helper);
+  /// Ship `h`'s assisted nodes' log to its helper and give them its memory
+  /// as a remote buffer tier.
+  void WireHelper(const HelperAssignment& h);
 
   std::function<void(const ControlEvent&)> event_listener_;
   std::vector<ControlEvent> control_events_;

@@ -12,16 +12,12 @@ const char* StatusCodeName(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kInvalidArgument:
       return "InvalidArgument";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kAborted:
       return "Aborted";
     case StatusCode::kBusy:
       return "Busy";
     case StatusCode::kTimedOut:
       return "TimedOut";
-    case StatusCode::kCorruption:
-      return "Corruption";
     case StatusCode::kNotSupported:
       return "NotSupported";
     case StatusCode::kResourceExhausted:

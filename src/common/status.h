@@ -15,11 +15,9 @@ enum class StatusCode {
   kNotFound,
   kAlreadyExists,
   kInvalidArgument,
-  kOutOfRange,
   kAborted,         ///< Transaction aborted (conflict, deadlock victim, ...)
   kBusy,            ///< Resource locked; retry later.
   kTimedOut,        ///< Lock wait timeout exceeded.
-  kCorruption,      ///< On-"disk" structure violated an invariant.
   kNotSupported,
   kResourceExhausted,
   kInternal,
@@ -43,9 +41,6 @@ class Status {
   static Status InvalidArgument(std::string msg = "") {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status OutOfRange(std::string msg = "") {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status Aborted(std::string msg = "") {
     return Status(StatusCode::kAborted, std::move(msg));
   }
@@ -54,9 +49,6 @@ class Status {
   }
   static Status TimedOut(std::string msg = "") {
     return Status(StatusCode::kTimedOut, std::move(msg));
-  }
-  static Status Corruption(std::string msg = "") {
-    return Status(StatusCode::kCorruption, std::move(msg));
   }
   static Status NotSupported(std::string msg = "") {
     return Status(StatusCode::kNotSupported, std::move(msg));
@@ -78,11 +70,9 @@ class Status {
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
   bool IsAlreadyExists() const { return code_ == StatusCode::kAlreadyExists; }
   bool IsInvalidArgument() const { return code_ == StatusCode::kInvalidArgument; }
-  bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsBusy() const { return code_ == StatusCode::kBusy; }
   bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
-  bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;

@@ -1,6 +1,7 @@
 #include "fault/fault_injector.h"
 
 #include "common/logging.h"
+#include "partition/migration.h"
 #include "replica/replica_manager.h"
 
 namespace wattdb::fault {
@@ -14,7 +15,7 @@ constexpr SimTime kProgressPollUs = 20 * kUsPerMs;
 
 FaultInjector::FaultInjector(cluster::Cluster* cluster,
                              RecoveryManager* recovery,
-                             cluster::Repartitioner* scheme,
+                             partition::MigrationManagerBase* scheme,
                              replica::ReplicaManager* replicas)
     : cluster_(cluster),
       recovery_(recovery),

@@ -5,10 +5,13 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/master.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "fault/recovery_manager.h"
+
+namespace wattdb::partition {
+class MigrationManagerBase;
+}  // namespace wattdb::partition
 
 namespace wattdb::replica {
 class ReplicaManager;
@@ -118,7 +121,7 @@ class FaultInjector {
   /// Crashes go through `recovery`; the progress triggers poll `scheme`
   /// and `replicas`. No pointer may be null.
   FaultInjector(cluster::Cluster* cluster, RecoveryManager* recovery,
-                cluster::Repartitioner* scheme,
+                partition::MigrationManagerBase* scheme,
                 replica::ReplicaManager* replicas);
 
   FaultInjector(const FaultInjector&) = delete;
@@ -148,7 +151,7 @@ class FaultInjector {
 
   cluster::Cluster* cluster_;
   RecoveryManager* recovery_;
-  cluster::Repartitioner* scheme_;
+  partition::MigrationManagerBase* scheme_;
   replica::ReplicaManager* replicas_;
   /// Bumped by Disarm(); events from older generations become no-ops.
   uint64_t generation_ = 0;

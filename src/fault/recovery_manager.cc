@@ -4,13 +4,14 @@
 
 #include "cluster/node.h"
 #include "common/logging.h"
+#include "partition/migration.h"
 #include "storage/segment.h"
 #include "storage/segment_manager.h"
 
 namespace wattdb::fault {
 
 RecoveryManager::RecoveryManager(cluster::Cluster* cluster,
-                                 cluster::Repartitioner* scheme)
+                                 partition::MigrationManagerBase* scheme)
     : cluster_(cluster), scheme_(scheme) {
   WATTDB_CHECK(cluster_ != nullptr);
   WATTDB_CHECK(scheme_ != nullptr);

@@ -6,9 +6,12 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/master.h"
 #include "common/status.h"
 #include "common/types.h"
+
+namespace wattdb::partition {
+class MigrationManagerBase;
+}  // namespace wattdb::partition
 
 namespace wattdb::fault {
 
@@ -61,7 +64,8 @@ struct RecoveryReport {
 class RecoveryManager {
  public:
   /// `scheme` is told of every crash; neither pointer may be null.
-  RecoveryManager(cluster::Cluster* cluster, cluster::Repartitioner* scheme);
+  RecoveryManager(cluster::Cluster* cluster,
+                  partition::MigrationManagerBase* scheme);
 
   RecoveryManager(const RecoveryManager&) = delete;
   RecoveryManager& operator=(const RecoveryManager&) = delete;
@@ -88,7 +92,7 @@ class RecoveryManager {
   RecoveryReport Redo(NodeId node);
 
   cluster::Cluster* cluster_;
-  cluster::Repartitioner* scheme_;
+  partition::MigrationManagerBase* scheme_;
   /// Unflushed inserts wiped by the crash, per node (for the report).
   std::unordered_map<NodeId, int64_t> wiped_at_crash_;
   std::vector<RecoveryReport> reports_;

@@ -41,29 +41,48 @@ struct MigrationConfig {
 /// which source partitions, the chunked copy machinery, the §4.3
 /// ownership-transfer preamble and the abandon path. Subclasses decide only
 /// what one move does (§4.1-§4.3): ship bytes, drain records, or ship bytes
-/// and flip ownership.
-class MigrationManagerBase : public cluster::Repartitioner {
+/// and flip ownership. The master, the recovery manager and the fault
+/// injector drive it directly.
+class MigrationManagerBase {
  public:
   MigrationManagerBase(cluster::Cluster* cluster, MigrationConfig config);
+  virtual ~MigrationManagerBase() = default;
+  MigrationManagerBase(const MigrationManagerBase&) = delete;
+  MigrationManagerBase& operator=(const MigrationManagerBase&) = delete;
 
+  virtual std::string name() const = 0;
+
+  /// Whether the scheme transfers ownership, so that Drain can empty a node
+  /// and StartMoves can run at all. Physical partitioning cannot, so the
+  /// master's flaky-node drain-and-exclude degrades to restart-in-place
+  /// under it.
+  virtual bool SupportsDrain() const = 0;
+
+  /// Move `fraction` of every table's data from its current owners onto
+  /// `targets` (which must be active). `done` fires when all moves have
+  /// completed. Runs online: queries continue while data moves.
   Status StartRebalance(const std::vector<NodeId>& targets, double fraction,
-                        std::function<void()> done) override;
-  Status Drain(NodeId victim, std::function<void()> done) override;
+                        std::function<void()> done);
+  /// Move everything owned by `victim` to the remaining active nodes so the
+  /// node can be powered off (scale-in, §3.4).
+  Status Drain(NodeId victim, std::function<void()> done);
   /// Targeted moves (the master's heat balancer): the moves join the
   /// shared task queue as given, so §4.3 two-pointer safety, chunked
-  /// streaming, and crash abandonment apply unchanged.
+  /// streaming, and crash abandonment apply unchanged. Schemes that cannot
+  /// transfer ownership reject with NotSupported.
   Status StartMoves(const std::vector<cluster::SegmentMove>& moves,
-                    std::function<void()> done) override;
-  bool InProgress() const override { return stats_.running; }
+                    std::function<void()> done);
+  bool InProgress() const { return stats_.running; }
 
   /// Crash notification: queued tasks whose source or target is `down` are
   /// abandoned (counted in stats().tasks_failed); the in-flight copy, if
   /// any, aborts at its next chunk boundary via the liveness check in
   /// StreamBytes. The rebalance still completes (and fires `done`) with
   /// whatever tasks survived.
-  void OnNodeFailure(NodeId down) override;
+  void OnNodeFailure(NodeId down);
 
-  const cluster::RebalanceStats& stats() const override { return stats_; }
+  /// Progress of the current (or last) rebalance, drain or move round.
+  const cluster::RebalanceStats& stats() const { return stats_; }
   const MigrationConfig& config() const { return config_; }
 
  protected:

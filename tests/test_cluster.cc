@@ -665,6 +665,43 @@ TEST(Master, TriggerRebalanceBootsTargets) {
   EXPECT_TRUE(c.node(NodeId(2))->IsActive());
 }
 
+// A crashed target is not a cold standby: the rebalance boots it through
+// the recovery manager, so its redo runs before data moves onto it.
+TEST(Master, TriggerRebalanceRestartsCrashedTargetThroughRecovery) {
+  Cluster c(SmallConfig(4, 3));
+  workload::TpccLoadConfig load;
+  load.warehouses = 2;
+  load.fill = 0.05;
+  load.home_nodes = {NodeId(0), NodeId(1)};
+  workload::TpccDatabase db(&c, load);
+  ASSERT_TRUE(db.Load().ok());
+  partition::PhysiologicalPartitioning scheme(&c);
+  fault::RecoveryManager recovery(&c, &scheme);
+  Master master(&c, &scheme, &recovery);
+  ASSERT_TRUE(recovery.Crash(NodeId(2)).ok());
+  bool done = false;
+  ASSERT_TRUE(
+      master.TriggerRebalance({NodeId(2)}, 0.5, [&]() { done = true; }).ok());
+  c.RunUntil(c.Now() + 300 * kUsPerSec);
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(c.node(NodeId(2))->IsActive());
+  EXPECT_FALSE(c.node_state(NodeId(2)).crashed);
+  EXPECT_EQ(recovery.reports().size(), 1u) << "restarted through recovery";
+  EXPECT_FALSE(c.segments().SegmentsOn(NodeId(2)).empty());
+}
+
+// A helper that is already active needs no boot: it is wired before
+// AttachHelpers returns.
+TEST(Master, AttachHelpersWiresAnActiveHelperAtOnce) {
+  Cluster c(SmallConfig(4, 3));
+  partition::PhysiologicalPartitioning scheme(&c);
+  fault::RecoveryManager recovery(&c, &scheme);
+  Master master(&c, &scheme, &recovery);
+  ASSERT_TRUE(master.AttachHelpers({NodeId(2)}, {NodeId(1)}, 100).ok());
+  EXPECT_TRUE(c.node(NodeId(1))->log().HasHelper());
+  EXPECT_TRUE(c.node_state(NodeId(2)).helper);
+}
+
 // A node that is alive behind a network partition misses its heartbeats
 // and is declared dead, but the recovery manager refuses its restart as
 // "already active". The master retries the refusal once per control period,

@@ -30,11 +30,9 @@ TEST(Status, CarriesCodeAndMessage) {
 TEST(Status, AllConstructorsMapToPredicates) {
   EXPECT_TRUE(Status::AlreadyExists().IsAlreadyExists());
   EXPECT_TRUE(Status::InvalidArgument().IsInvalidArgument());
-  EXPECT_TRUE(Status::OutOfRange().IsOutOfRange());
   EXPECT_TRUE(Status::Aborted().IsAborted());
   EXPECT_TRUE(Status::Busy().IsBusy());
   EXPECT_TRUE(Status::TimedOut().IsTimedOut());
-  EXPECT_TRUE(Status::Corruption().IsCorruption());
   EXPECT_TRUE(Status::NotSupported().IsNotSupported());
   EXPECT_TRUE(Status::ResourceExhausted().IsResourceExhausted());
   EXPECT_TRUE(Status::Internal().IsInternal());
